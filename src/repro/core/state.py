@@ -14,10 +14,51 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.entities import Entity, EntityKind, Permission, Role, User
 from repro.exceptions import DuplicateEntityError, UnknownEntityError
+
+_MASK = (1 << 256) - 1
+
+
+def _item_digest(tag: str, *parts: str) -> int:
+    """SHA-256 of one tagged, delimiter-separated item, as an int."""
+    h = hashlib.sha256()
+    h.update(tag.encode("utf-8"))
+    for part in parts:
+        h.update(b"\x1f")
+        h.update(part.encode("utf-8"))
+    return int.from_bytes(h.digest(), "big")
+
+
+def _entity_digest(tag: str, entity: Entity) -> int:
+    """Digest of one entity: its id, name and (sorted) attributes."""
+    attributes = (
+        json.dumps(dict(entity.attributes), sort_keys=True, default=str)
+        if entity.attributes
+        else ""
+    )
+    return _item_digest(tag, entity.id, entity.name, attributes)
+
+
+def _content_digest(state: "RbacState") -> int:
+    """The full pass: sum modulo 2**256 of every item's digest."""
+    total = 0
+    for collection, tag in (
+        (state._users, "user"),
+        (state._roles, "role"),
+        (state._permissions, "permission"),
+    ):
+        for entity in collection.values():
+            total += _entity_digest(tag, entity)
+    for role_id, members in state._role_users.items():
+        for user_id in members:
+            total += _item_digest("edge:ru", role_id, user_id)
+    for role_id, grants in state._role_permissions.items():
+        for permission_id in grants:
+            total += _item_digest("edge:rp", role_id, permission_id)
+    return total & _MASK
 
 
 class RbacState:
@@ -33,6 +74,9 @@ class RbacState:
         # Reverse adjacency: user/permission -> roles.
         self._user_roles: dict[str, set[str]] = {}
         self._permission_roles: dict[str, set[str]] = {}
+        # The content digest as an int, once fingerprint() has computed
+        # it; from then on every mutator keeps it current.
+        self._digest: int | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -78,6 +122,7 @@ class RbacState:
             raise DuplicateEntityError("user", entity.id)
         self._users[entity.id] = entity
         self._user_roles[entity.id] = set()
+        self._track(1, _entity_digest, "user", entity)
         return entity
 
     def add_role(self, role: Role | str) -> Role:
@@ -87,6 +132,7 @@ class RbacState:
         self._roles[entity.id] = entity
         self._role_users[entity.id] = set()
         self._role_permissions[entity.id] = set()
+        self._track(1, _entity_digest, "role", entity)
         return entity
 
     def add_permission(self, permission: Permission | str) -> Permission:
@@ -99,6 +145,7 @@ class RbacState:
             raise DuplicateEntityError("permission", entity.id)
         self._permissions[entity.id] = entity
         self._permission_roles[entity.id] = set()
+        self._track(1, _entity_digest, "permission", entity)
         return entity
 
     def remove_user(self, user_id: str) -> None:
@@ -106,23 +153,29 @@ class RbacState:
         self._require_user(user_id)
         for role_id in self._user_roles.pop(user_id):
             self._role_users[role_id].discard(user_id)
-        del self._users[user_id]
+            self._track(-1, _item_digest, "edge:ru", role_id, user_id)
+        self._track(-1, _entity_digest, "user", self._users.pop(user_id))
 
     def remove_role(self, role_id: str) -> None:
         """Remove a role and all its edges (both directions)."""
         self._require_role(role_id)
         for user_id in self._role_users.pop(role_id):
             self._user_roles[user_id].discard(role_id)
+            self._track(-1, _item_digest, "edge:ru", role_id, user_id)
         for permission_id in self._role_permissions.pop(role_id):
             self._permission_roles[permission_id].discard(role_id)
-        del self._roles[role_id]
+            self._track(-1, _item_digest, "edge:rp", role_id, permission_id)
+        self._track(-1, _entity_digest, "role", self._roles.pop(role_id))
 
     def remove_permission(self, permission_id: str) -> None:
         """Remove a permission and all of its role assignments."""
         self._require_permission(permission_id)
         for role_id in self._permission_roles.pop(permission_id):
             self._role_permissions[role_id].discard(permission_id)
-        del self._permissions[permission_id]
+            self._track(-1, _item_digest, "edge:rp", role_id, permission_id)
+        self._track(
+            -1, _entity_digest, "permission", self._permissions.pop(permission_id)
+        )
 
     # ------------------------------------------------------------------
     # Assignment management
@@ -131,29 +184,45 @@ class RbacState:
         """Add a role -> user edge (idempotent)."""
         self._require_role(role_id)
         self._require_user(user_id)
-        self._role_users[role_id].add(user_id)
+        members = self._role_users[role_id]
+        if user_id in members:
+            return
+        members.add(user_id)
         self._user_roles[user_id].add(role_id)
+        self._track(1, _item_digest, "edge:ru", role_id, user_id)
 
     def assign_permission(self, role_id: str, permission_id: str) -> None:
         """Add a role -> permission edge (idempotent)."""
         self._require_role(role_id)
         self._require_permission(permission_id)
-        self._role_permissions[role_id].add(permission_id)
+        grants = self._role_permissions[role_id]
+        if permission_id in grants:
+            return
+        grants.add(permission_id)
         self._permission_roles[permission_id].add(role_id)
+        self._track(1, _item_digest, "edge:rp", role_id, permission_id)
 
     def revoke_user(self, role_id: str, user_id: str) -> None:
         """Remove a role -> user edge (no-op if absent)."""
         self._require_role(role_id)
         self._require_user(user_id)
-        self._role_users[role_id].discard(user_id)
-        self._user_roles[user_id].discard(role_id)
+        members = self._role_users[role_id]
+        if user_id not in members:
+            return
+        members.remove(user_id)
+        self._user_roles[user_id].remove(role_id)
+        self._track(-1, _item_digest, "edge:ru", role_id, user_id)
 
     def revoke_permission(self, role_id: str, permission_id: str) -> None:
         """Remove a role -> permission edge (no-op if absent)."""
         self._require_role(role_id)
         self._require_permission(permission_id)
-        self._role_permissions[role_id].discard(permission_id)
-        self._permission_roles[permission_id].discard(role_id)
+        grants = self._role_permissions[role_id]
+        if permission_id not in grants:
+            return
+        grants.remove(permission_id)
+        self._permission_roles[permission_id].remove(role_id)
+        self._track(-1, _item_digest, "edge:rp", role_id, permission_id)
 
     # ------------------------------------------------------------------
     # Queries
@@ -281,6 +350,7 @@ class RbacState:
         clone._permission_roles = {
             k: set(v) for k, v in self._permission_roles.items()
         }
+        clone._digest = self._digest
         return clone
 
     def fingerprint(self) -> str:
@@ -290,7 +360,7 @@ class RbacState:
         the same users, roles, and permissions (ids, names, attributes)
         and the same assignment edges — regardless of the order anything
         was inserted.  Any content mutation (add/remove an entity,
-        assign/revoke an edge, rename) changes the digest.
+        assign/revoke an edge) changes the digest.
 
         This is the report-cache key of the analysis service
         (:mod:`repro.service`): a cached report is valid for exactly as
@@ -298,46 +368,24 @@ class RbacState:
 
         Each item is hashed independently (SHA-256 over a tagged,
         delimiter-separated encoding) and the per-item digests are
-        combined with addition modulo 2**256, so the result is
-        independent of iteration order and computed in one O(items)
-        pass with no sorting.
+        combined with addition modulo 2**256.  That makes the digest an
+        incremental multiset hash (Bellare & Micciancio, EUROCRYPT
+        1997): the first call computes it in one O(items) pass, and from
+        then on every mutator adds or subtracts the digests of exactly
+        the items it changes, so later calls are O(1).  A state that
+        never asks for its fingerprint pays nothing.
         """
-        mask = (1 << 256) - 1
-        total = 0
+        if self._digest is None:
+            self._digest = _content_digest(self)
+        return f"{self._digest:064x}"
 
-        def mix(tag: str, *parts: str) -> int:
-            h = hashlib.sha256()
-            h.update(tag.encode("utf-8"))
-            for part in parts:
-                h.update(b"\x1f")
-                h.update(part.encode("utf-8"))
-            return int.from_bytes(h.digest(), "big")
+    def recompute_fingerprint(self) -> str:
+        """:meth:`fingerprint` from a full pass over the content.
 
-        for collection, tag in (
-            (self._users, "user"),
-            (self._roles, "role"),
-            (self._permissions, "permission"),
-        ):
-            for entity in collection.values():
-                attributes = (
-                    json.dumps(
-                        dict(entity.attributes), sort_keys=True, default=str
-                    )
-                    if entity.attributes
-                    else ""
-                )
-                total = (
-                    total + mix(tag, entity.id, entity.name, attributes)
-                ) & mask
-        for role_id, members in self._role_users.items():
-            for user_id in members:
-                total = (total + mix("edge:ru", role_id, user_id)) & mask
-        for role_id, grants in self._role_permissions.items():
-            for permission_id in grants:
-                total = (
-                    total + mix("edge:rp", role_id, permission_id)
-                ) & mask
-        return f"{total:064x}"
+        Never reads or updates the maintained digest; use it to verify
+        content that came from outside (a snapshot on disk).
+        """
+        return f"{_content_digest(self):064x}"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RbacState):
@@ -386,6 +434,19 @@ class RbacState:
             for permission_id in grants:
                 graph.add_edge(f"role:{role_id}", f"permission:{permission_id}")
         return graph
+
+    # ------------------------------------------------------------------
+    # Digest maintenance
+    # ------------------------------------------------------------------
+    def _track(
+        self, sign: int, digest: Callable[..., int], *item: Any
+    ) -> None:
+        """Add (``sign=1``) or subtract (``-1``) ``digest(*item)``.
+
+        A no-op until :meth:`fingerprint` first computes the digest.
+        """
+        if self._digest is not None:
+            self._digest = (self._digest + sign * digest(*item)) & _MASK
 
     # ------------------------------------------------------------------
     # Internal guards

@@ -391,7 +391,7 @@ class JobQueue:
     def enqueue(
         self,
         kind: str,
-        payload: dict[str, Any],
+        payload: dict[str, Any] | Callable[[], dict[str, Any]],
         *,
         spec_key: str | None = None,
         trace_id: str | None = None,
@@ -407,53 +407,89 @@ class JobQueue:
         fresh deadline.  ``expires_at`` is the queue-visible wall-clock
         deadline: claimers skip the job once it passes, and the reaper
         fails it.
+
+        ``payload`` may be a zero-argument callable (which then needs an
+        explicit ``spec_key``).  It is called at most once, only when a
+        row is about to be inserted or resurrected, and outside the
+        write transaction, so a duplicate enqueue never builds a bulky
+        payload and other writers never wait for one.  An exception it
+        raises propagates with nothing written.
         """
         if max_attempts is not None and max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1 (got {max_attempts})"
             )
+        lazy = callable(payload)
+        if lazy and spec_key is None:
+            raise ConfigurationError(
+                "a payload factory needs an explicit spec_key"
+            )
         spec_hash = spec_key or spec_key_of(kind, payload)
-        now = self._time()
+        encoded: str | None = None
+        budget = max_attempts if max_attempts is not None else self.max_attempts
         conn = self._connection()
-        with self._transaction(conn):
-            row = conn.execute(
-                f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
-                (spec_hash,),
-            ).fetchone()
-            if row is not None and row["state"] not in ("failed", "lost"):
-                self._bump(conn, "jobs.deduplicated")
-                return self._record_of(row), False
-            budget = max_attempts if max_attempts is not None else self.max_attempts
-            if row is not None:
-                # Terminal failure: resurrect with a clean slate.
-                conn.execute(
-                    "UPDATE task_runs SET state='queued', attempts=0, "
-                    "max_attempts=?, payload=?, result=NULL, error=NULL, "
-                    "trace_id=?, enqueued_at=?, not_before=0, expires_at=?, "
-                    "leased_by=NULL, leased_at=NULL, lease_expires_at=NULL, "
-                    "heartbeat_at=NULL, first_claimed_at=NULL, "
-                    "finished_at=NULL, queue_wait_seconds=NULL, "
-                    "run_seconds=NULL WHERE job_id=?",
-                    (budget, json.dumps(payload, sort_keys=True), trace_id,
-                     now, expires_at, spec_hash),
-                )
-                self._bump(conn, "jobs.resurrected")
-            else:
-                conn.execute(
-                    "INSERT INTO task_runs (job_id, spec_hash, kind, state, "
-                    "attempts, max_attempts, payload, trace_id, enqueued_at, "
-                    "not_before, expires_at) "
-                    "VALUES (?, ?, ?, 'queued', 0, ?, ?, ?, ?, 0, ?)",
-                    (spec_hash, spec_hash, kind, budget,
-                     json.dumps(payload, sort_keys=True), trace_id, now,
-                     expires_at),
-                )
-            self._bump(conn, "jobs.enqueued")
-            row = conn.execute(
-                f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
-                (spec_hash,),
-            ).fetchone()
-        return self._record_of(row), True
+        while True:
+            with self._transaction(conn):
+                row = conn.execute(
+                    f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
+                    (spec_hash,),
+                ).fetchone()
+                if row is not None and row["state"] not in ("failed", "lost"):
+                    self._bump(conn, "jobs.deduplicated")
+                    return self._record_of(row), False
+                if not lazy:
+                    encoded = json.dumps(payload, sort_keys=True)
+                if encoded is not None:
+                    self._write_queued(
+                        conn, row, spec_hash, kind, budget, encoded,
+                        trace_id, expires_at,
+                    )
+                    row = conn.execute(
+                        f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
+                        (spec_hash,),
+                    ).fetchone()
+                    return self._record_of(row), True
+            # A row must be written but the payload is still a factory:
+            # build it with no transaction open, then look again (another
+            # producer may have inserted the spec in the meantime).
+            encoded = json.dumps(payload(), sort_keys=True)
+
+    def _write_queued(
+        self,
+        conn: sqlite3.Connection,
+        row: sqlite3.Row | None,
+        spec_hash: str,
+        kind: str,
+        budget: int,
+        encoded: str,
+        trace_id: str | None,
+        expires_at: float | None,
+    ) -> None:
+        """Insert a new row, or resurrect a terminally failed one."""
+        now = self._time()
+        if row is not None:
+            # Terminal failure: resurrect with a clean slate.
+            conn.execute(
+                "UPDATE task_runs SET state='queued', attempts=0, "
+                "max_attempts=?, payload=?, result=NULL, error=NULL, "
+                "trace_id=?, enqueued_at=?, not_before=0, expires_at=?, "
+                "leased_by=NULL, leased_at=NULL, lease_expires_at=NULL, "
+                "heartbeat_at=NULL, first_claimed_at=NULL, "
+                "finished_at=NULL, queue_wait_seconds=NULL, "
+                "run_seconds=NULL WHERE job_id=?",
+                (budget, encoded, trace_id, now, expires_at, spec_hash),
+            )
+            self._bump(conn, "jobs.resurrected")
+        else:
+            conn.execute(
+                "INSERT INTO task_runs (job_id, spec_hash, kind, state, "
+                "attempts, max_attempts, payload, trace_id, enqueued_at, "
+                "not_before, expires_at) "
+                "VALUES (?, ?, ?, 'queued', 0, ?, ?, ?, ?, 0, ?)",
+                (spec_hash, spec_hash, kind, budget, encoded, trace_id,
+                 now, expires_at),
+            )
+        self._bump(conn, "jobs.enqueued")
 
     # ------------------------------------------------------------------
     # Worker side

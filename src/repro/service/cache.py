@@ -59,8 +59,22 @@ class ReportCache:
         self.deadline_abandons = 0
 
     # ------------------------------------------------------------------
-    # The one entry point
+    # Entry points
     # ------------------------------------------------------------------
+    def get(self, key: Hashable) -> Any | None:
+        """The cached value for ``key`` (counted as a hit), else ``None``.
+
+        Hit-only: a miss is not counted and starts nothing, so callers
+        can probe cheaply before preparing the inputs a compute needs,
+        then fall through to :meth:`get_or_compute`.
+        """
+        with self._lock:
+            if key not in self._entries:
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return self._entries[key]
+
     def get_or_compute(
         self,
         key: Hashable,

@@ -54,7 +54,7 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.core.engine import AnalysisConfig, analyze, effective_scan_workers
@@ -62,7 +62,7 @@ from repro.core.incremental import IncrementalAuditor
 from repro.core.report import Report
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError, ReproError
-from repro.jobs import JobClient, JobQueue
+from repro.jobs import JobClient, JobQueue, JobRecord
 from repro.obs import (
     MetricRegistry,
     Recorder,
@@ -89,6 +89,10 @@ from repro.service.scheduler import RefreshScheduler
 from repro.service.store import SnapshotMeta, SnapshotStore
 
 __all__ = ["ServiceConfig", "AnalysisService", "ServiceServer"]
+
+
+class _StateMoved(Exception):
+    """A mutation changed the live state after its fingerprint was read."""
 
 
 @dataclass(frozen=True)
@@ -725,22 +729,16 @@ class AnalysisService:
     ) -> tuple[int, dict[str, Any], dict[str, str]]:
         overrides = self._parse_json(body) if body.strip() else None
         effective = build_analysis_config(self.config.analysis, overrides)
-        fingerprint, snapshot, seq = self._freeze_state()
-        remaining = deadline_at - time.monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded("deadline elapsed before analysis began")
         if self._jobs is not None:
-            return self._enqueue_analyze(
-                effective, fingerprint, snapshot, seq, remaining
-            )
-        key = (fingerprint, config_key(effective))
-        (report, payload), source = self._cache.get_or_compute(
-            key,
-            lambda: self._compute(snapshot, effective),
-            timeout=remaining,
+            return self._enqueue_analyze(effective, deadline_at)
+        # The cached dict (not the Report) is the response body.
+        (_report, payload), source, fingerprint, seq = self._cached_analysis(
+            effective,
+            lambda snapshot, _fingerprint, _seq: self._compute(
+                snapshot, effective
+            ),
+            deadline_at,
         )
-        del report  # the cached dict is the response body
-        self._bump(f"service.analyze_{source}", 1)
         return (
             200,
             {
@@ -764,43 +762,49 @@ class AnalysisService:
     # Job-plane endpoints (queue execution mode)
     # ------------------------------------------------------------------
     def _enqueue_analyze(
-        self,
-        effective: AnalysisConfig,
-        fingerprint: str,
-        snapshot: RbacState,
-        seq: int,
-        remaining: float,
+        self, effective: AnalysisConfig, deadline_at: float
     ) -> tuple[int, dict[str, Any], dict[str, str]]:
         """Queue-mode ``POST /v1/analyze``: enqueue and answer 202.
 
         The job's identity is ``(state fingerprint, config key)`` — the
         same identity the report cache uses, so two requests for the
         same analysis share one queue row (idempotent enqueue) exactly
-        as they would share one cache entry inline.  The request's
-        remaining deadline becomes the job's queue-visible ``expires_at``
-        (wall clock — comparable across worker processes), so workers
-        skip, and the reaper fails, jobs nobody is waiting for anymore.
-        The request's trace ID rides along in the record: the executing
-        worker stamps it on its ``jobs.run`` trace, stitching the
-        worker-side fragment into this request's trace tree.
-        """
-        from repro.io.jsonio import state_to_dict
+        as they would share one cache entry inline.  A duplicate costs
+        one O(1) fingerprint read: the state is copied and serialised
+        only when the queue actually writes a row.  If a mutation lands
+        between the fingerprint read and that copy, the request reads
+        the new fingerprint and tries again until its deadline.
 
-        spec_key = hashlib.sha256(
-            f"{fingerprint}|{config_key(effective)}".encode("utf-8")
-        ).hexdigest()
-        record, created = self._jobs.enqueue(
-            "analyze",
-            {
-                "state": state_to_dict(snapshot),
-                "config": effective.to_dict(),
-                "fingerprint": fingerprint,
-                "mutation_seq": seq,
-            },
-            spec_key=spec_key,
-            trace_id=current_recorder().trace_id,
-            expires_at=time.time() + remaining,
-        )
+        The request's remaining deadline becomes the job's queue-visible
+        ``expires_at`` (wall clock — comparable across worker
+        processes), so workers skip, and the reaper fails, jobs nobody
+        is waiting for anymore.  The request's trace ID rides along in
+        the record: the executing worker stamps it on its ``jobs.run``
+        trace, stitching the worker-side fragment into this request's
+        trace tree.
+        """
+        while True:
+            with self._state_lock:
+                fingerprint = self._auditor.state.fingerprint()
+                seq = self._mutation_seq
+            remaining = deadline_at - time.monotonic()
+            if remaining <= 0:
+                raise DeadlineExceeded(
+                    "deadline elapsed before analysis began"
+                )
+            try:
+                record, created = self._submit_analyze(
+                    effective,
+                    fingerprint,
+                    seq,
+                    lambda: self._snapshot_if_unchanged(fingerprint),
+                    expires_at=time.time() + remaining,
+                    trace_id=current_recorder().trace_id,
+                )
+            except _StateMoved:
+                self._bump("service.snapshot_retries", 1)
+                continue
+            break
         self._bump(
             "service.analyze_enqueued" if created
             else "service.analyze_dedup",
@@ -853,17 +857,105 @@ class AnalysisService:
     # ------------------------------------------------------------------
     # Analysis plumbing
     # ------------------------------------------------------------------
-    def _freeze_state(self) -> tuple[str, RbacState, int]:
-        """Fingerprint + copy the live state atomically.
+    def _cached_analysis(
+        self,
+        config: AnalysisConfig,
+        compute: Callable[
+            [RbacState, str, int], tuple[Report, dict[str, Any]]
+        ],
+        deadline_at: float | None = None,
+    ) -> tuple[tuple[Report, dict[str, Any]], str, str, int]:
+        """The cached analysis of the live state under ``config``.
 
-        The copy happens under the state lock so the fingerprint is
+        Returns ``(value, source, fingerprint, mutation_seq)`` with
+        ``source`` one of ``hit``/``miss``/``coalesced``.  The
+        fingerprint read and the cache probe share one hold of the state
+        lock: the read is O(1) and a hit copies nothing.  On a miss the
+        state is copied inside that same hold, so the cache key is
         guaranteed to describe exactly the copied content — mutations
         arriving after the lock is released cannot desynchronise the
-        cache key from the analysed snapshot.
+        key from the analysed snapshot.  ``compute(snapshot,
+        fingerprint, seq)`` then runs on a cache compute thread.
         """
         with self._state_lock:
-            state = self._auditor.state
-            return state.fingerprint(), state.copy(), self._mutation_seq
+            fingerprint = self._auditor.state.fingerprint()
+            seq = self._mutation_seq
+            key = (fingerprint, config_key(config))
+            value = self._cache.get(key)
+            if value is None:
+                with current_recorder().span("service.snapshot"):
+                    snapshot = self._copy_state()
+        timeout = None
+        if deadline_at is not None:
+            timeout = deadline_at - time.monotonic()
+            if timeout <= 0:
+                raise DeadlineExceeded(
+                    "deadline elapsed before analysis began"
+                )
+        if value is not None:
+            source = "hit"
+        else:
+            value, source = self._cache.get_or_compute(
+                key, lambda: compute(snapshot, fingerprint, seq), timeout
+            )
+        self._bump(f"service.analyze_{source}", 1)
+        return value, source, fingerprint, seq
+
+    def _copy_state(self) -> RbacState:
+        """Copy the live state for one analysis (caller holds the lock)."""
+        self._bump("service.state_copies", 1)
+        return self._auditor.state.copy()
+
+    def _snapshot_if_unchanged(self, fingerprint: str) -> RbacState:
+        """A copy of the live state, if its content is still ``fingerprint``.
+
+        Raises :class:`_StateMoved` when a mutation landed since the
+        caller read the fingerprint: the copy would not match the job's
+        spec key.
+        """
+        with self._state_lock:
+            if self._auditor.state.fingerprint() != fingerprint:
+                raise _StateMoved(fingerprint)
+            return self._copy_state()
+
+    def _submit_analyze(
+        self,
+        config: AnalysisConfig,
+        fingerprint: str,
+        seq: int,
+        snapshot: Callable[[], RbacState],
+        *,
+        expires_at: float,
+        trace_id: str | None = None,
+    ) -> tuple[JobRecord, bool]:
+        """Enqueue the analysis job of ``(fingerprint, config)``.
+
+        The one place the job spec is built: the spec key hashes the
+        cache key, and the payload — the serialised ``snapshot()`` plus
+        the config — is built only if the queue writes a row.
+        """
+        from repro.io.jsonio import state_to_dict
+
+        def payload() -> dict[str, Any]:
+            with current_recorder().span("service.snapshot"):
+                state = state_to_dict(snapshot())
+            return {
+                "state": state,
+                "config": config.to_dict(),
+                "fingerprint": fingerprint,
+                "mutation_seq": seq,
+            }
+
+        spec_key = hashlib.sha256(
+            f"{fingerprint}|{config_key(config)}".encode("utf-8")
+        ).hexdigest()
+        return self._jobs.enqueue(
+            "analyze",
+            payload,
+            spec_key=spec_key,
+            trace_id=trace_id,
+            expires_at=expires_at,
+        )
 
     def _compute(
         self, snapshot: RbacState, config: AnalysisConfig
@@ -900,18 +992,20 @@ class AnalysisService:
         for the same content would use.  ``inline=True`` (warm start)
         forces in-process computation.
         """
-        fingerprint, snapshot, seq = self._freeze_state()
-        key = (fingerprint, config_key(self.config.analysis))
+        config = self.config.analysis
         if self._jobs is not None and not inline:
-            def compute() -> tuple[Report, dict[str, Any]]:
-                return self._compute_queued(
-                    snapshot, self.config.analysis, fingerprint, seq
-                )
+            def compute(
+                snapshot: RbacState, fingerprint: str, seq: int
+            ) -> tuple[Report, dict[str, Any]]:
+                return self._compute_queued(snapshot, config, fingerprint, seq)
         else:
-            def compute() -> tuple[Report, dict[str, Any]]:
-                return self._compute(snapshot, self.config.analysis)
-        (report, _payload), source = self._cache.get_or_compute(key, compute)
-        self._bump(f"service.analyze_{source}", 1)
+            def compute(
+                snapshot: RbacState, fingerprint: str, seq: int
+            ) -> tuple[Report, dict[str, Any]]:
+                return self._compute(snapshot, config)
+        (report, _payload), _source, fingerprint, seq = self._cached_analysis(
+            config, compute
+        )
         return report, fingerprint, seq
 
     def _compute_queued(
@@ -928,24 +1022,15 @@ class AnalysisService:
         downstream consumers (the scheduler's diff, renderers) get a live
         report indistinguishable from an inline one.
         """
-        from repro.io.jsonio import state_to_dict
-
-        spec_key = hashlib.sha256(
-            f"{fingerprint}|{config_key(config)}".encode("utf-8")
-        ).hexdigest()
-        self._jobs.enqueue(
-            "analyze",
-            {
-                "state": state_to_dict(snapshot),
-                "config": config.to_dict(),
-                "fingerprint": fingerprint,
-                "mutation_seq": seq,
-            },
-            spec_key=spec_key,
+        record, _created = self._submit_analyze(
+            config,
+            fingerprint,
+            seq,
+            lambda: snapshot,
             expires_at=time.time() + self.config.job_refresh_timeout_seconds,
         )
         result = self._jobs.wait(
-            spec_key, timeout=self.config.job_refresh_timeout_seconds
+            record.job_id, timeout=self.config.job_refresh_timeout_seconds
         )
         payload = result["report"]
         report = Report.from_payload(payload, snapshot)

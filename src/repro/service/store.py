@@ -9,8 +9,8 @@ apart from the gap in availability.
 
 Writes are atomic (temp file in the target directory + ``os.replace``),
 so a crash mid-write leaves the previous snapshot intact; loads verify
-the stored fingerprint against the rebuilt state, so silent corruption
-is detected instead of served.
+the stored fingerprint against a full recompute over the rebuilt
+state's content, so silent corruption is detected instead of served.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class SnapshotMeta:
     #: across warm restarts — clients can detect a cold restart by a
     #: sequence reset).
     mutation_seq: int = 0
-    #: ``RbacState.fingerprint()`` at save time; verified on load.
+    #: ``RbacState.fingerprint()`` at save time; verified on load
+    #: against :meth:`RbacState.recompute_fingerprint`.
     fingerprint: str = ""
     #: Wall-clock save time (``time.time()``), informational only.
     saved_at: float = 0.0
@@ -121,7 +122,9 @@ class SnapshotStore:
             )
         state = state_from_dict(document.get("state", {}))
         meta = SnapshotMeta.from_dict(document.get("meta", {}))
-        if meta.fingerprint and state.fingerprint() != meta.fingerprint:
+        if meta.fingerprint and (
+            state.recompute_fingerprint() != meta.fingerprint
+        ):
             raise DataFormatError(
                 f"snapshot {self.path} failed its fingerprint check "
                 "(file corrupted or edited since save)"

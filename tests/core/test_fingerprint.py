@@ -2,15 +2,29 @@
 
 The fingerprint is the analysis service's report-cache key, so the
 contract is exactly two-sided: every content mutation must change it,
-and insertion order must never change it.
+and insertion order must never change it.  It is also maintained
+incrementally by the mutators once computed, so the maintained value
+must equal a full recompute of the same content after every mutation.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core.entities import Role, User
+import repro.core.state as state_module
+from repro.core.entities import Permission, Role, User
 from repro.core.state import RbacState
+
+from test_incremental_parity import random_step, seed_auditor
+
+#: ``paper_example``'s fingerprint as computed by the original full-pass
+#: implementation.  Fingerprints are report-cache keys, job spec keys
+#: and snapshot checksums, so the values themselves must never change.
+PAPER_EXAMPLE_FINGERPRINT = (
+    "073820ac7717adf0c7aec7380a806a45ce8d87be16dc0998f20ce0024a372054"
+)
 
 
 def _hex256(value: str) -> None:
@@ -156,3 +170,149 @@ class TestMutationSensitivity:
         b.add_permission("x")
         b.assign_permission("r", "x")
         assert a.fingerprint() != b.fingerprint()
+
+
+class TestGolden:
+    def test_paper_example_fingerprint_is_pinned(self, paper_example):
+        assert paper_example.fingerprint() == PAPER_EXAMPLE_FINGERPRINT
+        assert (
+            paper_example.recompute_fingerprint() == PAPER_EXAMPLE_FINGERPRINT
+        )
+
+    def test_incrementally_built_paper_example_matches_the_pin(
+        self, paper_example
+    ):
+        # Same content, but the digest is maintained from the empty
+        # state on rather than computed in one pass at the end.
+        state = RbacState()
+        state.fingerprint()
+        for user_id in paper_example.user_ids():
+            state.add_user(user_id)
+        for role_id in paper_example.role_ids():
+            state.add_role(role_id)
+        for permission_id in paper_example.permission_ids():
+            state.add_permission(permission_id)
+        for role_id in paper_example.role_ids():
+            for user_id in paper_example.users_of_role(role_id):
+                state.assign_user(role_id, user_id)
+            for permission_id in paper_example.permissions_of_role(role_id):
+                state.assign_permission(role_id, permission_id)
+        assert state._digest is not None
+        assert state.fingerprint() == PAPER_EXAMPLE_FINGERPRINT
+
+    def test_empty_state_is_zero(self):
+        assert RbacState().fingerprint() == "0" * 64
+
+
+def assert_maintained(state: RbacState, context: str) -> None:
+    maintained = state.fingerprint()
+    assert maintained == state.recompute_fingerprint(), (
+        f"maintained digest drifted after {context}"
+    )
+
+
+class TestMaintainedDigest:
+    """The maintained digest equals a full recompute at every step."""
+
+    @pytest.mark.parametrize("seed", [3, 7, 1234, 999_331, 2024])
+    def test_random_streams(self, seed):
+        rng = random.Random(seed)
+        auditor, next_id = seed_auditor(rng, threshold=1)
+        state = auditor.state
+        assert_maintained(state, "seeding")
+        applied = 0
+        for _ in range(600):
+            description = random_step(rng, auditor, next_id)
+            if description is None:
+                continue
+            applied += 1
+            assert_maintained(state, f"step {applied}: {description}")
+        assert applied >= 150
+
+    def test_no_full_pass_after_the_first(self, paper_example, monkeypatch):
+        paper_example.fingerprint()
+        calls = []
+        real = state_module._content_digest
+        monkeypatch.setattr(
+            state_module,
+            "_content_digest",
+            lambda state: calls.append(state) or real(state),
+        )
+        paper_example.assign_user("R03", "U01")
+        paper_example.remove_role("R04")
+        paper_example.fingerprint()
+        paper_example.copy().fingerprint()
+        assert calls == []
+
+    def test_untracked_state_computes_nothing(self, monkeypatch):
+        hashed = []
+        real = state_module._item_digest
+        monkeypatch.setattr(
+            state_module,
+            "_item_digest",
+            lambda *parts: hashed.append(parts) or real(*parts),
+        )
+        state = RbacState.build(
+            users=["u"], roles=["r"], permissions=["p"],
+            user_assignments=[("r", "u")],
+            permission_assignments=[("r", "p")],
+        )
+        state.revoke_user("r", "u")
+        state.remove_permission("p")
+        assert hashed == []
+        assert state._digest is None
+
+    def test_idempotent_assign_and_noop_revoke(self, paper_example):
+        before = paper_example.fingerprint()
+        paper_example.assign_user("R02", "U02")  # already present
+        paper_example.assign_permission("R04", "P05")  # already present
+        paper_example.revoke_user("R03", "U01")  # absent
+        paper_example.revoke_permission("R02", "P01")  # absent
+        assert paper_example.fingerprint() == before
+        assert_maintained(paper_example, "idempotent assigns and no-op revokes")
+
+    @pytest.mark.parametrize(
+        "remove",
+        [
+            lambda s: s.remove_role("R04"),  # user and permission edges
+            lambda s: s.remove_user("U02"),  # member of R02 and R04
+            lambda s: s.remove_permission("P05"),  # granted by R04 and R05
+        ],
+        ids=["remove_role", "remove_user", "remove_permission"],
+    )
+    def test_remove_with_live_edges(self, paper_example, remove):
+        paper_example.fingerprint()
+        remove(paper_example)
+        assert_maintained(paper_example, "removal with live edges")
+
+    def test_remove_then_re_add_with_other_content(self, paper_example):
+        paper_example.fingerprint()
+        paper_example.remove_user("U02")
+        paper_example.add_user(User("U02", name="Bob", attributes={"x": 1}))
+        paper_example.assign_user("R05", "U02")
+        assert_maintained(paper_example, "user re-added with new metadata")
+        paper_example.remove_permission("P05")
+        paper_example.add_permission(Permission("P05"))
+        paper_example.assign_permission("R01", "P05")
+        assert_maintained(paper_example, "permission re-added elsewhere")
+        paper_example.remove_role("R02")
+        paper_example.add_role(Role("R02", attributes={"tier": "gold"}))
+        assert_maintained(paper_example, "role re-added empty")
+
+    def test_mutating_a_copy_leaves_the_original(self, paper_example):
+        before = paper_example.fingerprint()
+        clone = paper_example.copy()
+        clone.remove_role("R01")
+        clone.add_user("U99")
+        clone.assign_user("R02", "U99")
+        assert paper_example.fingerprint() == before
+        assert_maintained(paper_example, "mutations on a copy")
+        assert_maintained(clone, "mutations on the copy itself")
+        assert clone.fingerprint() != before
+
+    def test_copy_before_first_fingerprint(self, paper_example):
+        clone = paper_example.copy()
+        clone.fingerprint()
+        clone.revoke_user("R02", "U02")
+        assert paper_example.fingerprint() == PAPER_EXAMPLE_FINGERPRINT
+        assert_maintained(clone, "revoke on a copy tracked after copying")

@@ -1,0 +1,235 @@
+"""No O(state) work on a cache hit or a deduplicated enqueue.
+
+The service reads the maintained fingerprint in O(1) under its state
+lock; it copies the state only on a cache miss (inline) or when the
+queue writes a new job row (queue mode), and serialises it only for a
+new job.  These tests count the O(state) operations with spies:
+``RbacState.copy``, the full fingerprint pass and ``state_to_dict``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import threading
+from collections import Counter
+
+import pytest
+
+import repro.core.state as state_module
+import repro.io.jsonio as jsonio
+from repro.core.state import RbacState
+from repro.io.jsonio import state_from_dict
+from repro.service import AnalysisService, ServiceConfig
+from repro.service.protocol import config_key
+
+
+def sample_state() -> RbacState:
+    return RbacState.build(
+        users=[f"u{i}" for i in range(5)],
+        roles=[f"r{i}" for i in range(4)],
+        permissions=[f"p{i}" for i in range(5)],
+        user_assignments=[
+            ("r0", "u0"), ("r0", "u1"), ("r1", "u0"), ("r1", "u1"),
+            ("r2", "u2"),
+        ],
+        permission_assignments=[
+            ("r0", "p0"), ("r0", "p1"), ("r1", "p0"), ("r1", "p1"),
+            ("r2", "p2"),
+        ],
+    )
+
+
+@pytest.fixture
+def spies(monkeypatch) -> Counter:
+    """Counts of every O(state) operation the service might run."""
+    calls: Counter = Counter()
+    real_copy = RbacState.copy
+    real_pass = state_module._content_digest
+    real_to_dict = jsonio.state_to_dict
+
+    def copy(self):
+        calls["copy"] += 1
+        return real_copy(self)
+
+    def full_pass(state):
+        calls["full_pass"] += 1
+        return real_pass(state)
+
+    def to_dict(state):
+        calls["state_to_dict"] += 1
+        return real_to_dict(state)
+
+    monkeypatch.setattr(RbacState, "copy", copy)
+    monkeypatch.setattr(state_module, "_content_digest", full_pass)
+    monkeypatch.setattr(jsonio, "state_to_dict", to_dict)
+    return calls
+
+
+def make_service(tmp_path=None, **overrides) -> AnalysisService:
+    options = dict(warm_start=False, refresh_mutations=None)
+    if tmp_path is not None:
+        options.update(execution="queue", jobs_path=tmp_path / "jobs.sqlite")
+    options.update(overrides)
+    return AnalysisService(sample_state(), ServiceConfig(**options))
+
+
+def analyze(service: AnalysisService) -> dict:
+    status, payload, _ = service.handle("POST", "/v1/analyze", b"")
+    assert status in (200, 202), payload
+    return payload
+
+
+def mutate(service: AnalysisService, mutations: list[dict]) -> None:
+    body = json.dumps({"mutations": mutations}).encode()
+    status, payload, _ = service.handle("POST", "/v1/mutations", body)
+    assert status == 200, payload
+
+
+def counters(service: AnalysisService) -> dict:
+    return service.handle("GET", "/metricz")[1]["counters"]
+
+
+class TestInline:
+    def test_hit_does_no_state_work(self, spies):
+        service = make_service()
+        first = analyze(service)
+        assert first["cache"] == "miss"
+        spies.clear()
+        second = analyze(service)
+        assert second["cache"] == "hit"
+        assert second["fingerprint"] == first["fingerprint"]
+        assert spies == Counter()
+
+    def test_miss_copies_exactly_once(self, spies):
+        service = make_service()
+        analyze(service)
+        mutate(service, [{"op": "assign_user", "role": "r3", "user": "u4"}])
+        spies.clear()
+        doc = analyze(service)
+        assert doc["cache"] == "miss"
+        assert spies == Counter({"copy": 1})
+        assert doc["fingerprint"] == service.state.recompute_fingerprint()
+
+    def test_state_copies_counter_tracks_misses_not_requests(self):
+        service = make_service()
+        for _ in range(3):
+            analyze(service)
+        mutate(service, [{"op": "revoke_user", "role": "r0", "user": "u0"}])
+        for _ in range(2):
+            analyze(service)
+        metrics = counters(service)
+        assert metrics["service.analyze_miss"] == 2
+        assert metrics["service.analyze_hit"] == 3
+        assert metrics["service.state_copies"] == 2
+
+    def test_miss_traces_a_snapshot_span_and_a_hit_does_not(self):
+        service = make_service()
+        analyze(service)
+        analyze(service)
+        traces = service.handle("GET", "/tracez?k=10")[1]["traces"]
+        snapshotted = sorted(
+            any("service.snapshot" in row["path"] for row in entry["tree"])
+            for entry in traces
+            if entry["endpoint"] == "POST /v1/analyze"
+        )
+        assert snapshotted == [False, True]
+
+
+class TestQueue:
+    def test_duplicate_enqueue_does_no_state_work(self, tmp_path, spies):
+        service = make_service(tmp_path)
+        spies.clear()  # the auditor copies the state it is given
+        try:
+            first = analyze(service)
+            assert first["created"] is True
+            assert spies["copy"] == 1
+            assert spies["state_to_dict"] == 1
+            spies.clear()
+            second = analyze(service)
+            assert second["created"] is False
+            assert second["job_id"] == first["job_id"]
+            assert spies == Counter()
+            stats = service.jobs.queue.stats()
+            assert stats["counters"]["jobs.deduplicated"] == 1
+            metrics = counters(service)
+            assert metrics["service.analyze_dedup"] == 1
+            assert metrics["service.state_copies"] == 1
+        finally:
+            service.close()
+
+    def test_mutation_between_fingerprint_and_payload_is_retried(
+        self, tmp_path, monkeypatch
+    ):
+        service = make_service(tmp_path)
+        try:
+            client = service.jobs
+            real_enqueue = client.enqueue
+            injected = []
+
+            def enqueue_after_a_mutation(*args, **kwargs):
+                # The request has read the fingerprint and released the
+                # state lock; land a mutation before the payload exists.
+                if not injected:
+                    injected.append(kwargs["spec_key"])
+                    mutate(service, [
+                        {"op": "assign_user", "role": "r3", "user": "u3"}
+                    ])
+                return real_enqueue(*args, **kwargs)
+
+            monkeypatch.setattr(client, "enqueue", enqueue_after_a_mutation)
+            doc = analyze(service)
+            assert doc["created"] is True
+            assert doc["fingerprint"] == service.state.recompute_fingerprint()
+            assert doc["job_id"] != injected[0]
+            assert counters(service)["service.snapshot_retries"] == 1
+            stats = service.jobs.queue.stats()
+            assert sum(stats["states"].values()) == 1
+            assert_job_matches_its_key(service, doc["job_id"])
+        finally:
+            service.close()
+
+    def test_concurrent_mutations_never_mismatch_a_job(self, tmp_path):
+        service = make_service(tmp_path)
+
+        def churn() -> None:
+            # Every batch yields content never seen before, so a stale
+            # fingerprint can never match the live state again.
+            for n in range(500):
+                mutate(service, [
+                    {"op": "add_user", "id": f"w{n}"},
+                    {"op": "assign_user", "role": "r3", "user": f"w{n}"},
+                ])
+
+        writer = threading.Thread(target=churn)
+        job_ids = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            writer.start()
+            while writer.is_alive():
+                job_ids.add(analyze(service)["job_id"])
+        finally:
+            sys.setswitchinterval(interval)
+            writer.join(timeout=60)
+        try:
+            assert not writer.is_alive()
+            assert job_ids
+            for job_id in job_ids:
+                assert_job_matches_its_key(service, job_id)
+        finally:
+            service.close()
+
+
+def assert_job_matches_its_key(service: AnalysisService, job_id: str) -> None:
+    """The job's payload state has the fingerprint its spec key names."""
+    record = service.jobs.queue.get(job_id, include_payload=True)
+    payload = record.payload
+    state = state_from_dict(payload["state"])
+    assert state.recompute_fingerprint() == payload["fingerprint"]
+    spec_key = hashlib.sha256(
+        f"{payload['fingerprint']}|{config_key(service.config.analysis)}"
+        .encode("utf-8")
+    ).hexdigest()
+    assert record.spec_hash == spec_key == job_id

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+import repro.core.state as state_module
 from repro.core.state import RbacState
 from repro.exceptions import DataFormatError
 from repro.service.store import (
@@ -128,3 +130,89 @@ class TestLoadValidation:
         loaded, meta = store.load()
         assert loaded == state
         assert meta.fingerprint == ""
+
+
+class TestMaintainedFingerprint:
+    """The stored fingerprint may come from the maintained digest; the
+    load check always recomputes it from the loaded content."""
+
+    def mutated_state(self) -> RbacState:
+        state = sample_state()
+        state.fingerprint()  # from here on the mutators maintain it
+        rng = random.Random(11)
+        for n in range(60):
+            role = rng.choice(state.role_ids())
+            user = rng.choice(state.user_ids())
+            permission = rng.choice(state.permission_ids())
+            state.assign_user(role, user)
+            state.revoke_permission(role, permission)
+            if n % 10 == 0:
+                state.add_user(f"x{n}")
+                state.assign_permission(role, permission)
+            if n % 15 == 0:
+                state.remove_user(rng.choice(state.user_ids()))
+        return state
+
+    def test_snapshot_after_a_mutation_stream_loads(
+        self, tmp_path, monkeypatch
+    ):
+        state = self.mutated_state()
+        store = SnapshotStore(tmp_path / "snap.json")
+        store.save(state, sample_meta(state))
+        passes = []
+        real = state_module._content_digest
+        monkeypatch.setattr(
+            state_module,
+            "_content_digest",
+            lambda loaded: passes.append(loaded) or real(loaded),
+        )
+        loaded, meta = store.load()
+        assert loaded == state
+        assert meta.fingerprint == state.fingerprint()
+        assert len(passes) == 1  # verified from content, not trusted
+
+    def test_tampered_snapshot_still_rejected(self, tmp_path):
+        state = self.mutated_state()
+        store = SnapshotStore(tmp_path / "snap.json")
+        store.save(state, sample_meta(state))
+        document = json.loads(store.path.read_text(encoding="utf-8"))
+        document["state"]["user_assignments"].pop()
+        store.path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="fingerprint check"):
+            store.load()
+
+    def test_snapshot_written_by_the_full_pass_implementation_loads(
+        self, tmp_path
+    ):
+        # A snapshot of sample_state() as the original full-pass
+        # fingerprint implementation wrote it: existing snapshots must
+        # keep passing their fingerprint check.
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps({
+            "format": "repro-rbac-snapshot",
+            "version": 1,
+            "meta": {
+                "extra": {},
+                "fingerprint": (
+                    "2c6f711af5881c7b910552275f56e132"
+                    "78a09fc93b96bbecaf47a7042189688b"
+                ),
+                "mutation_seq": 3,
+                "saved_at": 0.0,
+            },
+            "state": {
+                "format": "repro-rbac",
+                "version": 1,
+                "users": [{"id": "u0"}, {"id": "u1"}, {"id": "u2"}],
+                "roles": [{"id": "r0"}, {"id": "r1"}],
+                "permissions": [{"id": "p0"}, {"id": "p1"}, {"id": "p2"}],
+                "user_assignments": [["r0", "u0"], ["r0", "u1"], ["r1", "u2"]],
+                "permission_assignments": [
+                    ["r0", "p0"], ["r1", "p1"], ["r1", "p2"]
+                ],
+            },
+        }), encoding="utf-8")
+        loaded, meta = SnapshotStore(path).load()
+        assert loaded == sample_state()
+        assert loaded.fingerprint() == meta.fingerprint
+        assert meta.mutation_seq == 3

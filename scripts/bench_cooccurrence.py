@@ -13,9 +13,11 @@ the shared-memory fan-out are justified by):
 
 2. **Parallel data-plane sweep** — the same scan fanned over worker
    processes with the shared-memory plane (publish once, manifest-only
-   tasks) versus the legacy pickled-``initargs`` plane (arrays
-   re-serialised into every worker).  Setup cost is what differs, so
-   the matrix is sized to make it visible.
+   tasks) versus a reference pickled-``initargs`` plane: a plain
+   ``ProcessPoolExecutor`` whose initializer receives the arrays
+   re-serialised into every worker (defined in this script; the
+   library has only the shared-memory plane).  Setup cost is what
+   differs, so the matrix is sized to make it visible.
 
 Usage::
 
@@ -33,6 +35,7 @@ import json
 import platform
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +45,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bitmatrix.packed import HAVE_HW_POPCOUNT, pack_csr_rows  # noqa: E402
 from repro.core.grouping.cooccurrence import (  # noqa: E402
-    _init_block_worker,
-    _scan_of_block,
+    _scan_block,
     blocked_scan,
 )
 from repro.core.grouping.kernels import plan_kernels  # noqa: E402
-from repro.parallel import ParallelExecutor, WorkerPool, use_pool  # noqa: E402
+from repro.parallel import WorkerPool, use_pool  # noqa: E402
 
 SCHEMA_VERSION = 1
+
+#: Per-worker arrays of the reference pickled plane, installed by
+#: :func:`_install_arrays` (shipped once per worker, not once per block).
+_PICKLED: dict = {}
+
+
+def _install_arrays(csr, csr_t, norms) -> None:
+    _PICKLED.update(csr=csr, csr_t=csr_t, norms=norms)
+
+
+def _scan_pickled_block(bounds: tuple[int, int]):
+    start, stop = bounds
+    return _scan_block(
+        _PICKLED["csr"], _PICKLED["csr_t"], _PICKLED["norms"], 1, False,
+        start, stop, kernel="sparse",
+    )
 
 
 def _random_csr(n_rows: int, n_cols: int, density: float, seed: int):
@@ -127,15 +145,13 @@ def bench_data_planes(quick: bool) -> dict:
     norms = _norms(csr)
     bounds = [(s, min(s + block_rows, n_rows))
               for s in range(0, n_rows, block_rows)]
-    tasks = [(start, stop, "sparse") for start, stop in bounds]
 
     def pickled_plane():
-        executor = ParallelExecutor(
-            workers,
-            initializer=_init_block_worker,
-            initargs=(csr, csr_t, norms, 1, False, False, None),
-        )
-        return executor.map(_scan_of_block, tasks)
+        with ProcessPoolExecutor(
+            workers, initializer=_install_arrays,
+            initargs=(csr, csr_t, norms),
+        ) as executor:
+            return list(executor.map(_scan_pickled_block, bounds))
 
     def shm_plane():
         with WorkerPool(workers) as pool, use_pool(pool):

@@ -120,8 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for detection (1 = serial, 0 = all cores); "
-        "the report is identical for every value",
+        help="worker processes for the blocked co-occurrence scan "
+        "(1 = serial, 0 = all cores); the report is identical for every "
+        "value",
     )
     analyze_parser.add_argument(
         "--block-rows",
@@ -423,7 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per analysis (1 = serial, 0 = all cores)",
+        help="worker processes for each analysis's blocked co-occurrence "
+        "scan (1 = serial, 0 = all cores)",
     )
     serve_parser.add_argument(
         "--block-rows",

@@ -36,9 +36,8 @@ class AnalysisContext:
     def workspace(self):
         """Shared per-axis artifact workspace (built on first access).
 
-        A cached property, so warmed artifacts travel with the context
-        wherever it goes — including the copy (fork-inherited or pickled) shipped to parallel
-        detection workers.  See :mod:`repro.core.workspace`.
+        A cached property, so every detector run over this context reads
+        the same warmed artifacts.  See :mod:`repro.core.workspace`.
         """
         from repro.core.workspace import AnalysisWorkspace
 
@@ -65,25 +64,11 @@ class Detector(ABC):
         The engine calls this for every enabled detector *before* any
         ``detect`` runs, then flushes the aggregated scan requests — the
         two-phase protocol that lets duplicates, similar, and shadowed
-        share a single co-occurrence pass per axis, and that materialises
-        artifacts in the parent before contexts are shipped to parallel
-        workers.  Must not raise on configurations ``detect`` would
-        reject (errors keep surfacing at detection time).  The default
-        warms nothing; detection must work identically on a cold
-        workspace.
+        share a single co-occurrence pass per axis.  Must not raise on
+        configurations ``detect`` would reject (errors keep surfacing at
+        detection time).  The default warms nothing; detection must work
+        identically on a cold workspace.
         """
-
-    def partition(self) -> list["Detector"]:
-        """Split this detector into independent work units.
-
-        The engine's parallel path runs each unit in its own worker and
-        concatenates their findings *in partition order*, so the contract
-        is: ``sum(part.detect(ctx) for part in d.partition(), [])`` must
-        equal ``d.detect(ctx)`` exactly.  The default is the detector
-        itself (one unit); axis-wise detectors override this to expose
-        one unit per axis.
-        """
-        return [self]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -64,15 +64,6 @@ class DuplicateRolesDetector(Detector):
             if workspace.n_rows:
                 self._finder.warm(workspace, 0)
 
-    def partition(self) -> list["DuplicateRolesDetector"]:
-        """One independent work unit per analysed axis."""
-        if len(self._axes) <= 1:
-            return [self]
-        return [
-            DuplicateRolesDetector(finder=self._finder, axes=(axis,))
-            for axis in self._axes
-        ]
-
     def _detect_axis(
         self, matrix: AssignmentMatrix, workspace, axis: Axis
     ) -> list[Finding]:

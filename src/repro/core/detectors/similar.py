@@ -90,20 +90,6 @@ class SimilarRolesDetector(Detector):
             )
             self._finder.warm(view, self._max_differences)
 
-    def partition(self) -> list["SimilarRolesDetector"]:
-        """One independent work unit per analysed axis."""
-        if len(self._axes) <= 1:
-            return [self]
-        return [
-            SimilarRolesDetector(
-                max_differences=self._max_differences,
-                finder=self._finder,
-                axes=(axis,),
-                collapse_duplicates=self._collapse_duplicates,
-            )
-            for axis in self._axes
-        ]
-
     def _detect_axis(
         self, matrix: AssignmentMatrix, workspace, axis: Axis
     ) -> list[Finding]:

@@ -8,18 +8,18 @@ collects findings plus per-detector wall-clock timings into a
 
 Parallel execution
 ------------------
-With ``n_workers > 1`` the engine partitions the detector list into
-independent (detector, axis) work items (see ``Detector.partition``) and
-fans them out over a :class:`repro.parallel.ParallelExecutor` process
-pool.  RUAM/RPAM are built once in the parent and shipped to each worker
-during pool initialisation.  Findings are concatenated in partition
-order, which equals serial detection order, so the report — findings,
-ordering, and ``counts()`` — is identical for every worker count.
+Detectors always run in-process, one after the other.  The only
+parallel step is the blocked co-occurrence scan of the warm phase — the
+paper's ``C = M·Mᵀ``, reduced block by block (§III-C).  ``n_workers`` is
+forwarded to it: with ``n_workers > 1`` and more than one row block, the
+blocks fan out over one :class:`repro.parallel.WorkerPool` through
+shared memory.  Blocks are reduced and concatenated in block order, so
+the report — findings, ordering, and ``counts()`` — is identical for
+every worker count.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any
@@ -84,9 +84,14 @@ class AnalysisConfig:
     collapse_duplicates:
         Whether type 5 collapses exact duplicates before grouping.
     n_workers:
-        Worker processes for detection: ``1`` (default) runs every
-        detector serially in-process; ``None`` uses every core.  The
-        report is identical for every value.
+        Worker processes for the blocked co-occurrence scan: ``1``
+        (default) scans in-process; ``None`` uses every core.  Forwarded
+        to the co-occurrence finder like ``block_rows`` (an explicit
+        ``finder_options["n_workers"]`` wins), and it bounds the shared
+        workspace scan for the other finders too.  Blocks fan out only
+        when there is more than one (see ``block_rows``); detectors
+        always run in-process.  No pool starts more processes than the
+        host has cores.  The report is identical for every value.
     block_rows:
         Row-block size for the co-occurrence finder's blocked product
         (``None`` = one monolithic block).  Forwarded to the finder when
@@ -189,18 +194,36 @@ class AnalysisConfig:
         return cls(**options)
 
 
+def scan_options(config: AnalysisConfig) -> dict[str, Any]:
+    """The blocked-scan knobs (``block_rows``, ``n_workers``, ``kernel``).
+
+    The engine-level values, except that an explicit co-occurrence
+    ``finder_options`` entry wins — exactly what the co-occurrence
+    finder receives, so the shared workspace scan and the finder agree.
+    ``n_workers`` comes back resolved (``None`` = every core).
+    """
+    options = {
+        "block_rows": config.block_rows,
+        "n_workers": config.n_workers,
+        "kernel": config.kernel,
+    }
+    if config.finder == "cooccurrence":
+        options.update(
+            (key, value)
+            for key, value in config.finder_options.items()
+            if key in options
+        )
+    options["n_workers"] = resolve_workers(options["n_workers"])
+    return options
+
+
 def effective_scan_workers(config: AnalysisConfig) -> int:
     """Resolved worker count the blocked scans will use under ``config``.
 
-    The engine-level ``n_workers`` parallelises *detection*; the blocked
-    co-occurrence scan fans out only when the co-occurrence finder's own
-    ``n_workers`` option asks for it.  The service uses this to decide
-    whether holding a warm :class:`~repro.parallel.WorkerPool` across
-    requests can pay off.
+    The service uses this to decide whether holding a warm
+    :class:`~repro.parallel.WorkerPool` across requests can pay off.
     """
-    if config.finder == "cooccurrence":
-        return resolve_workers(config.finder_options.get("n_workers", 1))
-    return 1
+    return scan_options(config)["n_workers"]
 
 
 class AnalysisEngine:
@@ -209,22 +232,10 @@ class AnalysisEngine:
     def __init__(self, config: AnalysisConfig | None = None) -> None:
         self.config = config or AnalysisConfig()
         self._detectors = self._build_detectors(self.config)
-        # Blocked-scan shape for the shared workspace.  The finder-level
-        # options win for the cooccurrence finder (they already default
-        # to the engine-level block_rows via _build_detectors); for other
-        # finders the engine knob still bounds the workspace scan that
-        # serves the shadowed detector.
-        finder_options = dict(self.config.finder_options)
-        if self.config.finder == "cooccurrence":
-            self._scan_block_rows = finder_options.get(
-                "block_rows", self.config.block_rows
-            )
-            self._scan_workers = finder_options.get("n_workers", 1)
-            self._scan_kernel = finder_options.get("kernel", self.config.kernel)
-        else:
-            self._scan_block_rows = self.config.block_rows
-            self._scan_workers = 1
-            self._scan_kernel = self.config.kernel
+        # Blocked-scan shape for the shared workspace: the co-occurrence
+        # finder's own settings, or for other finders the engine knobs
+        # that bound the workspace scan serving the shadowed detector.
+        self._scan_options = scan_options(self.config)
 
     @staticmethod
     def _build_detectors(config: AnalysisConfig) -> list[Detector]:
@@ -233,9 +244,7 @@ class AnalysisEngine:
         finder_options = dict(config.finder_options)
         if config.finder == "cooccurrence":
             # Explicit finder_options win over the engine-level knobs.
-            if config.block_rows is not None:
-                finder_options.setdefault("block_rows", config.block_rows)
-            finder_options.setdefault("kernel", config.kernel)
+            finder_options.update(scan_options(config))
 
         detectors: list[Detector] = []
         enabled = set(config.enabled_types)
@@ -301,20 +310,15 @@ class AnalysisEngine:
         context = AnalysisContext(state)
         findings: list = []
         timings: dict[str, float] = {}
-        worker_stats: list[dict[str, Any]] | None = None
-        n_workers = resolve_workers(self.config.n_workers)
+        n_workers = self._scan_options["n_workers"]
         stack = ExitStack()
         # One worker pool per analyze() for the blocked scans: spawned
-        # once, reused by every axis, closed (segments unlinked) on the
-        # way out.  An ambient pool — e.g. one held warm by
-        # repro.service across requests — takes precedence.
-        if (
-            resolve_workers(self._scan_workers) > 1
-            and current_pool() is None
-        ):
-            pool = stack.enter_context(
-                WorkerPool(resolve_workers(self._scan_workers))
-            )
+        # lazily on the first fanned-out scan, reused by every axis,
+        # closed (segments unlinked) on the way out.  An ambient pool —
+        # e.g. one held warm by repro.service across requests — takes
+        # precedence.
+        if n_workers > 1 and current_pool() is None:
+            pool = stack.enter_context(WorkerPool(n_workers))
             stack.enter_context(use_pool(pool))
         with stack, use_recorder(recorder):
             with recorder.span(
@@ -329,9 +333,7 @@ class AnalysisEngine:
                 # attributed to its own span rather than to whichever
                 # detector happens to run first (the paper computes the
                 # matrices once and reuses them across all inefficiency
-                # types).  The parallel path additionally relies on this:
-                # the matrices are built once here and shipped to every
-                # worker.
+                # types).
                 with recorder.span("engine.matrix_build") as build_span:
                     build_span.add("matrix.ruam_nnz", int(context.ruam.csr.nnz))
                     build_span.add("matrix.rpam_nnz", int(context.rpam.csr.nnz))
@@ -341,61 +343,44 @@ class AnalysisEngine:
                 # subset pairs, dense/signature artifacts), then the
                 # aggregated requests are flushed — one blocked
                 # co-occurrence pass per axis serves duplicates, similar,
-                # and shadowed alike.  Warming happens in the parent on
-                # the parallel path too, so the shipped context carries hot
-                # artifacts to every worker.
+                # and shadowed alike.  This is where the blocks fan out.
                 warmable = [
                     d
                     for d in self._detectors
                     if type(d).warm is not Detector.warm
                 ]
                 if warmable:
-                    context.workspace.configure(
-                        block_rows=self._scan_block_rows,
-                        n_workers=self._scan_workers,
-                        kernel=self._scan_kernel,
-                    )
+                    context.workspace.configure(**self._scan_options)
                     with recorder.span("engine.workspace_warm") as warm_span:
                         for detector in warmable:
                             detector.warm(context)
                         context.workspace.flush()
                     timings["workspace_warm"] = warm_span.duration
-                if n_workers > 1:
-                    worker_stats = self._detect_parallel(
-                        context, n_workers, findings, timings, recorder
-                    )
-                else:
-                    for detector in self._detectors:
-                        with recorder.span(
-                            f"detector:{detector.name}"
-                        ) as span:
-                            found = detector.detect(context)
-                            span.add("findings", len(found))
-                        recorder.observe("detector.seconds", span.duration)
-                        findings.extend(found)
-                        timings[detector.name] = span.duration
+                for detector in self._detectors:
+                    with recorder.span(f"detector:{detector.name}") as span:
+                        found = detector.detect(context)
+                        span.add("findings", len(found))
+                    recorder.observe("detector.seconds", span.duration)
+                    findings.extend(found)
+                    timings[detector.name] = span.duration
         return Report(
             state=state,
             findings=findings,
             timings=timings,
             total_seconds=root.duration,
             config=self.config,
-            metrics=self._build_metrics(root, n_workers, worker_stats, recorder),
+            metrics=self._build_metrics(root, n_workers, recorder),
         )
 
     def _build_metrics(
-        self,
-        root: Any,
-        n_workers: int,
-        worker_stats: list[dict[str, Any]] | None,
-        recorder: Recorder,
+        self, root: Any, n_workers: int, recorder: Recorder
     ) -> dict[str, Any]:
         """Assemble ``Report.metrics`` from the run's root span.
 
         ``counters`` and ``spans`` are deterministic for a given input
-        and worker mode (and counter totals are identical between serial
-        and parallel runs of the same analysis); the ``per_worker``
-        breakdown reflects OS scheduling and is not.
+        and worker mode.  Counter totals are identical between serial and
+        parallel runs of the same analysis, apart from the ``shm.*`` and
+        ``parallel.*`` counters that describe how a fanned-out scan ran.
 
         Schema 2 adds ``histograms``: per-name summaries (count, sum,
         min/max, p50/p90/p99, log-spaced buckets) of the run's
@@ -404,123 +389,32 @@ class AnalysisEngine:
         travel back inside trace fragments and merge into the parent's
         registry exactly (no observation lost or double-counted,
         independent of worker count and merge order).  Observation
-        counts track the work partitioning: ``cooccurrence.block_seconds``
-        counts match serial and parallel runs exactly (warming happens in
-        the parent either way); ``detector.seconds`` counts one
-        observation per detector span serially and one per
-        (detector, axis) work item in parallel mode.
+        counts do not depend on the worker count: one
+        ``cooccurrence.block_seconds`` per block and one
+        ``detector.seconds`` per detector.
+
+        ``workers`` echoes the requested ``n_workers``, the resolved
+        count the blocked scans may use, and the mode that actually ran:
+        ``"parallel"`` only when some scan's blocks ran on a worker pool,
+        ``"serial"`` otherwise — also with ``n_workers > 1`` when every
+        axis fits in one block or the pool fell back to in-process.
         """
-        workers: dict[str, Any] = {
-            "requested": self.config.n_workers,
-            "resolved": n_workers,
-            "mode": "parallel" if n_workers > 1 else "serial",
-        }
-        if worker_stats is not None:
-            workers["per_worker"] = worker_stats
+        pooled = any(
+            span.name == "parallel.map"
+            and span.attributes.get("mode") == "pool"
+            for _, _, span in root.walk()
+        )
         return {
             "schema": 2,
             "counters": counter_totals(root),
             "spans": span_count(root),
             "histograms": recorder.registry.histogram_summaries(),
-            "workers": workers,
+            "workers": {
+                "requested": self.config.n_workers,
+                "resolved": n_workers,
+                "mode": "parallel" if pooled else "serial",
+            },
         }
-
-    def _detect_parallel(
-        self,
-        context: AnalysisContext,
-        n_workers: int,
-        findings: list,
-        timings: dict[str, float],
-        recorder: Recorder,
-    ) -> list[dict[str, Any]]:
-        """Fan independent (detector, axis) work items across workers.
-
-        Results are merged in partition order — which equals serial
-        detection order — so findings and counts match the serial engine
-        exactly; per-detector timings are the summed worker-side
-        durations of that detector's items.  Each worker records its
-        item into a local trace and ships it back with the findings; the
-        fragments are grafted under the ``engine.detect_parallel`` span
-        in the same partition order, mirroring the findings-merge
-        contract, so the merged span tree is deterministic too.
-
-        Returns the per-worker ``{"items", "seconds"}`` breakdown in
-        first-appearance order (worker identity is OS scheduling and is
-        the one non-deterministic part; it is therefore reported only
-        in ``Report.metrics``, never on spans).
-        """
-        from repro.parallel import ParallelExecutor
-
-        items: list[tuple[str, Detector]] = [
-            (detector.name, part)
-            for detector in self._detectors
-            for part in detector.partition()
-        ]
-        with recorder.span("engine.detect_parallel") as par_span:
-            par_span.annotate(n_workers=n_workers, n_items=len(items))
-            executor = ParallelExecutor(
-                n_workers,
-                initializer=_init_detection_worker,
-                initargs=(context, recorder.measure_memory),
-            )
-            results = executor.map(_detect_one, [part for _, part in items])
-            if executor.last_fallback_reason is not None:
-                par_span.annotate(fallback=executor.last_fallback_reason)
-            per_worker: dict[int, dict[str, Any]] = {}
-            for index, ((name, _), (part_findings, payload, worker_pid)) in (
-                enumerate(zip(items, results))
-            ):
-                findings.extend(part_findings)
-                timings[name] = timings.get(name, 0.0) + payload["duration"]
-                recorder.graft(payload, fragment=index)
-                stats = per_worker.setdefault(
-                    worker_pid, {"items": 0, "seconds": 0.0}
-                )
-                stats["items"] += 1
-                stats["seconds"] += payload["duration"]
-        return list(per_worker.values())
-
-
-#: Per-worker shared analysis context, installed by pool initialisation
-#: (or once in-process on the serial fallback path).
-_WORKER_CONTEXT: AnalysisContext | None = None
-#: Whether worker-side recorders opt into tracemalloc block counters.
-_WORKER_MEASURE_MEMORY: bool = False
-
-
-def _init_detection_worker(
-    context: AnalysisContext, measure_memory: bool = False
-) -> None:
-    """Install the shared context (and its workspace) in this worker.
-
-    The context arrives with whatever the engine's warm phase
-    materialised — matrices plus the per-axis workspace artifacts — so
-    it lands here exactly once per worker process and every
-    (detector × axis) work item scheduled here lands on warm artifacts
-    instead of re-deriving them.
-    """
-    global _WORKER_CONTEXT, _WORKER_MEASURE_MEMORY
-    _WORKER_CONTEXT = context
-    _WORKER_MEASURE_MEMORY = measure_memory
-
-
-def _detect_one(detector: Detector) -> tuple[list, dict[str, Any], int]:
-    """Process-pool task: run one detection work item.
-
-    Returns the findings, the item's trace fragment (recorded into a
-    worker-local recorder and serialised — the parent grafts it into its
-    own trace in partition order), and the worker's pid for the
-    per-worker breakdown.  The fragment's root duration is the
-    worker-side wall-clock of the item.
-    """
-    assert _WORKER_CONTEXT is not None
-    local = Recorder(measure_memory=_WORKER_MEASURE_MEMORY)
-    with use_recorder(local):
-        with local.span(f"detector:{detector.name}") as span:
-            found = detector.detect(_WORKER_CONTEXT)
-            span.add("findings", len(found))
-        local.observe("detector.seconds", local.traces[-1].duration)
-    return found, local.export_fragment(), os.getpid()
 
 
 def analyze(

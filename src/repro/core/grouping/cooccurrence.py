@@ -44,14 +44,14 @@ When blocks fan out across processes the input arrays travel through
 once per scan, attached read-only by workers, unlinked when the scan
 finishes.  Per-task payloads carry only a manifest and block bounds.
 If the ambient :class:`~repro.parallel.WorkerPool` is warm (engine- or
-service-owned), worker processes are reused across scans; without
-shared memory the scan falls back to the legacy pickled-``initargs``
-path, and without a usable pool to the serial loop — results are
-identical on every path.
+service-owned), worker processes are reused across scans.  This is the
+one data plane: without shared memory, or without a usable pool, the
+scan runs its serial block loop — results are identical on every path.
 """
 
 from __future__ import annotations
 
+import logging
 import tracemalloc
 from collections import OrderedDict
 from typing import Any, Callable
@@ -72,7 +72,6 @@ from repro.core.grouping.kernels import (
 from repro.exceptions import ConfigurationError
 from repro.obs import Recorder, current_recorder, use_recorder
 from repro.parallel import (
-    ParallelExecutor,
     SharedMemoryUnavailable,
     WorkerPool,
     current_pool,
@@ -81,29 +80,9 @@ from repro.parallel import (
 )
 from repro.util import DisjointSet
 
-#: Read-only per-worker state installed by :func:`_init_block_worker`
-#: (legacy pickled path: shipped once per worker, not once per block).
-_WORKER_STATE: dict[str, Any] = {}
+logger = logging.getLogger(__name__)
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _init_block_worker(
-    csr: sp.csr_matrix,
-    csr_t: sp.csr_matrix,
-    norms: npt.NDArray[np.int64],
-    k: int | None,
-    measure_memory: bool = False,
-    collect_subsets: bool = False,
-    words: npt.NDArray[np.uint64] | None = None,
-) -> None:
-    _WORKER_STATE["csr"] = csr
-    _WORKER_STATE["csr_t"] = csr_t
-    _WORKER_STATE["norms"] = norms
-    _WORKER_STATE["k"] = k
-    _WORKER_STATE["measure_memory"] = measure_memory
-    _WORKER_STATE["collect_subsets"] = collect_subsets
-    _WORKER_STATE["words"] = words
 
 
 def _scan_block(
@@ -185,32 +164,6 @@ def _scan_block(
     # worker-local observations merge back via the trace fragment.
     recorder.observe("cooccurrence.block_seconds", span.duration)
     return matched_rows, matched_cols, hamming, sub_rows, sub_cols
-
-
-def _scan_of_block(task: tuple[int, int, str]) -> tuple[
-    tuple[npt.NDArray[np.int64], ...], dict[str, Any]
-]:
-    """Legacy pool task (pickled ``initargs`` data plane).
-
-    Also returns the block's trace fragment, recorded into a
-    worker-local recorder, so the parent can graft the worker-side spans
-    into its own trace in deterministic block order.
-    """
-    start, stop, kernel = task
-    local = Recorder(measure_memory=_WORKER_STATE.get("measure_memory", False))
-    with use_recorder(local):
-        arrays = _scan_block(
-            _WORKER_STATE["csr"],
-            _WORKER_STATE["csr_t"],
-            _WORKER_STATE["norms"],
-            _WORKER_STATE["k"],
-            _WORKER_STATE["collect_subsets"],
-            start,
-            stop,
-            kernel=kernel,
-            words=_WORKER_STATE["words"],
-        )
-    return arrays, local.export_fragment()
 
 
 class _ScanSpec:
@@ -358,12 +311,11 @@ def blocked_scan(
     block runs the kernel :func:`~repro.core.grouping.kernels.plan_kernels`
     chose for it; the per-kernel block counts are recorded as
     ``cooccurrence.kernel_blocks.<name>`` counters.  Blocks fan out over
-    a process pool when ``n_workers > 1`` — preferring the ambient
-    :class:`~repro.parallel.WorkerPool` and the shared-memory data plane,
-    falling back to pickled ``initargs`` and ultimately the serial loop —
-    and results plus grafted trace fragments are concatenated in block
-    order, so the outcome is identical for every ``block_rows`` / worker
-    count / kernel / data plane.
+    the ambient :class:`~repro.parallel.WorkerPool` through shared memory
+    when ``n_workers > 1`` (the serial loop runs when shared memory is
+    unavailable), and results plus grafted trace fragments are
+    concatenated in block order, so the outcome is identical for every
+    ``block_rows`` / worker count / kernel.
 
     Emits one ``cooccurrence.block`` span per block (under whatever span
     is currently open) and returns the number of blocks on the result;
@@ -393,12 +345,13 @@ def blocked_scan(
     packed = _resolve_words(words, csr) if "bits" in plan else None
 
     workers = resolve_workers(n_workers)
+    pieces = None
     if workers > 1 and len(bounds) > 1:
         pieces = _scan_parallel(
             csr, csr_t, norms, k, collect_subsets, bounds, plan, packed,
             workers, recorder,
         )
-    else:
+    if pieces is None:
         pieces = [
             _scan_block(
                 csr, csr_t, norms, k, collect_subsets, start, stop,
@@ -413,35 +366,24 @@ def blocked_scan(
 def _scan_parallel(
     csr, csr_t, norms, k, collect_subsets, bounds, plan, packed,
     workers, recorder,
-) -> list[tuple[npt.NDArray[np.int64], ...]]:
-    """Fan blocks over workers: shm data plane first, pickled fallback.
+) -> list[tuple[npt.NDArray[np.int64], ...]] | None:
+    """Fan blocks over workers through the shared-memory data plane.
 
     Publishes the scan's arrays into one shared-memory segment and maps
     manifest-only tasks over the ambient pool (creating an ephemeral one
-    when none is installed).  When shared memory is unavailable the
-    legacy ``initargs`` plane re-pickles the arrays into each worker —
-    slower, never wrong.
+    when none is installed).  Returns ``None`` when shared memory is
+    unavailable — counted as ``shm.unavailable`` and logged — so the
+    caller runs the serial block loop instead.
     """
     try:
         handle = _publish_scan(csr, csr_t, norms, packed)
     except SharedMemoryUnavailable as error:
         recorder.add("shm.unavailable", 1)
-        executor = ParallelExecutor(
-            workers,
-            initializer=_init_block_worker,
-            initargs=(
-                csr, csr_t, norms, k, recorder.measure_memory,
-                collect_subsets, packed,
-            ),
+        logger.warning(
+            "shared memory unavailable (%s); scanning %d block(s) "
+            "serially in-process", error, len(bounds),
         )
-        pieces = []
-        tasks = [(start, stop, kern) for (start, stop), kern in zip(bounds, plan)]
-        for index, (arrays, payload) in enumerate(
-            executor.map(_scan_of_block, tasks)
-        ):
-            recorder.graft(payload, fragment=index)
-            pieces.append(arrays)
-        return pieces
+        return None
 
     recorder.add("shm.segments_published", 1)
     recorder.add("shm.bytes_published", handle.nbytes)

@@ -32,9 +32,8 @@ This module is the memoisation layer that preserves it:
   representatives (identical rows have identical distances to
   everything), so collapsing costs no additional product pass.
 * :class:`AnalysisWorkspace` — the per-context bundle, hung off
-  :class:`~repro.core.detectors.base.AnalysisContext` and shipped with
-  it, so parallel workers receive warm artifacts instead of rebuilding
-  them per (detector × axis) work item.
+  :class:`~repro.core.detectors.base.AnalysisContext`, so every
+  detector of one analysis reads the artifacts the engine warmed.
 
 Every artifact access records a ``workspace.artifact_hits`` /
 ``workspace.artifact_misses`` counter (misses also record
@@ -70,7 +69,12 @@ __all__ = ["AnalysisWorkspace", "AxisWorkspace", "CollapsedWorkspace"]
 
 
 def _payload_bytes(value: Any) -> int:
-    """Best-effort size of a materialised artifact, for the bytes counter."""
+    """Best-effort size of a materialised artifact, for the bytes counter.
+
+    Artifact lists are homogeneous and never walked item by item: a list
+    of content keys (``bytes``) is sized in one pass, and any other list
+    (Python ints, or the row-class member lists of them) counts 0.
+    """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if sp.issparse(value):
@@ -82,8 +86,12 @@ def _payload_bytes(value: Any) -> int:
         return value.nbytes()
     if isinstance(value, (bytes, bytearray)):
         return len(value)
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, tuple):
         return sum(_payload_bytes(item) for item in value)
+    if isinstance(value, list) and value and isinstance(
+        value[0], (bytes, bytearray)
+    ):
+        return sum(map(len, value))
     return 0
 
 
@@ -570,9 +578,8 @@ class AnalysisWorkspace:
     """Per-context bundle of :class:`AxisWorkspace` instances.
 
     Hung off :class:`~repro.core.detectors.base.AnalysisContext` as a
-    cached property, so it travels *with* the context: parallel
-    detection workers receive whatever the engine warmed in the parent
-    and every (detector × axis) item lands on hot artifacts.
+    cached property: every detector reads whatever the engine's warm
+    phase materialised.
     """
 
     #: Axis name -> context matrix attribute.

@@ -237,6 +237,10 @@ class _Pool:
     ) -> None:
         self._ids = list(ids)
         rng.shuffle(self._ids)  # type: ignore[arg-type]
+        # ``rng.choice`` converts a list argument to an array on every
+        # call, an O(universe) cost per draw; converting once removes it
+        # with identical RNG consumption and results.
+        self._choices = np.asarray(self._ids)
         self._cursor = 0
         self._rng = rng
         self._registry: set[frozenset[str]] = set()
@@ -264,7 +268,7 @@ class _Pool:
         for _attempt in range(max_attempts):
             members = frozenset(
                 self._rng.choice(
-                    self._ids, size=size, replace=False  # type: ignore[arg-type]
+                    self._choices, size=size, replace=False
                 ).tolist()
             )
             if members in self._registry:
@@ -287,7 +291,7 @@ class _Pool:
             self._registry.add(frozenset((value,)))
             return value
         for _attempt in range(max_attempts):
-            value = str(self._rng.choice(self._ids))  # type: ignore[arg-type]
+            value = str(self._rng.choice(self._choices))
             singleton = frozenset((value,))
             if singleton in self._registry:
                 continue
@@ -304,9 +308,7 @@ class _Pool:
             self._cursor += 1
         else:
             for _attempt in range(1000):
-                candidate = str(
-                    self._rng.choice(self._ids)  # type: ignore[arg-type]
-                )
+                candidate = str(self._rng.choice(self._choices))
                 if candidate not in members:
                     extra = candidate
                     break

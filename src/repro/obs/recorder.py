@@ -23,8 +23,7 @@ loop) need no recorder parameter threading::
 Worker processes do not inherit the context variable; instead each
 worker task records into a fresh local :class:`Recorder` and returns the
 serialised trace fragment, which the parent grafts into its own tree in
-deterministic (partition) order — see ``repro.core.engine`` and
-``repro.core.grouping.cooccurrence``.
+deterministic (block) order — see ``repro.core.grouping.cooccurrence``.
 """
 
 from __future__ import annotations
@@ -311,10 +310,10 @@ class Recorder:
         """Attach a serialised trace fragment under the current span.
 
         Worker processes return their local trace as a plain dict
-        (:meth:`export_fragment`); grafting in partition order keeps the
+        (:meth:`export_fragment`); grafting in task order keeps the
         merged tree deterministic.  A registry fragment embedded in the
         payload is merged into this recorder's registry.  ``fragment``
-        (the partition index) is stamped on the grafted root's
+        (the task index) is stamped on the grafted root's
         attributes so stitched trees record where each piece came from.
         Outside any open span the fragment becomes a trace of its own.
         """

@@ -1,16 +1,18 @@
-"""Parallel execution substrate shared by the grouping kernels and the
-analysis engine.
+"""Parallel execution substrate of the blocked co-occurrence scan.
 
-See :mod:`repro.parallel.executor` for the execution model and the
-determinism contract.
+One reusable process pool (:mod:`repro.parallel.pool`) and one data
+plane (:mod:`repro.parallel.shm`): the scan publishes its arrays into a
+shared-memory segment once and maps manifest-only tasks over the pool.
+See :mod:`repro.parallel.pool` for the determinism contract.
 """
 
-from repro.parallel.executor import (
-    ParallelExecutor,
+from repro.parallel.pool import (
+    WorkerPool,
+    current_pool,
     resolve_workers,
+    use_pool,
     validate_workers,
 )
-from repro.parallel.pool import WorkerPool, current_pool, use_pool
 from repro.parallel.shm import (
     AttachedSegment,
     SegmentHandle,
@@ -22,7 +24,6 @@ from repro.parallel.shm import (
 
 __all__ = [
     "AttachedSegment",
-    "ParallelExecutor",
     "SegmentHandle",
     "SegmentManifest",
     "SharedMemoryUnavailable",

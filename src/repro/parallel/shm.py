@@ -46,9 +46,9 @@ class SharedMemoryUnavailable(ReproError):
     """Shared memory cannot be created in this environment.
 
     Raised by :func:`publish` when the platform refuses segment creation
-    (no ``/dev/shm``, sandboxed semaphores, …).  Callers fall back to
-    the pickled ``initargs`` path — shared memory is an optimisation,
-    never a requirement.
+    (no ``/dev/shm``, sandboxed semaphores, …).  The blocked scan then
+    runs its serial block loop — shared memory is an optimisation, never
+    a requirement.
     """
 
 

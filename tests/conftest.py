@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 from repro.core.state import RbacState
@@ -55,3 +58,33 @@ def small_org_state() -> RbacState:
     from repro.datagen import OrgProfile, generate_org
 
     return generate_org(OrgProfile.small(divisor=200, seed=11)).state
+
+
+@pytest.fixture
+def spy_executors(monkeypatch):
+    """Record ``max_workers`` of every ProcessPoolExecutor a pool builds.
+
+    Call it (optionally with a constructor ``delay`` in seconds) to
+    install the spy; it returns the list it records into.  A request for
+    more processes than cores is refused with ``OSError`` (as a sandbox
+    would) instead of forked, so a regression of the pool's core-count
+    cap cannot exhaust the host's processes while the test runs.
+    """
+    import repro.parallel.pool as pool_module
+
+    real_executor = pool_module.ProcessPoolExecutor
+
+    def install(delay: float = 0.0) -> list[int]:
+        built: list[int] = []
+
+        def spy_executor(max_workers):
+            built.append(max_workers)
+            time.sleep(delay)
+            if max_workers > (os.cpu_count() or 1):
+                raise OSError(f"refusing to start {max_workers} processes")
+            return real_executor(max_workers=max_workers)
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", spy_executor)
+        return built
+
+    return install

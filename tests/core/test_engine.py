@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core import AnalysisConfig, AnalysisEngine, InefficiencyType, analyze
-from repro.core.engine import ALL_TYPES
+from repro.core.engine import ALL_TYPES, effective_scan_workers
 from repro.exceptions import ConfigurationError
+from repro.obs import Recorder
+from repro.parallel import resolve_workers
 
 
 class TestConfig:
@@ -49,6 +53,29 @@ class TestConfig:
         )
         by_name = {d.name: d for d in engine.detectors}
         assert by_name["duplicate_roles"]._finder._block_rows == 3
+
+    def test_n_workers_forwarded_to_cooccurrence_finder(self):
+        engine = AnalysisEngine(AnalysisConfig(n_workers=2))
+        by_name = {d.name: d for d in engine.detectors}
+        assert by_name["duplicate_roles"]._finder._n_workers == 2
+        assert by_name["similar_roles"]._finder._n_workers == 2
+
+    def test_explicit_finder_options_win_over_n_workers(self):
+        config = AnalysisConfig(n_workers=2, finder_options={"n_workers": 1})
+        by_name = {d.name: d for d in AnalysisEngine(config).detectors}
+        assert by_name["duplicate_roles"]._finder._n_workers == 1
+        assert effective_scan_workers(config) == 1
+
+    def test_effective_scan_workers_follows_n_workers(self):
+        assert effective_scan_workers(AnalysisConfig()) == 1
+        assert effective_scan_workers(AnalysisConfig(n_workers=2)) == 2
+        assert effective_scan_workers(
+            AnalysisConfig(finder_options={"n_workers": 3})
+        ) == 3
+        # None means every core, for the finder and the workspace alike.
+        assert effective_scan_workers(
+            AnalysisConfig(n_workers=None)
+        ) == resolve_workers(None)
 
     def test_block_rows_ignored_for_other_finders(self):
         engine = AnalysisEngine(AnalysisConfig(finder="dbscan", block_rows=7))
@@ -128,3 +155,49 @@ class TestEngine:
         report = analyze(RbacState())
         assert report.findings == []
         assert all(value == 0 for value in report.counts().values())
+
+
+class TestScanFanOut:
+    def test_n_workers_reaches_the_scan(self, small_org_state):
+        # The engine-level knob fans the blocked scan out over shared
+        # memory; detection itself stays in-process.
+        assert small_org_state.n_roles > 64
+        recorder = Recorder()
+        report = analyze(
+            small_org_state,
+            AnalysisConfig(n_workers=2, block_rows=64),
+            recorder=recorder,
+        )
+        assert recorder.counter_totals()["shm.bytes_published"] > 0
+        serial = analyze(small_org_state, AnalysisConfig(block_rows=64))
+        assert [f.to_dict() for f in report.findings] == [
+            f.to_dict() for f in serial.findings
+        ]
+
+    def test_oversized_n_workers_capped_at_core_count(
+        self, paper_example, spy_executors
+    ):
+        # n_workers is outside input (CLI flag, service request): it must
+        # never start more processes than the host has cores.
+        built = spy_executors()
+        report = analyze(
+            paper_example, AnalysisConfig(n_workers=10_000, block_rows=1)
+        )
+        assert built == [min(10_000, os.cpu_count() or 1)]
+        assert report.metrics["workers"] == {
+            "requested": 10_000,
+            "resolved": 10_000,
+            "mode": "parallel",
+        }
+        assert report.counts() == analyze(paper_example).counts()
+
+    def test_mode_serial_when_nothing_fans_out(self, paper_example):
+        # Without block_rows every axis is one block: nothing runs on a
+        # pool, so the report must not claim a parallel run.
+        report = analyze(paper_example, AnalysisConfig(n_workers=2))
+        assert report.metrics["workers"] == {
+            "requested": 2,
+            "resolved": 2,
+            "mode": "serial",
+        }
+        assert "shm.segments_published" not in report.metrics["counters"]

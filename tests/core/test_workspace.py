@@ -2,8 +2,8 @@
 
 Covers the artifact cache (hit/miss/bytes counters), the scan request
 aggregation (one blocked co-occurrence pass serves every consumer), the
-collapsed view's derived pairs, and the pickling behaviour that ships
-warm artifacts to parallel workers.
+collapsed view's derived pairs, and the pickle round-trip that keeps
+warm artifacts hot.
 """
 
 from __future__ import annotations
@@ -84,6 +84,41 @@ class TestArtifactCache:
         assert users_workspace.signatures(8, seed=0) is a
         assert users_workspace.signatures(8, seed=1) is not a
         assert users_workspace.signatures(16, seed=0).shape == (4, 16)
+
+
+class TestArtifactBytes:
+    """``workspace.artifact_bytes`` values, pinned, and its cost.
+
+    The counter sizes array payloads and lists of content keys; lists of
+    Python ints count 0 and are never walked element by element.
+    """
+
+    def _artifact_bytes(self, state) -> int:
+        from repro.core.engine import analyze
+
+        return analyze(state).metrics["counters"]["workspace.artifact_bytes"]
+
+    def test_paper_example_value(self, paper_example):
+        assert self._artifact_bytes(paper_example) == 752
+
+    def test_small_org_value(self):
+        from repro.datagen import OrgProfile, generate_org
+
+        org = generate_org(OrgProfile.small(divisor=100))
+        assert self._artifact_bytes(org.state) == 129348
+
+    def test_key_lists_sized_int_lists_not_walked(self):
+        from repro.core.workspace import _payload_bytes
+
+        class Unwalkable(list):
+            def __iter__(self):
+                raise AssertionError("walked element by element")
+
+        assert _payload_bytes([b"ab", b"cde"]) == 5
+        assert _payload_bytes(Unwalkable([[0, 1], [2]])) == 0
+        assert _payload_bytes(Unwalkable([3, 4, 5])) == 0
+        row_classes = (np.zeros(2, dtype=np.int64), Unwalkable([[0, 1]]))
+        assert _payload_bytes(row_classes) == 16
 
 
 class TestScanAggregation:
@@ -233,10 +268,8 @@ class TestAnalysisWorkspace:
 
 
 class TestWorkspacePickling:
-    # Workers inherit the warm context by fork on POSIX; spawn-based
-    # pools would pickle it instead, so the workspace (matrix, artifact
-    # dict, scan result) must survive a pickle round-trip with its
-    # artifacts hot either way.
+    # The workspace (matrix, artifact dict, scan result) must survive a
+    # pickle round-trip with its artifacts hot.
 
     def test_warm_workspace_ships_artifacts(self, paper_example):
         from repro.core.matrices import AssignmentMatrix

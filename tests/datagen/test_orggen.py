@@ -135,3 +135,25 @@ class TestGeneratedOrg:
         org = generate_org(OrgProfile.small(divisor=divisor, seed=13))
         report = analyze(org.state)
         assert report.counts() == org.expected_counts()
+
+
+class TestGoldenFingerprints:
+    """The generator's output, pinned byte for byte.
+
+    ``_Pool`` hands ``rng.choice`` a cached array of the id universe
+    instead of the Python list; the draws, and therefore every generated
+    organisation, must stay exactly what the list-based generator
+    produced.
+    """
+
+    @pytest.mark.parametrize(
+        "divisor,seed,fingerprint",
+        [
+            (100, 0, "f2fa5fc5529b0befada35828fc7a6f6eefda49a412960d22c4f1ba07f8b7ef32"),
+            (10, 1, "4e397fa753499c36162697c8291289da3030fbb91e3ef70080123aaea33eb896"),
+            (10, 2, "312837792f7328023c2c9f22df1379eeafb91a3b92f734357c970ba41abf7887"),
+        ],
+    )
+    def test_generated_state_fingerprint(self, divisor, seed, fingerprint):
+        org = generate_org(OrgProfile.small(divisor=divisor, seed=seed))
+        assert org.state.fingerprint() == fingerprint

@@ -1,4 +1,11 @@
-"""Unit tests for the process-pool executor and its serial fallback."""
+"""Unit tests for worker-count handling and the pool's map contract.
+
+:class:`~repro.parallel.WorkerPool` is the one process pool: ``map``
+preserves input order and returns exactly what the serial loop returns,
+running in-process for one worker or one task and falling back to that
+loop when the pool cannot be used.  Pool lifecycle and shared-memory
+segments are covered in ``test_shm.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +14,16 @@ import os
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.parallel import ParallelExecutor, resolve_workers
-
-_INIT_STATE: dict[str, int] = {}
+from repro.parallel import WorkerPool, resolve_workers
 
 
 def _square(x: int) -> int:
     return x * x
 
 
-def _install_offset(offset: int) -> None:
-    _INIT_STATE["offset"] = offset
-
-
-def _add_offset(x: int) -> int:
-    return x + _INIT_STATE["offset"]
+def _map(n_workers: int, fn, items) -> list:
+    with WorkerPool(n_workers) as pool:
+        return pool.map(fn, items)
 
 
 class TestResolveWorkers:
@@ -41,60 +43,38 @@ class TestResolveWorkers:
 
 class TestSerialPath:
     def test_single_worker_maps_in_order(self):
-        executor = ParallelExecutor(n_workers=1)
-        assert executor.map(_square, range(6)) == [0, 1, 4, 9, 16, 25]
-        assert executor.last_fallback_reason is None
+        assert _map(1, _square, range(6)) == [0, 1, 4, 9, 16, 25]
 
     def test_single_item_stays_in_process(self):
         # Closures are unpicklable; a pool would choke on them, but one
         # item never leaves the process.
         state = []
-        executor = ParallelExecutor(n_workers=8)
-        assert executor.map(lambda x: state.append(x) or x, [42]) == [42]
+        assert _map(8, lambda x: state.append(x) or x, [42]) == [42]
         assert state == [42]
 
-    def test_initializer_runs_in_process(self):
-        executor = ParallelExecutor(
-            n_workers=1, initializer=_install_offset, initargs=(100,)
-        )
-        assert executor.map(_add_offset, [1, 2]) == [101, 102]
-
     def test_empty_items(self):
-        assert ParallelExecutor(n_workers=4).map(_square, []) == []
+        assert _map(4, _square, []) == []
 
 
 class TestPoolPath:
     def test_results_in_input_order(self):
-        executor = ParallelExecutor(n_workers=2)
-        assert executor.map(_square, range(10)) == [x * x for x in range(10)]
-
-    def test_initializer_ships_state_to_workers(self):
-        executor = ParallelExecutor(
-            n_workers=2, initializer=_install_offset, initargs=(7,)
-        )
-        assert executor.map(_add_offset, [0, 1, 2, 3]) == [7, 8, 9, 10]
+        assert _map(2, _square, range(10)) == [x * x for x in range(10)]
 
     def test_unpicklable_fn_falls_back_serially(self):
-        executor = ParallelExecutor(n_workers=2)
-        doubled = executor.map(lambda x: 2 * x, [1, 2, 3])
-        assert doubled == [2, 4, 6]
-        assert executor.last_fallback_reason is not None
+        assert _map(2, lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
 
     def test_fallback_warns_and_counts(self, caplog):
-        # The silent-degradation fix: falling back to serial must leave
-        # an operator-visible trail — a WARNING log line and a
-        # ``parallel.fallbacks`` counter that reaches Report.metrics.
+        # Falling back to serial must leave an operator-visible trail:
+        # a WARNING log line and a ``parallel.fallbacks`` counter that
+        # reaches Report.metrics.
         import logging
 
         from repro.obs import Recorder, use_recorder
 
         recorder = Recorder()
-        executor = ParallelExecutor(n_workers=2)
         with use_recorder(recorder):
-            with caplog.at_level(
-                logging.WARNING, logger="repro.parallel.executor"
-            ):
-                executor.map(lambda x: 2 * x, [1, 2, 3])
+            with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
+                _map(2, lambda x: 2 * x, [1, 2, 3])
         assert any(
             "serially in-process" in record.message
             for record in caplog.records
@@ -104,21 +84,12 @@ class TestPoolPath:
     def test_pool_success_logs_no_warning(self, caplog):
         import logging
 
-        executor = ParallelExecutor(n_workers=2)
-        with caplog.at_level(logging.WARNING, logger="repro.parallel.executor"):
-            executor.map(_square, range(8))
+        with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
+            _map(2, _square, range(8))
         assert not caplog.records
 
     def test_matches_serial_exactly(self):
-        serial = ParallelExecutor(n_workers=1).map(_square, range(25))
-        parallel = ParallelExecutor(n_workers=3).map(_square, range(25))
-        assert serial == parallel
-
-
-class TestValidation:
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(n_workers=2, chunksize=0)
+        assert _map(3, _square, range(25)) == _map(1, _square, range(25))
 
 
 class TestValidateWorkers:
@@ -141,7 +112,7 @@ class TestValidateWorkers:
             validate_workers(bad)
 
     def test_message_identical_to_engine_config(self):
-        """AnalysisConfig and the executor share one validation helper,
+        """AnalysisConfig and the pool share one validation helper,
         so a bad worker count reads the same wherever it is caught."""
         from repro.core.engine import AnalysisConfig
         from repro.parallel import validate_workers

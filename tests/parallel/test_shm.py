@@ -2,7 +2,7 @@
 
 Covers the zero-copy contract end to end: publish/attach round-trips,
 read-only views, unlink-on-close with no ``/dev/shm`` leak, graceful
-degradation (:class:`SharedMemoryUnavailable` → pickled fallback),
+degradation (:class:`SharedMemoryUnavailable` → serial block loop),
 :class:`WorkerPool` reuse/fallback/segment-registry semantics, the
 pid-guarded ambient pool, and the acceptance criterion that per-task
 scan payloads no longer carry the matrix arrays.
@@ -11,7 +11,10 @@ scan payloads no longer carry the matrix arrays.
 from __future__ import annotations
 
 import logging
+import os
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +30,23 @@ from repro.parallel import (
     use_pool,
 )
 from repro.parallel import shm as shm_module
+
+
+def _square(x: int) -> int:
+    return x * x
+
+
+def _slow_square(x: int) -> int:
+    time.sleep(0.1)
+    return x * x
+
+
+def _fail_in_worker(parent_pid: int) -> int:
+    """Raise in a worker process after a while; succeed in-process."""
+    if os.getpid() != parent_pid:
+        time.sleep(0.3)
+        raise OSError("worker-side failure")
+    return parent_pid
 
 
 def _segment_exists(name: str) -> bool:
@@ -147,6 +167,17 @@ class TestWorkerPool:
         )
         assert recorder.counter_totals().get("parallel.fallbacks") == 1
 
+    def test_processes_capped_at_core_count(
+        self, monkeypatch, spy_executors
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        built = spy_executors()
+        with WorkerPool(10_000) as pool:
+            assert pool.n_workers == 10_000
+            assert pool.processes == 2
+            assert pool.map(_square, range(5)) == [0, 1, 4, 9, 16]
+        assert built == [2]
+
     def test_adopt_and_release_segment(self):
         pool = WorkerPool(2)
         handle = pool.adopt_segment(publish({"a": np.arange(4)}))
@@ -164,6 +195,55 @@ class TestWorkerPool:
         handle = pool.adopt_segment(publish({"a": np.arange(4)}))
         pool.close()
         assert not _segment_exists(handle.name)
+
+
+class TestConcurrentMaps:
+    """One warm pool shared by concurrent analyses (the service case)."""
+
+    def test_concurrent_maps_build_one_executor(self, spy_executors):
+        # A slow constructor widens the window in which two unguarded
+        # threads would each build (and one orphan) an executor.
+        built = spy_executors(delay=0.1)
+        barrier = threading.Barrier(4)
+        results: dict[int, list[int]] = {}
+
+        def run(index: int) -> None:
+            barrier.wait()
+            results[index] = pool.map(_square, range(index, index + 6))
+
+        with WorkerPool(2) as pool:
+            threads = [
+                threading.Thread(target=run, args=(i,)) for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert len(built) == 1
+        assert results == {
+            i: [x * x for x in range(i, i + 6)] for i in range(4)
+        }
+
+    def test_fallback_does_not_cancel_another_map(self):
+        # Thread A's tasks occupy both workers and then fail, so A falls
+        # back and discards the executor while B's tasks are still
+        # queued on it.  B must still get its results, not a
+        # CancelledError.
+        parent = os.getpid()
+        with WorkerPool(2) as pool:
+            failed: list[list[int]] = []
+            first = threading.Thread(
+                target=lambda: failed.append(
+                    pool.map(_fail_in_worker, [parent, parent])
+                )
+            )
+            first.start()
+            time.sleep(0.1)
+            assert pool.map(_slow_square, range(8)) == [
+                x * x for x in range(8)
+            ]
+            first.join()
+        assert failed == [[parent, parent]]
 
 
 class TestAmbientPool:
@@ -267,4 +347,57 @@ class TestZeroCopyContract:
         pool.close()
         assert sorted(zip(warm.rows.tolist(), warm.cols.tolist())) == sorted(
             zip(serial.rows.tolist(), serial.cols.tolist())
+        )
+
+
+class TestSharedMemoryUnavailable:
+    """Without shared memory the scan runs its serial block loop.
+
+    There is no second data plane: no process pool is constructed, the
+    result equals the serial scan exactly, and the degradation is
+    counted (``shm.unavailable``) and logged.
+    """
+
+    def test_scan_falls_back_to_serial_loop(
+        self, monkeypatch, caplog, spy_executors
+    ):
+        from repro.core.grouping import cooccurrence
+        from repro.obs import Recorder, use_recorder
+
+        def refuse(arrays):
+            raise SharedMemoryUnavailable("no /dev/shm here")
+
+        pools_built = spy_executors()
+        monkeypatch.setattr(cooccurrence, "publish", refuse)
+
+        rng = np.random.default_rng(4)
+        csr = sp.csr_matrix((rng.random((40, 30)) < 0.3).astype(np.int64))
+        norms = np.asarray(csr.sum(axis=1)).ravel().astype(np.int64)
+        serial = cooccurrence.blocked_scan(
+            csr, norms, k=1, collect_subsets=True, block_rows=7,
+            kernel="sparse",
+        )
+        recorder = Recorder()
+        with use_recorder(recorder), recorder.span("scan"):
+            with caplog.at_level(
+                logging.WARNING, logger="repro.core.grouping.cooccurrence"
+            ):
+                degraded = cooccurrence.blocked_scan(
+                    csr, norms, k=1, collect_subsets=True, block_rows=7,
+                    n_workers=2, kernel="sparse",
+                )
+
+        assert pools_built == []
+        assert degraded.k == serial.k
+        assert degraded.n_blocks == serial.n_blocks == 6
+        for name in ("rows", "cols", "hamming", "sub_rows", "sub_cols"):
+            assert np.array_equal(
+                getattr(degraded, name), getattr(serial, name)
+            ), name
+        totals = recorder.counter_totals()
+        assert totals["shm.unavailable"] == 1
+        assert "shm.segments_published" not in totals
+        assert any(
+            "shared memory unavailable" in record.message
+            for record in caplog.records
         )

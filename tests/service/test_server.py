@@ -424,6 +424,25 @@ class TestWarmPool:
         finally:
             service.close()
 
+    def test_oversized_n_workers_request_capped(self, spy_executors):
+        # A request's n_workers sizes no pool beyond the host's cores.
+        import os
+
+        built = spy_executors()
+        service = make_service()
+        service.start()
+        try:
+            status, payload, _ = service.handle(
+                "POST",
+                "/v1/analyze",
+                json.dumps({"n_workers": 10_000, "block_rows": 1}).encode(),
+            )
+        finally:
+            service.close()
+        assert status == 200
+        assert payload["cache"] == "miss"
+        assert built == [min(10_000, os.cpu_count() or 1)]
+
     def test_drain_close_unlinks_adopted_segments(self):
         # The SIGTERM-drain cleanup guarantee: segments an interrupted
         # scan left in the pool registry are unlinked with the pool.

@@ -5,11 +5,11 @@ Thin CLI wrapper over :func:`repro.obs.validate_trace_file` (the real
 implementation, shared with the test suite).  Used by CI's observability
 smoke job against an actual ``repro analyze --trace-out`` run.
 
-Accepts both schema versions: v1 (pre-order ``path``/``depth`` spans)
-and v2 (adds ``trace_id`` on every event plus ``span_id``/``parent_id``
-links, which are checked for integrity — unique pre-order IDs, parent
-links resolving to an earlier span at the parent depth, no dangling
-spans).  Failures print the offending line number and rule.
+Accepts schema 2 only: pre-order ``path``/``depth`` spans with
+``trace_id`` on every event plus ``span_id``/``parent_id`` links, which
+are checked for integrity — unique pre-order IDs, parent links resolving
+to an earlier span at the parent depth, no dangling spans.  Failures
+print the offending line number and rule.
 
 Usage: ``python scripts/validate_trace.py TRACE.jsonl [TRACE2.jsonl ...]``
 Exit code 0 when every file conforms, 1 otherwise.

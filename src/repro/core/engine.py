@@ -10,12 +10,13 @@ Parallel execution
 ------------------
 Detectors always run in-process, one after the other.  The only
 parallel step is the blocked co-occurrence scan of the warm phase — the
-paper's ``C = M·Mᵀ``, reduced block by block (§III-C).  ``n_workers`` is
-forwarded to it: with ``n_workers > 1`` and more than one row block, the
-blocks fan out over one :class:`repro.parallel.WorkerPool` through
-shared memory.  Blocks are reduced and concatenated in block order, so
-the report — findings, ordering, and ``counts()`` — is identical for
-every worker count.
+paper's ``C = M·Mᵀ``, reduced block by block (§III-C).  Its shape
+(``block_rows``, ``n_workers``, ``kernel``) is set once per analysis on
+the :class:`AnalysisContext`: with ``n_workers > 1`` and more than one
+row block, the blocks fan out over one
+:class:`repro.parallel.WorkerPool` through shared memory.  Blocks are
+reduced and concatenated in block order, so the report — findings,
+ordering, and ``counts()`` — is identical for every worker count.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ EXTENSION_TYPES: tuple[InefficiencyType, ...] = (
     InefficiencyType.SHADOWED_ROLE,
 )
 
+#: The scan shape: how the blocked co-occurrence product runs, never
+#: what it finds.  Owned by :class:`AnalysisConfig` alone.
+SCAN_KEYS: tuple[str, ...] = ("block_rows", "n_workers", "kernel")
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -76,6 +81,10 @@ class AnalysisConfig:
         the paper's algorithm), ``"dbscan"``, ``"hnsw"``, or ``"hash"``.
     finder_options:
         Extra keyword arguments for the finder factory (e.g. HNSW ``m``).
+        For the co-occurrence finder a ``block_rows``, ``n_workers`` or
+        ``kernel`` entry must equal the engine-level field of the same
+        name (a conflicting value raises :class:`ConfigurationError`):
+        the scan shape has one owner, this config.
     similarity_threshold:
         The administrator threshold k for type 5 (default 1 — "all but
         one", as in the paper's real-data experiment).
@@ -85,17 +94,16 @@ class AnalysisConfig:
         Whether type 5 collapses exact duplicates before grouping.
     n_workers:
         Worker processes for the blocked co-occurrence scan: ``1``
-        (default) scans in-process; ``None`` uses every core.  Forwarded
-        to the co-occurrence finder like ``block_rows`` (an explicit
-        ``finder_options["n_workers"]`` wins), and it bounds the shared
-        workspace scan for the other finders too.  Blocks fan out only
-        when there is more than one (see ``block_rows``); detectors
-        always run in-process.  No pool starts more processes than the
-        host has cores.  The report is identical for every value.
+        (default) scans in-process; ``None`` uses every core.  Resolved
+        once per analysis and carried by the
+        :class:`~repro.core.detectors.base.AnalysisContext` to every
+        axis scan, whatever the finder.  Blocks fan out only when there
+        is more than one (see ``block_rows``); detectors always run
+        in-process.  No pool starts more processes than the host has
+        cores.  The report is identical for every value.
     block_rows:
-        Row-block size for the co-occurrence finder's blocked product
-        (``None`` = one monolithic block).  Forwarded to the finder when
-        ``finder == "cooccurrence"``; ignored otherwise.
+        Row-block size of the blocked co-occurrence product (``None`` =
+        one monolithic block per axis).
     kernel:
         Per-block co-occurrence kernel: ``"auto"`` (default; cost-model
         dispatch between the two), ``"sparse"`` (CSR matmul), or
@@ -140,6 +148,15 @@ class AnalysisConfig:
                 f"block_rows must be >= 1 or None, got {self.block_rows}"
             )
         validate_kernel(self.kernel)
+        if self.finder == "cooccurrence":
+            for key in SCAN_KEYS:
+                owned = getattr(self, key)
+                value = self.finder_options.get(key, owned)
+                if value != owned:
+                    raise ConfigurationError(
+                        f"finder_options[{key!r}]={value!r} conflicts with "
+                        f"{key}={owned!r}; set {key} on the config only"
+                    )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable view of the effective configuration.
@@ -194,58 +211,18 @@ class AnalysisConfig:
         return cls(**options)
 
 
-def scan_options(config: AnalysisConfig) -> dict[str, Any]:
-    """The blocked-scan knobs (``block_rows``, ``n_workers``, ``kernel``).
-
-    The engine-level values, except that an explicit co-occurrence
-    ``finder_options`` entry wins — exactly what the co-occurrence
-    finder receives, so the shared workspace scan and the finder agree.
-    ``n_workers`` comes back resolved (``None`` = every core).
-    """
-    options = {
-        "block_rows": config.block_rows,
-        "n_workers": config.n_workers,
-        "kernel": config.kernel,
-    }
-    if config.finder == "cooccurrence":
-        options.update(
-            (key, value)
-            for key, value in config.finder_options.items()
-            if key in options
-        )
-    options["n_workers"] = resolve_workers(options["n_workers"])
-    return options
-
-
-def effective_scan_workers(config: AnalysisConfig) -> int:
-    """Resolved worker count the blocked scans will use under ``config``.
-
-    The service uses this to decide whether holding a warm
-    :class:`~repro.parallel.WorkerPool` across requests can pay off.
-    """
-    return scan_options(config)["n_workers"]
-
-
 class AnalysisEngine:
     """Runs the configured detectors and assembles a report."""
 
     def __init__(self, config: AnalysisConfig | None = None) -> None:
         self.config = config or AnalysisConfig()
         self._detectors = self._build_detectors(self.config)
-        # Blocked-scan shape for the shared workspace: the co-occurrence
-        # finder's own settings, or for other finders the engine knobs
-        # that bound the workspace scan serving the shadowed detector.
-        self._scan_options = scan_options(self.config)
 
     @staticmethod
     def _build_detectors(config: AnalysisConfig) -> list[Detector]:
         from repro.core.grouping import make_group_finder
 
-        finder_options = dict(config.finder_options)
-        if config.finder == "cooccurrence":
-            # Explicit finder_options win over the engine-level knobs.
-            finder_options.update(scan_options(config))
-
+        finder_options = config.finder_options
         detectors: list[Detector] = []
         enabled = set(config.enabled_types)
         if InefficiencyType.STANDALONE_NODE in enabled:
@@ -307,10 +284,17 @@ class AnalysisEngine:
             # handful of dict/list operations per detector — the no-op
             # recorder exists for bare library calls, not for the engine.
             recorder = Recorder()
-        context = AnalysisContext(state)
+        n_workers = resolve_workers(self.config.n_workers)
+        # The one owner of the scan shape for this analysis: every axis
+        # workspace the detectors touch scans with it.
+        context = AnalysisContext(
+            state,
+            block_rows=self.config.block_rows,
+            n_workers=n_workers,
+            kernel=self.config.kernel,
+        )
         findings: list = []
         timings: dict[str, float] = {}
-        n_workers = self._scan_options["n_workers"]
         stack = ExitStack()
         # One worker pool per analyze() for the blocked scans: spawned
         # lazily on the first fanned-out scan, reused by every axis,
@@ -350,7 +334,6 @@ class AnalysisEngine:
                     if type(d).warm is not Detector.warm
                 ]
                 if warmable:
-                    context.workspace.configure(**self._scan_options)
                     with recorder.span("engine.workspace_warm") as warm_span:
                         for detector in warmable:
                             detector.warm(context)

@@ -508,6 +508,10 @@ class CooccurrenceGroupFinder(GroupFinder):
         Per-block kernel choice: ``sparse`` (CSR matmul), ``bits``
         (packed AND + popcount), or ``auto`` (cost-model dispatch, the
         default).  Output is identical for every kernel.
+
+    These three shape only a standalone :meth:`find_groups` call; over a
+    workspace view (:meth:`find_groups_in`) the view's scan shape is
+    used.
     """
 
     def __init__(
@@ -548,12 +552,7 @@ class CooccurrenceGroupFinder(GroupFinder):
                 kernel=self._kernel,
             )
             span.add("cooccurrence.blocks", scan.n_blocks)
-
-            components = DisjointSet(n_rows)
-            for i, j in zip(scan.rows.tolist(), scan.cols.tolist()):
-                components.union(i, j)
-            self._union_non_overlapping(components, norms, k)
-            groups = components.groups(min_size=2)
+            groups = self._groups(n_rows, scan.rows, scan.cols, norms, k)
             span.add("cooccurrence.groups", len(groups))
         return groups
 
@@ -566,9 +565,9 @@ class CooccurrenceGroupFinder(GroupFinder):
         but candidate pairs come from the memoised
         :meth:`~repro.core.workspace.AxisWorkspace.matched_pairs`
         artifact (one blocked pass per axis, shared with every other
-        consumer) instead of a private product.  On a cold workspace the
-        pass runs here, under this finder's span, with this finder's
-        ``block_rows`` / ``n_workers`` / ``kernel`` as hints.
+        consumer) instead of a private product.  The view owns the
+        scan's shape; on a cold workspace the pass runs here, under
+        this finder's span.
         """
         k = self._check_threshold(max_differences)
         n_rows = view.n_rows
@@ -579,17 +578,8 @@ class CooccurrenceGroupFinder(GroupFinder):
             span.add("cooccurrence.rows", int(n_rows))
             # 0/1 entries: the stored-entry count is the norm total.
             span.add("cooccurrence.input_nnz", int(view.norms.sum()))
-            rows, cols = view.matched_pairs(
-                k,
-                block_rows=self._block_rows,
-                n_workers=self._n_workers,
-                kernel=self._kernel,
-            )
-            components = DisjointSet(n_rows)
-            for i, j in zip(rows.tolist(), cols.tolist()):
-                components.union(i, j)
-            self._union_non_overlapping(components, view.norms, k)
-            groups = components.groups(min_size=2)
+            rows, cols = view.matched_pairs(k)
+            groups = self._groups(n_rows, rows, cols, view.norms, k)
             span.add("cooccurrence.groups", len(groups))
         return groups
 
@@ -597,12 +587,20 @@ class CooccurrenceGroupFinder(GroupFinder):
         """Register this finder's scan need on the view (no pass yet)."""
         if max_differences < 0 or view.n_rows == 0:
             return
-        view.request_scan(
-            k=int(max_differences),
-            block_rows=self._block_rows,
-            n_workers=self._n_workers,
-            kernel=self._kernel,
-        )
+        view.request_scan(k=int(max_differences))
+
+    @classmethod
+    def _groups(
+        cls, n_rows: int, rows: np.ndarray, cols: np.ndarray,
+        norms: np.ndarray, k: int,
+    ) -> list[list[int]]:
+        """Groups (size >= 2) joined by the matched pairs and by the
+        zero-overlap anchor pass (:meth:`_union_non_overlapping`)."""
+        components = DisjointSet(n_rows)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            components.union(i, j)
+        cls._union_non_overlapping(components, norms, k)
+        return components.groups(min_size=2)
 
     @staticmethod
     def _union_non_overlapping(

@@ -124,48 +124,29 @@ class AxisWorkspace(_ArtifactCache):
     indices in every artifact refer to the *nonempty submatrix* (rows
     with at least one edge on the axis) unless stated otherwise;
     :attr:`original` maps them back to full-matrix rows.
+
+    ``block_rows``, ``n_workers`` and ``kernel`` fix the shape of the
+    blocked co-occurrence scan at construction; requests carry only
+    what a consumer needs from it (``k``, ``subsets``).
     """
 
     def __init__(
         self,
         matrix: "AssignmentMatrix",
         block_rows: int | None = None,
-        n_workers: int | None = None,
-        kernel: str | None = None,
+        n_workers: int | None = 1,
+        kernel: str = "auto",
     ) -> None:
         super().__init__()
         self.matrix = matrix
-        self._block_rows = block_rows
-        self._n_workers = n_workers
-        self._kernel = kernel
-        # configure() pins the scan shape; request hints only apply while
-        # unpinned (standalone detectors carrying finder-level settings).
-        self._pinned = (
-            block_rows is not None or n_workers is not None
-            or kernel is not None
-        )
+        self.block_rows = block_rows
+        self.n_workers = n_workers
+        self.kernel = kernel
         self._scan: ScanResult | None = None
         self._scan_subsets = False
         self._want_k: int | None = None
         self._want_subsets = False
         self._collapsed: "CollapsedWorkspace | None" = None
-
-    # ------------------------------------------------------------------
-    # Configuration
-    # ------------------------------------------------------------------
-    def configure(
-        self,
-        block_rows: int | None = None,
-        n_workers: int | None = None,
-        kernel: str | None = None,
-    ) -> None:
-        """Pin the blocked-scan shape (engine-level settings win over
-        per-finder hints passed through :meth:`request_scan`)."""
-        self._block_rows = block_rows
-        self._n_workers = n_workers
-        if kernel is not None:
-            self._kernel = kernel
-        self._pinned = True
 
     # ------------------------------------------------------------------
     # Row-subset artifacts
@@ -308,33 +289,17 @@ class AxisWorkspace(_ArtifactCache):
     # ------------------------------------------------------------------
     # The blocked co-occurrence scan
     # ------------------------------------------------------------------
-    def request_scan(
-        self,
-        k: int | None = None,
-        subsets: bool = False,
-        block_rows: int | None = None,
-        n_workers: int | None = None,
-        kernel: str | None = None,
-    ) -> None:
+    def request_scan(self, k: int | None = None, subsets: bool = False) -> None:
         """Register what an upcoming consumer needs from the scan.
 
         Requests accumulate; the pass itself runs on the next
         :meth:`scan` (typically the engine's warm flush) at the maximum
         requested ``k`` with the union of requested collections.
-        ``block_rows`` / ``n_workers`` / ``kernel`` are *hints* honoured
-        only while the workspace has not been pinned by :meth:`configure`.
         """
         if k is not None:
             self._want_k = k if self._want_k is None else max(self._want_k, k)
         if subsets:
             self._want_subsets = True
-        if not self._pinned:
-            if block_rows is not None:
-                self._block_rows = block_rows
-            if n_workers is not None:
-                self._n_workers = n_workers
-            if kernel is not None:
-                self._kernel = kernel
 
     @property
     def scan_pending(self) -> bool:
@@ -375,9 +340,9 @@ class AxisWorkspace(_ArtifactCache):
             self.norms,
             k=k,
             collect_subsets=subsets,
-            block_rows=self._block_rows,
-            n_workers=self._n_workers or 1,
-            kernel=self._kernel or "auto",
+            block_rows=self.block_rows,
+            n_workers=self.n_workers,
+            kernel=self.kernel,
             # Lazy: only a plan containing bits blocks packs the words,
             # and a warm `bits` artifact is reused rather than re-packed.
             words=lambda: self.bits.words,
@@ -390,20 +355,14 @@ class AxisWorkspace(_ArtifactCache):
         return result
 
     def matched_pairs(
-        self,
-        k: int,
-        block_rows: int | None = None,
-        n_workers: int | None = None,
-        kernel: str | None = None,
+        self, k: int
     ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
         """Unordered submatrix-row pairs at Hamming distance ``<= k``.
 
         Served from the shared scan, filtered down by the stored
         distances when the scan ran at a larger ``k``.
         """
-        self.request_scan(
-            k=k, block_rows=block_rows, n_workers=n_workers, kernel=kernel
-        )
+        self.request_scan(k=k)
         return self.scan().pairs_at(k)
 
     @property
@@ -517,26 +476,12 @@ class CollapsedWorkspace(_ArtifactCache):
             ],
         )
 
-    def request_scan(
-        self,
-        k: int | None = None,
-        subsets: bool = False,
-        block_rows: int | None = None,
-        n_workers: int | None = None,
-        kernel: str | None = None,
-    ) -> None:
+    def request_scan(self, k: int | None = None, subsets: bool = False) -> None:
         """Forward to the parent: collapsed pairs derive from its scan."""
-        self.parent.request_scan(
-            k=k, subsets=subsets, block_rows=block_rows,
-            n_workers=n_workers, kernel=kernel,
-        )
+        self.parent.request_scan(k=k, subsets=subsets)
 
     def matched_pairs(
-        self,
-        k: int,
-        block_rows: int | None = None,
-        n_workers: int | None = None,
-        kernel: str | None = None,
+        self, k: int
     ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
         """Collapsed-row pairs at distance ``<= k``, derived by remap.
 
@@ -551,19 +496,13 @@ class CollapsedWorkspace(_ArtifactCache):
         """
         return self._artifact(
             f"collapsed_pairs[{k}]",
-            lambda: self._build_matched_pairs(k, block_rows, n_workers, kernel),
+            lambda: self._build_matched_pairs(k),
         )
 
     def _build_matched_pairs(
-        self,
-        k: int,
-        block_rows: int | None,
-        n_workers: int | None,
-        kernel: str | None,
+        self, k: int
     ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-        rows, cols = self.parent.matched_pairs(
-            k, block_rows=block_rows, n_workers=n_workers, kernel=kernel
-        )
+        rows, cols = self.parent.matched_pairs(k)
         class_index = self.parent.class_index
         a = class_index[rows].astype(np.int64)
         b = class_index[cols].astype(np.int64)
@@ -579,7 +518,7 @@ class AnalysisWorkspace:
 
     Hung off :class:`~repro.core.detectors.base.AnalysisContext` as a
     cached property: every detector reads whatever the engine's warm
-    phase materialised.
+    phase materialised, and every axis scans with the context's shape.
     """
 
     #: Axis name -> context matrix attribute.
@@ -588,26 +527,6 @@ class AnalysisWorkspace:
     def __init__(self, context: "AnalysisContext") -> None:
         self._context = context
         self._axes: dict[str, AxisWorkspace] = {}
-        self._block_rows: int | None = None
-        self._n_workers: int | None = None
-        self._kernel: str | None = None
-        self._configured = False
-
-    def configure(
-        self,
-        block_rows: int | None = None,
-        n_workers: int | None = None,
-        kernel: str | None = None,
-    ) -> None:
-        """Pin the blocked-scan shape for every axis (engine settings)."""
-        self._block_rows = block_rows
-        self._n_workers = n_workers
-        self._kernel = kernel
-        self._configured = True
-        for workspace in self._axes.values():
-            workspace.configure(
-                block_rows=block_rows, n_workers=n_workers, kernel=kernel
-            )
 
     def axis(self, axis: Any) -> AxisWorkspace:
         """The workspace for ``axis`` (an :class:`Axis` or its value)."""
@@ -616,14 +535,13 @@ class AnalysisWorkspace:
             return self._axes[name]
         except KeyError:
             pass
-        matrix = getattr(self._context, self._AXES[name])
-        workspace = AxisWorkspace(matrix)
-        if self._configured:
-            workspace.configure(
-                block_rows=self._block_rows,
-                n_workers=self._n_workers,
-                kernel=self._kernel,
-            )
+        context = self._context
+        workspace = AxisWorkspace(
+            getattr(context, self._AXES[name]),
+            block_rows=context.block_rows,
+            n_workers=context.n_workers,
+            kernel=context.kernel,
+        )
         self._axes[name] = workspace
         return workspace
 

@@ -1,8 +1,8 @@
 """Offline analysis of JSONL trace files (the ``repro trace`` CLI core).
 
-Loads files written by :class:`repro.obs.JsonlTraceSink` — both schema
-v1 (``path``/``depth`` pre-order) and v2 (``span_id``/``parent_id``
-links) — back into :class:`~repro.obs.spans.Span` trees and derives:
+Loads files written by :class:`repro.obs.JsonlTraceSink` (schema 2,
+spans linked by ``span_id``/``parent_id``) back into
+:class:`~repro.obs.spans.Span` trees and derives:
 
 * :func:`summarize_traces` — per-trace span counts, critical path
   (greedy descent into the child that *ends* last), per-span-name
@@ -51,7 +51,7 @@ class LoadedTrace:
     index: int
     trace_id: str
     root: Span
-    #: Span lines whose ``parent_id`` did not resolve (schema v2 only).
+    #: Span lines whose ``parent_id`` did not resolve.
     #: Non-empty means the file is corrupt or truncated; the loader
     #: keeps going so the rest of the trace is still inspectable.
     orphans: list[int] = field(default_factory=list)
@@ -78,8 +78,8 @@ def _span_from_event(event: dict[str, Any]) -> Span:
 def load_trace_file(path: str | Path) -> list[LoadedTrace]:
     """Reconstruct every trace in a JSONL file into span trees.
 
-    Schema v2 traces are linked by ``parent_id``; v1 traces (no IDs)
-    fall back to the pre-order depth stack.  Unresolvable parents are
+    Spans are linked by ``parent_id``; a non-root span without integer
+    ``span_id``/``parent_id`` is an error.  Unresolvable parents are
     collected per trace in :attr:`LoadedTrace.orphans` (the offending
     ``span_id``), and such spans are attached to the root so they stay
     visible.
@@ -87,7 +87,6 @@ def load_trace_file(path: str | Path) -> list[LoadedTrace]:
     traces: list[LoadedTrace] = []
     current: LoadedTrace | None = None
     by_id: dict[int, Span] = {}
-    depth_stack: list[Span] = []
     source = Path(path)
     try:
         lines: Iterable[str] = source.read_text(encoding="utf-8").splitlines()
@@ -117,22 +116,19 @@ def load_trace_file(path: str | Path) -> list[LoadedTrace]:
                 root=Span(name=str(event.get("name", "?"))),
             )
             by_id = {}
-            depth_stack = []
         elif kind == "span":
             if current is None:
                 raise TraceAnalysisError(
                     f"{source}: line {line_no}: span outside any trace"
                 )
             span = _span_from_event(event)
-            depth = int(event.get("depth", 0))
             span_id = event.get("span_id")
             parent_id = event.get("parent_id")
-            if depth == 0:
+            if int(event.get("depth", 0)) == 0:
                 # The root span line *is* the trace root: replace the
                 # placeholder created at trace_start.
                 span.trace_id = current.trace_id
                 current.root = span
-                depth_stack = [span]
             elif isinstance(span_id, int) and isinstance(parent_id, int):
                 parent = by_id.get(parent_id)
                 if parent is None:
@@ -140,17 +136,11 @@ def load_trace_file(path: str | Path) -> list[LoadedTrace]:
                     current.root.children.append(span)
                 else:
                     parent.children.append(span)
-                del depth_stack[depth:]
-                depth_stack.append(span)
             else:
-                # Schema v1: pre-order depth stack.
-                del depth_stack[depth:]
-                if not depth_stack:
-                    raise TraceAnalysisError(
-                        f"{source}: line {line_no}: depth {depth} has no parent"
-                    )
-                depth_stack[-1].children.append(span)
-                depth_stack.append(span)
+                raise TraceAnalysisError(
+                    f"{source}: line {line_no}: non-root span without "
+                    "integer span_id/parent_id"
+                )
             if isinstance(span_id, int):
                 by_id[span_id] = span
         elif kind == "trace_end":

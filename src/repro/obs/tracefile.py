@@ -4,17 +4,14 @@ The JSONL layout written by :class:`repro.obs.JsonlTraceSink` is a
 stable interface (docs/OBSERVABILITY.md); CI runs this validator against
 a real ``repro analyze --trace-out`` run so schema drift fails loudly.
 
-Two schema versions are accepted, dispatched per trace on the
-``trace_start`` line's ``schema`` field:
-
-* **v1** — the original layout: ``path``/``depth`` pre-order spans.
-* **v2** — adds correlation IDs: ``trace_id`` on every event, and
-  ``span_id`` / ``parent_id`` on span lines.  v2 checks everything v1
-  checks *plus* ID integrity: span IDs are the unique pre-order
-  positions, every ``parent_id`` resolves to an earlier span of the
-  same trace at the parent depth, the root (and only the root) has a
-  null parent, and ``trace_id`` is consistent across the trace — i.e.
-  no dangling spans.
+Only schema 2 is accepted (the ``trace_start`` line's ``schema``
+field): ``path``/``depth`` pre-order spans with correlation IDs —
+``trace_id`` on every event, and ``span_id`` / ``parent_id`` on span
+lines.  Beyond the layout, the IDs are checked for integrity: span IDs
+are the unique pre-order positions, every ``parent_id`` resolves to an
+earlier span of the same trace at the parent depth, the root (and only
+the root) has a null parent, and ``trace_id`` is consistent across the
+trace — i.e. no dangling spans.
 
 The checks are structural *and* semantic: event ordering per trace,
 required fields and types per event kind, pre-order consistency of
@@ -34,7 +31,7 @@ from repro.exceptions import ReproError
 __all__ = ["TraceSchemaError", "validate_trace_lines", "validate_trace_file"]
 
 _NUMBER = (int, float)
-_SUPPORTED_SCHEMAS = (1, 2)
+_SCHEMA = 2
 
 
 class TraceSchemaError(ReproError):
@@ -69,20 +66,19 @@ class _TraceState:
     """Per-trace accumulator reset on every ``trace_start``."""
 
     __slots__ = (
-        "index", "schema", "trace_id", "totals", "span_lines", "last_depth",
+        "index", "trace_id", "totals", "span_lines", "last_depth",
         "seen_span", "span_depths",
     )
 
-    def __init__(self, index: int, schema: int, trace_id: str | None) -> None:
+    def __init__(self, index: int, trace_id: str) -> None:
         self.index = index
-        self.schema = schema
         self.trace_id = trace_id
         self.totals: dict[str, float] = {}
         self.span_lines = 0
         self.last_depth = -1
         self.seen_span = False
-        #: ``span_id -> depth`` for every span seen so far (v2 only);
-        #: parent links must resolve into this map.
+        #: ``span_id -> depth`` for every span seen so far; parent
+        #: links must resolve into this map.
         self.span_depths: dict[int, int] = {}
 
 
@@ -113,16 +109,14 @@ def validate_trace_lines(lines: Iterable[str]) -> dict[str, int]:
             if state is not None:
                 _fail(line_no, "trace_start while a trace is open")
             schema = _require(event, line_no, "schema", int)
-            if schema not in _SUPPORTED_SCHEMAS:
+            if schema != _SCHEMA:
                 _fail(line_no, f"unsupported schema version {schema}")
             index = _require(event, line_no, "trace", int)
             _require(event, line_no, "name", str)
-            trace_id = None
-            if schema >= 2:
-                trace_id = _require(event, line_no, "trace_id", str)
-                if not trace_id:
-                    _fail(line_no, "trace_id must be a non-empty string")
-            state = _TraceState(index, schema, trace_id)
+            trace_id = _require(event, line_no, "trace_id", str)
+            if not trace_id:
+                _fail(line_no, "trace_id must be a non-empty string")
+            state = _TraceState(index, trace_id)
         elif kind == "span":
             if state is None:
                 _fail(line_no, "span outside any trace")
@@ -150,8 +144,7 @@ def validate_trace_lines(lines: Iterable[str]) -> dict[str, int]:
                 event.get("counters"), line_no, "counters"
             ).items():
                 state.totals[key] = state.totals.get(key, 0) + value
-            if state.schema >= 2:
-                _check_span_ids(event, line_no, state, depth)
+            _check_span_ids(event, line_no, state, depth)
             state.seen_span = True
             state.last_depth = depth
             state.span_lines += 1
@@ -160,14 +153,13 @@ def validate_trace_lines(lines: Iterable[str]) -> dict[str, int]:
                 _fail(line_no, "trace_end without trace_start")
             if _require(event, line_no, "trace", int) != state.index:
                 _fail(line_no, "trace_end trace id does not match open trace")
-            if state.schema >= 2:
-                trace_id = _require(event, line_no, "trace_id", str)
-                if trace_id != state.trace_id:
-                    _fail(
-                        line_no,
-                        f"trace_end trace_id {trace_id!r} does not match "
-                        f"trace_start trace_id {state.trace_id!r}",
-                    )
+            trace_id = _require(event, line_no, "trace_id", str)
+            if trace_id != state.trace_id:
+                _fail(
+                    line_no,
+                    f"trace_end trace_id {trace_id!r} does not match "
+                    f"trace_start trace_id {state.trace_id!r}",
+                )
             spans = _require(event, line_no, "spans", int)
             if spans != state.span_lines:
                 _fail(
@@ -196,7 +188,7 @@ def validate_trace_lines(lines: Iterable[str]) -> dict[str, int]:
 def _check_span_ids(
     event: dict[str, Any], line_no: int, state: _TraceState, depth: int
 ) -> None:
-    """Schema-v2 ID integrity for one span line."""
+    """ID integrity for one span line."""
     trace_id = _require(event, line_no, "trace_id", str)
     if trace_id != state.trace_id:
         _fail(

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core.engine import AnalysisConfig
+from repro.core.engine import EXTENSION_TYPES, SCAN_KEYS, AnalysisConfig
 from repro.core.incremental import IncrementalAuditor
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError, ReproError
@@ -216,20 +216,24 @@ def build_analysis_config(
         n_workers=overrides.get("n_workers", base.n_workers),
         block_rows=overrides.get("block_rows", base.block_rows),
         kernel=overrides.get("kernel", base.kernel),
-        finder_options=dict(base.finder_options),
+        # The config fields own the scan shape; a copy of it here could
+        # only conflict with a scan override.
+        finder_options=_without_scan_keys(base.finder_options),
         axes=base.axes,
         collapse_duplicates=base.collapse_duplicates,
+        enabled_types=base.enabled_types,
     )
-    from repro.core.engine import ALL_TYPES, EXTENSION_TYPES
-
-    extensions = overrides.get(
-        "extensions", bool(set(EXTENSION_TYPES) & set(base.enabled_types))
-    )
-    if not isinstance(extensions, bool):
-        raise ProtocolError('"extensions" must be a boolean')
-    options["enabled_types"] = (
-        ALL_TYPES + EXTENSION_TYPES if extensions else ALL_TYPES
-    )
+    if "extensions" in overrides:
+        extensions = overrides["extensions"]
+        if not isinstance(extensions, bool):
+            raise ProtocolError('"extensions" must be a boolean')
+        # Toggle only the extension types; the base's paper types stay.
+        paper_types = tuple(
+            t for t in base.enabled_types if t not in EXTENSION_TYPES
+        )
+        options["enabled_types"] = (
+            paper_types + EXTENSION_TYPES if extensions else paper_types
+        )
     try:
         return AnalysisConfig(**options)
     except (ConfigurationError, TypeError) as error:
@@ -247,7 +251,12 @@ def config_key(config: AnalysisConfig) -> str:
     report computed with one execution layout is valid for every other.
     """
     payload = config.to_dict()
-    payload.pop("n_workers", None)
-    payload.pop("block_rows", None)
-    payload.pop("kernel", None)
+    for key in SCAN_KEYS:
+        payload.pop(key)
+    payload["finder_options"] = _without_scan_keys(config.finder_options)
     return json.dumps(payload, sort_keys=True)
+
+
+def _without_scan_keys(finder_options: Mapping[str, Any]) -> dict[str, Any]:
+    """``finder_options`` minus the scan-shape keys the config owns."""
+    return {k: v for k, v in finder_options.items() if k not in SCAN_KEYS}

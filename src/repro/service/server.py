@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Any, Callable
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.core.engine import AnalysisConfig, analyze, effective_scan_workers
+from repro.core.engine import AnalysisConfig, analyze
 from repro.core.incremental import IncrementalAuditor
 from repro.core.report import Report
 from repro.core.state import RbacState
@@ -70,7 +70,7 @@ from repro.obs import (
     new_trace_id,
     use_recorder,
 )
-from repro.parallel import WorkerPool, use_pool
+from repro.parallel import WorkerPool, resolve_workers, use_pool
 from repro.service.cache import ReportCache
 from repro.service.slo import SloTracker
 from repro.service.tracez import SlowTraceRing
@@ -328,7 +328,7 @@ class AnalysisService:
         if self._started:
             return
         self._started = True
-        scan_workers = effective_scan_workers(self.config.analysis)
+        scan_workers = resolve_workers(self.config.analysis.n_workers)
         if scan_workers > 1:
             self._pool = WorkerPool(scan_workers)
         if self._jobs is not None:

@@ -214,9 +214,7 @@ class TestReportParity:
             analyze(
                 state,
                 AnalysisConfig(
-                    kernel=kernel,
-                    block_rows=5,
-                    finder_options={"n_workers": n_workers},
+                    kernel=kernel, block_rows=5, n_workers=n_workers
                 ),
             )
             for kernel in ("sparse", "bits", "auto")

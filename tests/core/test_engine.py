@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
 
 from repro.core import AnalysisConfig, AnalysisEngine, InefficiencyType, analyze
-from repro.core.engine import ALL_TYPES, effective_scan_workers
+from repro.core.detectors import AnalysisContext
+from repro.core.engine import ALL_TYPES
 from repro.exceptions import ConfigurationError
 from repro.obs import Recorder
-from repro.parallel import resolve_workers
 
 
 class TestConfig:
@@ -41,41 +42,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="block_rows"):
             AnalysisConfig(block_rows=-1)
 
-    def test_block_rows_forwarded_to_cooccurrence_finder(self):
-        engine = AnalysisEngine(AnalysisConfig(block_rows=7))
-        by_name = {d.name: d for d in engine.detectors}
-        assert by_name["duplicate_roles"]._finder._block_rows == 7
-        assert by_name["similar_roles"]._finder._block_rows == 7
-
-    def test_explicit_finder_options_win_over_block_rows(self):
-        engine = AnalysisEngine(
-            AnalysisConfig(block_rows=7, finder_options={"block_rows": 3})
-        )
-        by_name = {d.name: d for d in engine.detectors}
-        assert by_name["duplicate_roles"]._finder._block_rows == 3
-
-    def test_n_workers_forwarded_to_cooccurrence_finder(self):
-        engine = AnalysisEngine(AnalysisConfig(n_workers=2))
-        by_name = {d.name: d for d in engine.detectors}
-        assert by_name["duplicate_roles"]._finder._n_workers == 2
-        assert by_name["similar_roles"]._finder._n_workers == 2
-
-    def test_explicit_finder_options_win_over_n_workers(self):
-        config = AnalysisConfig(n_workers=2, finder_options={"n_workers": 1})
-        by_name = {d.name: d for d in AnalysisEngine(config).detectors}
-        assert by_name["duplicate_roles"]._finder._n_workers == 1
-        assert effective_scan_workers(config) == 1
-
-    def test_effective_scan_workers_follows_n_workers(self):
-        assert effective_scan_workers(AnalysisConfig()) == 1
-        assert effective_scan_workers(AnalysisConfig(n_workers=2)) == 2
-        assert effective_scan_workers(
-            AnalysisConfig(finder_options={"n_workers": 3})
-        ) == 3
-        # None means every core, for the finder and the workspace alike.
-        assert effective_scan_workers(
-            AnalysisConfig(n_workers=None)
-        ) == resolve_workers(None)
+    @pytest.mark.parametrize(
+        "key, owned, other",
+        [
+            ("block_rows", 7, 3),
+            ("n_workers", 2, 1),
+            ("kernel", "bits", "sparse"),
+        ],
+    )
+    def test_finder_option_must_equal_scan_field(self, key, owned, other):
+        # The config owns the scan shape: a co-occurrence finder_options
+        # copy may repeat it but never contradict it.
+        with pytest.raises(ConfigurationError, match=key):
+            AnalysisConfig(finder_options={key: other}, **{key: owned})
+        config = AnalysisConfig(finder_options={key: owned}, **{key: owned})
+        assert config.finder_options == {key: owned}
 
     def test_block_rows_ignored_for_other_finders(self):
         engine = AnalysisEngine(AnalysisConfig(finder="dbscan", block_rows=7))
@@ -158,6 +139,18 @@ class TestEngine:
 
 
 class TestScanFanOut:
+    def test_block_rows_sets_the_scan_blocks(self, paper_example):
+        # The config's block_rows reaches every axis scan: one block per
+        # block_rows nonempty rows of each axis.
+        report = analyze(paper_example, AnalysisConfig(block_rows=2))
+        workspace = AnalysisContext(paper_example).workspace
+        expected = sum(
+            math.ceil(workspace.axis(axis).n_rows / 2)
+            for axis in ("users", "permissions")
+        )
+        assert report.metrics["counters"]["cooccurrence.blocks"] == expected
+        assert expected > 2  # more than one block per axis
+
     def test_n_workers_reaches_the_scan(self, small_org_state):
         # The engine-level knob fans the blocked scan out over shared
         # memory; detection itself stays in-process.

@@ -166,17 +166,23 @@ class TestScanAggregation:
             users_workspace.matched_pairs(0)
         assert recorder.counter_totals()["workspace.cooccurrence_passes"] == 1
 
-    def test_configure_pins_scan_shape(self, users_workspace):
-        users_workspace.configure(block_rows=2, n_workers=1)
-        users_workspace.request_scan(k=0, block_rows=999)
-        assert users_workspace._block_rows == 2
-        scan = users_workspace.scan()
-        assert scan.n_blocks == 2  # 4 rows / block_rows=2
+    def test_context_shape_fixes_the_scan(self, paper_example):
+        context = AnalysisContext(paper_example, block_rows=2, kernel="bits")
+        workspace = context.workspace.axis("users")
+        shape = (workspace.block_rows, workspace.n_workers, workspace.kernel)
+        assert shape == (2, 1, "bits")
+        workspace.request_scan(k=0)
+        assert workspace.scan().n_blocks == 2  # 4 rows / block_rows=2
 
-    def test_unpinned_hints_apply(self, paper_example):
-        workspace = AnalysisContext(paper_example).workspace.axis("users")
-        workspace.request_scan(k=0, block_rows=1)
-        assert workspace.scan().n_blocks == 4
+    def test_requests_carry_no_scan_shape(self, users_workspace):
+        # Consumers say what they need (k, subsets), never how to scan.
+        for key in ("block_rows", "n_workers", "kernel"):
+            with pytest.raises(TypeError):
+                users_workspace.request_scan(k=0, **{key: 1})
+            with pytest.raises(TypeError):
+                users_workspace.matched_pairs(0, **{key: 1})
+            with pytest.raises(TypeError):
+                users_workspace.collapsed().matched_pairs(0, **{key: 1})
 
     def test_subset_pairs_match_naive_product(self, users_workspace):
         matrix = users_workspace.matrix
@@ -237,14 +243,19 @@ class TestAnalysisWorkspace:
         assert bundle.axis(Axis.USERS) is bundle.axis("users")
         assert bundle.axis(Axis.PERMISSIONS) is not bundle.axis("users")
 
-    def test_configure_applies_to_existing_and_future_axes(
-        self, paper_example
-    ):
-        bundle = AnalysisContext(paper_example).workspace
-        users = bundle.axis("users")
-        bundle.configure(block_rows=2, n_workers=1)
-        assert users._block_rows == 2
-        assert bundle.axis("permissions")._block_rows == 2
+    def test_every_axis_takes_the_context_shape(self, paper_example):
+        default = AnalysisContext(paper_example).workspace.axis("users")
+        assert (default.block_rows, default.n_workers, default.kernel) == (
+            None, 1, "auto"
+        )
+        bundle = AnalysisContext(
+            paper_example, block_rows=2, n_workers=3, kernel="sparse"
+        ).workspace
+        for axis in ("users", "permissions"):
+            workspace = bundle.axis(axis)
+            assert (
+                workspace.block_rows, workspace.n_workers, workspace.kernel
+            ) == (2, 3, "sparse")
 
     def test_flush_runs_pending_scans_under_axis_spans(self, paper_example):
         bundle = AnalysisContext(paper_example).workspace

@@ -217,8 +217,8 @@ class TestTraceValidator:
         with pytest.raises(TraceSchemaError, match=r"^line 4: "):
             validate_trace_lines(lines)
 
-    def test_accepts_schema_v1_files(self):
-        # Strip every v2 field back to the v1 layout.
+    def test_rejects_schema_v1_files(self):
+        # Strip every v2 field back to the v1 layout: no longer read.
         lines = []
         for raw in self._valid_lines():
             event = json.loads(raw)
@@ -228,8 +228,10 @@ class TestTraceValidator:
             if event["event"] == "trace_start":
                 event["schema"] = 1
             lines.append(json.dumps(event))
-        summary = validate_trace_lines(lines)
-        assert summary == {"traces": 1, "spans": 3}
+        with pytest.raises(
+            TraceSchemaError, match="line 1: unsupported schema version 1"
+        ):
+            validate_trace_lines(lines)
 
     def test_rejects_unknown_schema_version(self):
         lines = self._valid_lines()

@@ -63,8 +63,9 @@ class TestLoadTraceFile:
         assert [c.name for c in trace.root.children] == ["detector:x"]
         assert trace.root.children[0].attributes["fragment"] == 0
 
-    def test_v1_depth_stack_fallback(self, tmp_path):
-        # Hand-written schema-1 lines: no trace_id/span_id/parent_id.
+    def test_non_root_span_without_ids_rejected(self, tmp_path):
+        # Schema-1 style lines (no span_id/parent_id) have no parent
+        # links to follow; the loader names the first such span's line.
         lines = [
             {"event": "trace_start", "schema": 1, "trace": 0, "name": "r"},
             {"event": "span", "trace": 0, "path": "r", "name": "r",
@@ -73,21 +74,16 @@ class TestLoadTraceFile:
             {"event": "span", "trace": 0, "path": "r/a", "name": "a",
              "depth": 1, "start_s": 0.0, "duration_s": 0.4,
              "attributes": {}, "counters": {}},
-            {"event": "span", "trace": 0, "path": "r/a/b", "name": "b",
-             "depth": 2, "start_s": 0.1, "duration_s": 0.2,
-             "attributes": {}, "counters": {}},
-            {"event": "span", "trace": 0, "path": "r/c", "name": "c",
-             "depth": 1, "start_s": 0.5, "duration_s": 0.3,
-             "attributes": {}, "counters": {}},
-            {"event": "trace_end", "trace": 0, "spans": 4,
+            {"event": "trace_end", "trace": 0, "spans": 2,
              "counter_totals": {}},
         ]
         path = tmp_path / "v1.jsonl"
         path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
-        trace = load_trace_file(path)[0]
-        assert trace.spans == 4
-        assert [c.name for c in trace.root.children] == ["a", "c"]
-        assert trace.root.children[0].children[0].name == "b"
+        with pytest.raises(
+            TraceAnalysisError,
+            match="line 3: non-root span without integer span_id/parent_id",
+        ):
+            load_trace_file(path)
 
     def test_dangling_parent_recorded_as_orphan(self, tmp_path):
         path = _write_trace(tmp_path, _sample)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import AnalysisConfig
+from repro.core.taxonomy import InefficiencyType
 from repro.core.incremental import IncrementalAuditor
 from repro.core.state import RbacState
 from repro.service.protocol import (
@@ -201,12 +202,50 @@ class TestBuildAnalysisConfig:
         assert on.enabled_types == ALL_TYPES + EXTENSION_TYPES
         assert off.enabled_types == ALL_TYPES
 
+    def test_execution_override_keeps_the_base_types(self):
+        # An execution-only override analyses exactly the base's types,
+        # so it shares the base's cache entry.
+        base = AnalysisConfig(
+            enabled_types=(InefficiencyType.DUPLICATE_ROLES,)
+        )
+        config = build_analysis_config(base, {"kernel": "bits"})
+        assert config.enabled_types == base.enabled_types
+        assert config_key(config) == config_key(base)
+
+    def test_extensions_toggle_only_extension_types(self):
+        from repro.core.engine import EXTENSION_TYPES
+
+        paper = (InefficiencyType.DUPLICATE_ROLES,)
+        base = AnalysisConfig(enabled_types=paper)
+        on = build_analysis_config(base, {"extensions": True})
+        assert on.enabled_types == paper + EXTENSION_TYPES
+        off = build_analysis_config(on, {"extensions": False})
+        assert off.enabled_types == paper
+
+    @pytest.mark.parametrize(
+        "override", [{"n_workers": 3}, {"block_rows": 8}, {"kernel": "bits"}]
+    )
+    def test_scan_override_never_conflicts_with_finder_options(
+        self, override
+    ):
+        shape = {"n_workers": 2, "block_rows": 4, "kernel": "sparse"}
+        base = AnalysisConfig(finder_options={**shape, "x": 1}, **shape)
+        config = build_analysis_config(base, override)
+        ((key, value),) = override.items()
+        assert getattr(config, key) == value
+        assert config.finder_options == {"x": 1}
+        assert config_key(config) == config_key(base)
+
 
 class TestConfigKey:
     def test_execution_knobs_do_not_change_the_key(self):
         base = AnalysisConfig()
         tuned = AnalysisConfig(n_workers=4, block_rows=64, kernel="bits")
         assert config_key(base) == config_key(tuned)
+
+    def test_finder_option_copies_of_the_shape_do_not_change_the_key(self):
+        mirrored = AnalysisConfig(n_workers=2, finder_options={"n_workers": 2})
+        assert config_key(mirrored) == config_key(AnalysisConfig())
 
     def test_result_affecting_knobs_change_the_key(self):
         assert config_key(AnalysisConfig()) != config_key(

@@ -392,7 +392,7 @@ class TestWarmPool:
 
     def test_pool_created_when_scans_fan_out(self):
         service = make_service(
-            analysis=AnalysisConfig(finder_options={"n_workers": 2})
+            analysis=AnalysisConfig(n_workers=2)
         )
         service.start()
         assert service._pool is not None
@@ -404,9 +404,7 @@ class TestWarmPool:
 
     def test_analyze_runs_with_warm_pool(self):
         service = make_service(
-            analysis=AnalysisConfig(
-                finder_options={"n_workers": 2, "block_rows": 2}
-            )
+            analysis=AnalysisConfig(n_workers=2, block_rows=2)
         )
         service.start()
         try:
@@ -451,7 +449,7 @@ class TestWarmPool:
         from repro.parallel import publish
 
         service = make_service(
-            analysis=AnalysisConfig(finder_options={"n_workers": 2})
+            analysis=AnalysisConfig(n_workers=2)
         )
         service.start()
         handle = service._pool.adopt_segment(publish({"a": np.arange(4)}))

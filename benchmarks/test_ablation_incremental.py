@@ -77,3 +77,26 @@ def test_incremental_index_build(benchmark, org_state):
         IncrementalAuditor, args=(org_state,), rounds=3, iterations=1
     )
     assert auditor.state.n_roles == org_state.n_roles
+
+
+@pytest.mark.benchmark(group="ablation-incremental")
+def test_incremental_remove_stream(benchmark, org_state):
+    """Entity removals: each asks the state which roles hold the user
+    or permission, a reverse lookup that must cost the entity's degree,
+    not the number of roles."""
+    users = [u for u in org_state.user_ids() if org_state.roles_of_user(u)]
+    permissions = [
+        p for p in org_state.permission_ids() if org_state.roles_of_permission(p)
+    ]
+    users, permissions = users[:N_MUTATIONS], permissions[:N_MUTATIONS]
+
+    def run():
+        auditor = IncrementalAuditor(org_state.copy())
+        for user_id, permission_id in zip(users, permissions):
+            auditor.remove_user(user_id)
+            auditor.remove_permission(permission_id)
+        return auditor
+
+    auditor = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert auditor.counts() == analyze(auditor.state).counts()
+    benchmark.extra_info["mutations"] = len(users) + len(permissions)

@@ -39,7 +39,13 @@ from repro.core.report import Report
 from repro.core.state import RbacState
 from repro.core.taxonomy import Axis, InefficiencyType
 from repro.exceptions import ConfigurationError
-from repro.obs import NullRecorder, Recorder, current_recorder, use_recorder
+from repro.obs import (
+    GC_PAUSE,
+    NullRecorder,
+    Recorder,
+    current_recorder,
+    use_recorder,
+)
 from repro.obs.spans import counter_totals, span_count
 from repro.parallel import (
     WorkerPool,
@@ -376,6 +382,13 @@ class AnalysisEngine:
         ``cooccurrence.block_seconds`` per block and one
         ``detector.seconds`` per detector.
 
+        ``gc`` holds the full (generation-2) garbage collections
+        charged to the recorder, those that ran on its thread while it
+        had the innermost open span: ``collections`` and the
+        ``pause_s`` histogram summary (``None`` without any).  They
+        depend on the process heap, not on the input, so they stay out
+        of ``counters`` and ``histograms``.
+
         ``workers`` echoes the requested ``n_workers``, the resolved
         count the blocked scans may use, and the mode that actually ran:
         ``"parallel"`` only when some scan's blocks ran on a worker pool,
@@ -387,11 +400,17 @@ class AnalysisEngine:
             and span.attributes.get("mode") == "pool"
             for _, _, span in root.walk()
         )
+        histograms = recorder.registry.histogram_summaries()
+        pauses = histograms.pop(GC_PAUSE, None)
         return {
             "schema": 2,
             "counters": counter_totals(root),
             "spans": span_count(root),
-            "histograms": recorder.registry.histogram_summaries(),
+            "histograms": histograms,
+            "gc": {
+                "collections": pauses["count"] if pauses else 0,
+                "pause_s": pauses,
+            },
             "workers": {
                 "requested": self.config.n_workers,
                 "resolved": n_workers,

@@ -9,10 +9,12 @@ is wasteful: one assignment touches exactly one role's row.
 :meth:`repro.core.report.Report.counts` under a stream of mutations.
 Each mutation is processed in time proportional to the change (the
 expensive grouping structures never get rebuilt); ``counts()`` itself is
-a linear sweep over maintained indexes, never a quadratic regroup:
+a sweep over the roles' maintained indexes, never a quadratic regroup:
 
-* types 1-3 (standalone / disconnected / single-assignment) via live
-  membership sets;
+* types 1-3 (standalone / disconnected / single-assignment) via the
+  roles' set sizes, and the counts of unassigned users and permissions
+  the state keeps current in its mutators (so ``counts()`` never asks a
+  user or permission for its roles);
 * type 4 (duplicates) via content buckets: roles grouped by the exact
   content of their user (permission) set;
 * type 5 (similar) via a dynamic proximity graph over *distinct set
@@ -302,19 +304,9 @@ class IncrementalAuditor:
             role_id: len(self._permissions.role_content[role_id])
             for role_id in state.role_ids()
         }
-        standalone_users = sum(
-            1
-            for user_id in state.user_ids()
-            if not state.roles_of_user(user_id)
-        )
-        standalone_permissions = sum(
-            1
-            for permission_id in state.permission_ids()
-            if not state.roles_of_permission(permission_id)
-        )
         return {
-            "standalone_users": standalone_users,
-            "standalone_permissions": standalone_permissions,
+            "standalone_users": state.n_unassigned_users,
+            "standalone_permissions": state.n_unassigned_permissions,
             "standalone_roles": sum(
                 1
                 for role_id in state.role_ids()

@@ -78,41 +78,22 @@ class AssignmentMatrix:
     @classmethod
     def ruam(cls, state: "RbacState") -> "AssignmentMatrix":
         """Build the Role-User Assignment Matrix from a state."""
-        return cls._from_edges(
-            state.role_ids(),
-            state.user_ids(),
-            {role_id: state.users_of_role(role_id) for role_id in state.role_ids()},
-        )
+        return cls._from_state(state, "user", state.user_ids())
 
     @classmethod
     def rpam(cls, state: "RbacState") -> "AssignmentMatrix":
         """Build the Role-Permission Assignment Matrix from a state."""
-        return cls._from_edges(
-            state.role_ids(),
-            state.permission_ids(),
-            {
-                role_id: state.permissions_of_role(role_id)
-                for role_id in state.role_ids()
-            },
-        )
+        return cls._from_state(state, "permission", state.permission_ids())
 
     @classmethod
-    def _from_edges(
-        cls,
-        row_ids: Sequence[str],
-        col_ids: Sequence[str],
-        edges: dict[str, frozenset[str]],
+    def _from_state(
+        cls, state: "RbacState", kind: str, col_ids: Sequence[str]
     ) -> "AssignmentMatrix":
-        col_index = {col_id: j for j, col_id in enumerate(col_ids)}
-        rows: list[int] = []
-        cols: list[int] = []
-        for i, row_id in enumerate(row_ids):
-            for col_id in edges[row_id]:
-                rows.append(i)
-                cols.append(col_index[col_id])
-        data = np.ones(len(rows), dtype=np.int64)
+        row_ids = state.role_ids()
+        indptr, indices = state._edge_rows(kind)
         csr = sp.csr_matrix(
-            (data, (rows, cols)), shape=(len(row_ids), len(col_ids))
+            (np.ones(len(indices), dtype=np.int64), indices, indptr),
+            shape=(len(row_ids), len(col_ids)),
         )
         return cls(csr, row_ids, col_ids)
 

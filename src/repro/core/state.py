@@ -2,78 +2,526 @@
 
 :class:`RbacState` is the central data structure of the library.  It holds
 the three entity collections and the two edge sets of the tripartite graph
-(user-role and role-permission assignments), maintains forward and reverse
-adjacency indexes, and offers set-algebra queries used by detectors and
-remediation.
+(user-role and role-permission assignments) and offers the set-algebra
+queries used by detectors and remediation.
 
 Edges to unknown entities are rejected — the state is always internally
 consistent, so downstream code never has to re-validate.
+
+Layout.  The state stores what the two assignment matrices (RUAM, RPAM)
+need and little else:
+
+* per entity kind, an id table: a dict from id to *slot* (an int handed
+  out in insertion order) and a dict from slot back to id.  Iterating
+  the first yields the live ids in insertion order; a removed id drops
+  out and a re-added one moves to the end, so ``*_ids()`` order is that
+  of an insertion-ordered dict.  Slots of removed ids are reclaimed by
+  compaction once they outnumber the live ones;
+* a sparse side table of names and attributes.  Entities that have
+  neither own no Python object: :meth:`RbacState.get_user` and friends
+  build a frozen value on demand (equal to, but never identical with,
+  the value that was added);
+* per axis (users, permissions) and role slot, the member slots the
+  role holds, as the keys of a dict, plus per member the number of
+  roles holding it.  The matrices are numpy slices of the edge dicts.
+  :meth:`RbacState.copy` shares the edge dicts copy-on-write: one is
+  copied the first time either state mutates it;
+* per axis, a reverse index (member slot -> role slots) behind
+  ``roles_of_user`` / ``roles_of_permission``, the ``effective_*``
+  queries and member removal.  The first such query builds it in one
+  vectorised pass; from then on the mutators keep it current, so each
+  reverse query costs O(degree).  A state that is never asked one
+  (decode, copy, analysis) never builds it.
+
+Every one of these dicts holds only strings, ints and ``None``.  CPython
+does not track such dicts for garbage collection, so a state is a handful of GC-tracked
+objects whatever its size (plus side-table entries holding containers)
+and adds nothing to the cost of a full collection.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Iterable, Iterator
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.core.entities import Entity, EntityKind, Permission, Role, User
-from repro.exceptions import DuplicateEntityError, UnknownEntityError
+from repro.exceptions import (
+    DuplicateEntityError,
+    UnknownEntityError,
+    ValidationError,
+)
 
 _MASK = (1 << 256) - 1
+
+#: Side-table value of an entity without a name or attributes.
+_PLAIN: tuple[str, Mapping[str, Any]] = ("", {})
+#: Edges of a removed role's slot (never reachable by id again).
+_DEAD: frozenset[int] = frozenset()
+#: Dead slots tolerated before an id table compacts (and never more
+#: than the live ones), so removal stays amortised O(1).
+_COMPACT_MIN_DEAD = 64
+
+IndexArray = npt.NDArray[np.int64]
 
 
 def _item_digest(tag: str, *parts: str) -> int:
     """SHA-256 of one tagged, delimiter-separated item, as an int."""
-    h = hashlib.sha256()
-    h.update(tag.encode("utf-8"))
-    for part in parts:
-        h.update(b"\x1f")
-        h.update(part.encode("utf-8"))
-    return int.from_bytes(h.digest(), "big")
+    encoded = "\x1f".join((tag, *parts)).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(encoded).digest(), "big")
 
 
-def _entity_digest(tag: str, entity: Entity) -> int:
+def _entity_digest(
+    tag: str,
+    entity_id: str,
+    name: str = "",
+    attributes: Mapping[str, Any] = _PLAIN[1],
+) -> int:
     """Digest of one entity: its id, name and (sorted) attributes."""
-    attributes = (
-        json.dumps(dict(entity.attributes), sort_keys=True, default=str)
-        if entity.attributes
+    encoded = (
+        json.dumps(dict(attributes), sort_keys=True, default=str)
+        if attributes
         else ""
     )
-    return _item_digest(tag, entity.id, entity.name, attributes)
+    return _item_digest(tag, entity_id, name, encoded)
+
+
+def _digest_sum(items: Iterable[str]) -> int:
+    """Sum of the digests of already-joined items (the cold pass)."""
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    return sum(
+        from_bytes(sha256(item.encode("utf-8")).digest(), "big")
+        for item in items
+    )
 
 
 def _content_digest(state: "RbacState") -> int:
-    """The full pass: sum modulo 2**256 of every item's digest."""
+    """The full pass: sum modulo 2**256 of every item's digest.
+
+    Hashes the id tables, the side tables and the edge dicts directly;
+    each item's bytes are exactly those :func:`_item_digest` hashes.
+    """
     total = 0
-    for collection, tag in (
-        (state._users, "user"),
-        (state._roles, "role"),
-        (state._permissions, "permission"),
-    ):
-        for entity in collection.values():
-            total += _entity_digest(tag, entity)
-    for role_id, members in state._role_users.items():
-        for user_id in members:
-            total += _item_digest("edge:ru", role_id, user_id)
-    for role_id, grants in state._role_permissions.items():
-        for permission_id in grants:
-            total += _item_digest("edge:rp", role_id, permission_id)
+    for table in (state._users, state._roles, state._permissions):
+        tag, meta = table.kind, table.meta
+        total += _digest_sum(
+            f"{tag}\x1f{entity_id}\x1f\x1f"
+            for entity_id in table.index
+            if entity_id not in meta
+        )
+        total += sum(
+            _entity_digest(tag, entity_id, *value)
+            for entity_id, value in meta.items()
+        )
+    role_ids = state._roles.ids
+    for axis, tag in ((state._users, "edge:ru"), (state._permissions, "edge:rp")):
+        member_ids = axis.ids
+        total += _digest_sum(chain.from_iterable(
+            (
+                f"{tag}\x1f{role_ids[role]}\x1f{member_ids[member]}"
+                for member in members
+            )
+            for role, members in enumerate(axis.edges)
+            if members
+        ))
     return total & _MASK
+
+
+class _Ids:
+    """The id table of one entity kind (see the module docstring)."""
+
+    __slots__ = ("kind", "index", "ids", "n_slots", "meta")
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        #: id -> slot, in insertion order.
+        self.index: dict[str, int] = {}
+        #: slot -> id, live slots only (ascending: slots are handed out
+        #: in insertion order).
+        self.ids: dict[int, str] = {}
+        #: Slots handed out so far, dead ones included.
+        self.n_slots = 0
+        #: id -> (name, attributes), for entities that have either.
+        self.meta: dict[str, tuple[str, dict[str, Any]]] = {}
+
+    def copy(self) -> "_Ids":
+        clone = object.__new__(type(self))
+        clone.kind = self.kind
+        clone.index = self.index.copy()
+        clone.ids = self.ids.copy()
+        clone.n_slots = self.n_slots
+        clone.meta = self.meta.copy()
+        return clone
+
+    def slot(self, entity_id: str) -> int:
+        try:
+            return self.index[entity_id]
+        except KeyError:
+            raise UnknownEntityError(self.kind, entity_id) from None
+
+    def add(self, entity: Entity) -> int:
+        if entity.id in self.index:
+            raise DuplicateEntityError(self.kind, entity.id)
+        slot = self.n_slots
+        self.n_slots += 1
+        self.index[entity.id] = slot
+        self.ids[slot] = entity.id
+        if entity.name or entity.attributes:
+            self.meta[entity.id] = (entity.name, dict(entity.attributes))
+        return slot
+
+    def remove(self, entity_id: str) -> int:
+        slot = self.index.pop(entity_id)
+        del self.ids[slot]
+        self.meta.pop(entity_id, None)
+        return slot
+
+    def load(self, ids: Iterable[str]) -> None:
+        """Fill an empty table in one step, checking ids as ``add`` does."""
+        ids = list(ids)
+        for kind in set(map(type, ids)):
+            if not issubclass(kind, str):
+                raise TypeError(
+                    f"{self.kind} id must be a string, got {kind.__name__}"
+                )
+        index = dict(zip(ids, range(len(ids))))
+        if "" in index:
+            raise ValueError(f"{self.kind} id must be a non-empty string")
+        if len(index) != len(ids):
+            seen: set[str] = set()
+            for entity_id in ids:
+                if entity_id in seen:
+                    raise DuplicateEntityError(self.kind, entity_id)
+                seen.add(entity_id)
+        self.index = index
+        self.ids = dict(enumerate(ids))
+        self.n_slots = len(ids)
+
+    def entity(self, cls: type, entity_id: str) -> Entity:
+        self.slot(entity_id)
+        name, attributes = self.meta.get(entity_id, _PLAIN)
+        return cls(entity_id, name, attributes)
+
+    def payload(self, entity_id: str) -> tuple[str, str, Mapping[str, Any]]:
+        """``(id, name, attributes)`` as :func:`_entity_digest` takes them."""
+        return (entity_id, *self.meta.get(entity_id, _PLAIN))
+
+    def positions(self) -> IndexArray | None:
+        """Slot -> position among the live ids; ``None`` if none died."""
+        if len(self.ids) == self.n_slots:
+            return None
+        positions = np.full(self.n_slots, -1, dtype=np.int64)
+        live = np.fromiter(self.ids, dtype=np.int64, count=len(self.ids))
+        positions[live] = np.arange(len(live), dtype=np.int64)
+        return positions
+
+    def should_compact(self) -> bool:
+        dead = self.n_slots - len(self.ids)
+        return dead > _COMPACT_MIN_DEAD and dead > len(self.ids)
+
+    def compact(self) -> list[int]:
+        """Renumber the live slots densely; returns old slot -> new slot
+        (``-1`` for a dead one)."""
+        remap = [-1] * self.n_slots
+        for new, old in enumerate(self.ids):
+            remap[old] = new
+        self.index = dict(zip(self.index, range(len(self.index))))
+        self.ids = dict(enumerate(self.index))
+        self.n_slots = len(self.ids)
+        return remap
+
+
+class _Axis(_Ids):
+    """Users or permissions: their id table plus the role edges to them."""
+
+    __slots__ = ("degree", "n_isolated", "edges", "owned", "holders")
+
+    def __init__(self, kind: str) -> None:
+        super().__init__(kind)
+        #: member slot -> number of roles holding it.
+        self.degree: list[int] = []
+        #: live members no role holds.
+        self.n_isolated = 0
+        #: role slot -> the member slots the role holds (dict keys).
+        self.edges: list[dict[int, None]] = []
+        #: role slots whose edges this axis may mutate in place
+        #: (``None``: all); the others are shared with a copy.
+        self.owned: set[int] | None = None
+        #: member slot -> the role slots holding it (dict keys); built
+        #: by the first reverse query, kept current from then on, and
+        #: never shared with a copy.
+        self.holders: list[dict[int, None]] | None = None
+
+    def copy(self) -> "_Axis":
+        """A copy sharing every role's edges; neither side owns any now."""
+        clone = super().copy()
+        clone.degree = self.degree.copy()
+        clone.n_isolated = self.n_isolated
+        clone.edges = self.edges.copy()
+        clone.owned = set()
+        clone.holders = None
+        self.owned = set()
+        return clone
+
+    def add(self, entity: Entity) -> int:
+        slot = super().add(entity)
+        self.degree.append(0)
+        self.n_isolated += 1
+        if self.holders is not None:
+            self.holders.append({})
+        return slot
+
+    def remove(self, entity_id: str) -> int:
+        """Drop a member no role holds any more."""
+        slot = super().remove(entity_id)
+        self.n_isolated -= 1
+        return slot
+
+    def load(self, ids: Iterable[str]) -> None:
+        super().load(ids)
+        self.degree = [0] * self.n_slots
+        self.n_isolated = self.n_slots
+
+    def load_edges(self, edges: tuple[Any, Any], n_roles: int) -> None:
+        """Set every role's members from ``(role index, member index)``
+        arrays, with vectorised referential checks."""
+        kind = self.kind
+        try:
+            role_values, member_values = edges
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{kind} edges must be a (role indices, {kind} indices) pair"
+            ) from None
+        roles = _index_array(role_values, f"{kind} edge role indices")
+        members = _index_array(member_values, f"{kind} edge {kind} indices")
+        if roles.size != members.size:
+            raise ValidationError(
+                f"{kind} edges: {roles.size} role indices but "
+                f"{members.size} {kind} indices"
+            )
+        n_members = self.n_slots
+        for array, bound, noun in (
+            (roles, n_roles, "role"), (members, n_members, kind)
+        ):
+            bad = (array < 0) | (array >= bound)
+            if bad.any():
+                at = int(np.argmax(bad))
+                raise ValidationError(
+                    f"{kind} edge {at}: {noun} index {int(array[at])} is "
+                    f"out of range [0, {bound})"
+                )
+        # Unique row-major keys, sorted: repeated edges collapse and
+        # each role's members are one contiguous run.
+        width = max(n_members, 1)
+        keys = np.sort(roles * width + members)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        roles = keys // width
+        members = keys - roles * width
+        bounds = np.searchsorted(roles, np.arange(n_roles + 1)).tolist()
+        flat = members.tolist()
+        self.edges = [
+            dict.fromkeys(flat[bounds[role]:bounds[role + 1]])
+            for role in range(n_roles)
+        ]
+        self.owned = None
+        self.holders = None
+        degree = np.bincount(members, minlength=n_members)
+        self.degree = degree.tolist()
+        self.n_isolated = int(np.count_nonzero(degree == 0))
+
+    # -- edges ------------------------------------------------------------
+    def add_role(self) -> None:
+        self.edges.append({})
+        if self.owned is not None:
+            self.owned.add(len(self.edges) - 1)
+
+    def _writable(self, role: int) -> dict[int, None]:
+        owned = self.owned
+        if owned is not None and role not in owned:
+            self.edges[role] = self.edges[role].copy()
+            owned.add(role)
+        return self.edges[role]
+
+    def link(self, role: int, member: int) -> bool:
+        """Add the edge; ``False`` if it was already there."""
+        if member in self.edges[role]:
+            return False
+        self._writable(role)[member] = None
+        if self.holders is not None:
+            self.holders[member][role] = None
+        if self.degree[member] == 0:
+            self.n_isolated -= 1
+        self.degree[member] += 1
+        return True
+
+    def unlink(self, role: int, member: int) -> bool:
+        """Remove the edge; ``False`` if it was not there."""
+        if member not in self.edges[role]:
+            return False
+        del self._writable(role)[member]
+        if self.holders is not None:
+            del self.holders[member][role]
+        self.degree[member] -= 1
+        if self.degree[member] == 0:
+            self.n_isolated += 1
+        return True
+
+    def _reverse(self) -> list[dict[int, None]]:
+        """The reverse index, built from the edge dicts if not yet there."""
+        if self.holders is None:
+            rows = self.edges
+            lengths = np.fromiter(
+                map(len, rows), dtype=np.int64, count=len(rows)
+            )
+            members = np.fromiter(
+                chain.from_iterable(rows),
+                dtype=np.int64,
+                count=int(lengths.sum()),
+            )
+            order = np.argsort(members, kind="stable")
+            roles = np.repeat(
+                np.arange(len(rows), dtype=np.int64), lengths
+            )[order].tolist()
+            bounds = np.searchsorted(
+                members[order], np.arange(self.n_slots + 1)
+            ).tolist()
+            self.holders = [
+                dict.fromkeys(roles[bounds[member]:bounds[member + 1]])
+                for member in range(self.n_slots)
+            ]
+        return self.holders
+
+    def roles_holding(self, member: int) -> list[int]:
+        """Role slots holding ``member``."""
+        if not self.degree[member]:
+            return []
+        return list(self._reverse()[member])
+
+    def unlink_member(self, member: int) -> list[int]:
+        """Remove every edge to ``member``; returns the roles that held it."""
+        roles = self.roles_holding(member)
+        for role in roles:
+            del self._writable(role)[member]
+        if roles:
+            self.holders[member] = {}
+            self.degree[member] = 0
+            self.n_isolated += 1
+        return roles
+
+    def unlink_role(self, role: int) -> Iterable[int]:
+        """Remove every edge of ``role`` (being removed); returns them."""
+        members = self.edges[role]
+        degree, holders = self.degree, self.holders
+        for member in members:
+            if holders is not None:
+                del holders[member][role]
+            degree[member] -= 1
+            if degree[member] == 0:
+                self.n_isolated += 1
+        self.edges[role] = _DEAD
+        return members
+
+    def compact(self) -> list[int]:
+        remap = super().compact()
+        self.degree = [
+            degree for slot, degree in enumerate(self.degree)
+            if remap[slot] >= 0
+        ]
+        # Fresh dicts throughout: a copy may share any of the old ones.
+        self.edges = [
+            _DEAD if members is _DEAD
+            else dict.fromkeys([remap[member] for member in members])
+            for members in self.edges
+        ]
+        self.owned = None
+        self.holders = None
+        return remap
+
+    def compact_roles(self, remap: list[int]) -> None:
+        """Follow a compaction of the role table."""
+        self.edges = [
+            members for role, members in enumerate(self.edges)
+            if remap[role] >= 0
+        ]
+        if self.owned is not None:
+            self.owned = {
+                remap[role] for role in self.owned if remap[role] >= 0
+            }
+        self.holders = None
+
+    def rows(self, roles: Iterable[int]) -> tuple[IndexArray, IndexArray]:
+        """``(indptr, indices)`` of the given role slots over the live
+        members' positions, each row ascending."""
+        rows = [self.edges[role] for role in roles]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        indices = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+        )
+        positions = self.positions()
+        if positions is not None:
+            indices = positions[indices]
+        # One sort of row-major keys orders every row at once.
+        offsets = np.repeat(
+            np.arange(len(rows), dtype=np.int64) * max(len(self.index), 1),
+            lengths,
+        )
+        indices += offsets
+        indices.sort()
+        indices -= offsets
+        return indptr, indices
+
+
+def _index_array(values: Any, label: str) -> IndexArray:
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ValidationError(f"{label} must be a 1-d array")
+    if array.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if array.dtype.kind not in "iu":
+        raise ValidationError(
+            f"{label} must hold integers, got dtype {array.dtype}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
+class StateArrays(NamedTuple):
+    """A state in bulk form: :meth:`RbacState.to_arrays` returns one, and
+    ``RbacState.from_arrays(*arrays)`` rebuilds the same content.
+
+    Edges are ``(role index, member index)`` pairs of integer arrays,
+    indexing ``role_ids`` and ``user_ids``/``permission_ids``.
+    ``metadata`` maps ``"user"``/``"role"``/``"permission"`` to
+    ``{id: (name, attributes)}`` for the entities that have either.
+    """
+
+    user_ids: list[str]
+    role_ids: list[str]
+    permission_ids: list[str]
+    user_edges: tuple[IndexArray, IndexArray]
+    permission_edges: tuple[IndexArray, IndexArray]
+    metadata: dict[str, dict[str, tuple[str, Mapping[str, Any]]]]
+
+
+_NO_EDGES: tuple[IndexArray, IndexArray] = (
+    np.zeros(0, dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+)
 
 
 class RbacState:
     """In-memory RBAC dataset (users, roles, permissions, assignments)."""
 
     def __init__(self) -> None:
-        self._users: dict[str, User] = {}
-        self._roles: dict[str, Role] = {}
-        self._permissions: dict[str, Permission] = {}
-        # Forward adjacency: role -> members / grants.
-        self._role_users: dict[str, set[str]] = {}
-        self._role_permissions: dict[str, set[str]] = {}
-        # Reverse adjacency: user/permission -> roles.
-        self._user_roles: dict[str, set[str]] = {}
-        self._permission_roles: dict[str, set[str]] = {}
+        self._users = _Axis("user")
+        self._roles = _Ids("role")
+        self._permissions = _Axis("permission")
         # The content digest as an int, once fingerprint() has computed
         # it; from then on every mutator keeps it current.
         self._digest: int | None = None
@@ -113,26 +561,102 @@ class RbacState:
             state.assign_permission(role_id, permission_id)
         return state
 
+    @classmethod
+    def from_arrays(
+        cls,
+        user_ids: Iterable[str],
+        role_ids: Iterable[str],
+        permission_ids: Iterable[str],
+        user_edges: tuple[Any, Any] = _NO_EDGES,
+        permission_edges: tuple[Any, Any] = _NO_EDGES,
+        metadata: Mapping[str, Mapping[str, tuple[str, Any]]] | None = None,
+    ) -> "RbacState":
+        """Build a state in bulk (the inverse of :meth:`to_arrays`).
+
+        ``user_edges`` is a ``(role indices, user indices)`` pair of
+        equal-length integer arrays into ``role_ids`` and ``user_ids``;
+        ``permission_edges`` likewise into ``permission_ids``.  Repeated
+        edges collapse, as repeated ``assign_*`` calls do.  ``metadata``
+        maps a kind (``"user"``, ``"role"``, ``"permission"``) to
+        ``{id: (name, attributes)}``.
+
+        Raises what the per-item mutators raise for the same content —
+        :class:`TypeError` for a non-string id, :class:`ValueError` for
+        an empty one, :class:`DuplicateEntityError` for a repeated one
+        and :class:`UnknownEntityError` for metadata of an absent id —
+        and :class:`ValidationError` for edge arrays that are not 1-d
+        integer arrays of equal length or hold an index out of range,
+        and for metadata of an unknown kind.
+        """
+        state = cls()
+        tables = {
+            "user": state._users,
+            "role": state._roles,
+            "permission": state._permissions,
+        }
+        for table, ids in zip(
+            tables.values(), (user_ids, role_ids, permission_ids)
+        ):
+            table.load(ids)
+        for kind, entries in (metadata or {}).items():
+            if kind not in tables:
+                raise ValidationError(f"unknown entity kind: {kind!r}")
+            table = tables[kind]
+            for entity_id, (name, attributes) in entries.items():
+                table.slot(entity_id)
+                # Checked and copied as the entity constructors do.
+                attributes = dict(attributes or {})
+                if name or attributes:
+                    table.meta[entity_id] = (name, attributes)
+        n_roles = state._roles.n_slots
+        state._users.load_edges(user_edges, n_roles)
+        state._permissions.load_edges(permission_edges, n_roles)
+        return state
+
+    def to_arrays(self) -> StateArrays:
+        """The state in bulk form, without building entity values.
+
+        Ids are in insertion order; edges are grouped by role in role
+        order, each role's members in ascending index order.
+        """
+        return StateArrays(
+            self.user_ids(),
+            self.role_ids(),
+            self.permission_ids(),
+            self._edge_pairs(self._users),
+            self._edge_pairs(self._permissions),
+            {
+                table.kind: {
+                    entity_id: (name, dict(attributes))
+                    for entity_id, (name, attributes) in table.meta.items()
+                }
+                for table in (self._users, self._roles, self._permissions)
+                if table.meta
+            },
+        )
+
+    def _edge_pairs(self, axis: _Axis) -> tuple[IndexArray, IndexArray]:
+        indptr, members = self._edge_rows(axis.kind)
+        roles = np.repeat(
+            np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
+        )
+        return roles, members
+
     # ------------------------------------------------------------------
     # Entity management
     # ------------------------------------------------------------------
     def add_user(self, user: User | str) -> User:
         entity = user if isinstance(user, User) else User(user)
-        if entity.id in self._users:
-            raise DuplicateEntityError("user", entity.id)
-        self._users[entity.id] = entity
-        self._user_roles[entity.id] = set()
-        self._track(1, _entity_digest, "user", entity)
+        self._users.add(entity)
+        self._track(1, _entity_digest, "user", *self._users.payload(entity.id))
         return entity
 
     def add_role(self, role: Role | str) -> Role:
         entity = role if isinstance(role, Role) else Role(role)
-        if entity.id in self._roles:
-            raise DuplicateEntityError("role", entity.id)
-        self._roles[entity.id] = entity
-        self._role_users[entity.id] = set()
-        self._role_permissions[entity.id] = set()
-        self._track(1, _entity_digest, "role", entity)
+        self._roles.add(entity)
+        self._users.add_role()
+        self._permissions.add_role()
+        self._track(1, _entity_digest, "role", *self._roles.payload(entity.id))
         return entity
 
     def add_permission(self, permission: Permission | str) -> Permission:
@@ -141,160 +665,161 @@ class RbacState:
             if isinstance(permission, Permission)
             else Permission(permission)
         )
-        if entity.id in self._permissions:
-            raise DuplicateEntityError("permission", entity.id)
-        self._permissions[entity.id] = entity
-        self._permission_roles[entity.id] = set()
-        self._track(1, _entity_digest, "permission", entity)
+        self._permissions.add(entity)
+        self._track(
+            1,
+            _entity_digest,
+            "permission",
+            *self._permissions.payload(entity.id),
+        )
         return entity
 
     def remove_user(self, user_id: str) -> None:
         """Remove a user and all of their role assignments."""
-        self._require_user(user_id)
-        for role_id in self._user_roles.pop(user_id):
-            self._role_users[role_id].discard(user_id)
-            self._track(-1, _item_digest, "edge:ru", role_id, user_id)
-        self._track(-1, _entity_digest, "user", self._users.pop(user_id))
+        self._remove_member(self._users, "edge:ru", user_id)
 
     def remove_role(self, role_id: str) -> None:
         """Remove a role and all its edges (both directions)."""
-        self._require_role(role_id)
-        for user_id in self._role_users.pop(role_id):
-            self._user_roles[user_id].discard(role_id)
-            self._track(-1, _item_digest, "edge:ru", role_id, user_id)
-        for permission_id in self._role_permissions.pop(role_id):
-            self._permission_roles[permission_id].discard(role_id)
-            self._track(-1, _item_digest, "edge:rp", role_id, permission_id)
-        self._track(-1, _entity_digest, "role", self._roles.pop(role_id))
+        slot = self._roles.slot(role_id)
+        for axis, tag in (
+            (self._users, "edge:ru"), (self._permissions, "edge:rp")
+        ):
+            member_ids = axis.ids
+            for member in axis.unlink_role(slot):
+                self._track(-1, _item_digest, tag, role_id, member_ids[member])
+        self._track(-1, _entity_digest, "role", *self._roles.payload(role_id))
+        self._roles.remove(role_id)
+        if self._roles.should_compact():
+            remap = self._roles.compact()
+            self._users.compact_roles(remap)
+            self._permissions.compact_roles(remap)
 
     def remove_permission(self, permission_id: str) -> None:
         """Remove a permission and all of its role assignments."""
-        self._require_permission(permission_id)
-        for role_id in self._permission_roles.pop(permission_id):
-            self._role_permissions[role_id].discard(permission_id)
-            self._track(-1, _item_digest, "edge:rp", role_id, permission_id)
-        self._track(
-            -1, _entity_digest, "permission", self._permissions.pop(permission_id)
-        )
+        self._remove_member(self._permissions, "edge:rp", permission_id)
+
+    def _remove_member(self, axis: _Axis, tag: str, member_id: str) -> None:
+        role_ids = self._roles.ids
+        for role in axis.unlink_member(axis.slot(member_id)):
+            self._track(-1, _item_digest, tag, role_ids[role], member_id)
+        self._track(-1, _entity_digest, axis.kind, *axis.payload(member_id))
+        axis.remove(member_id)
+        if axis.should_compact():
+            axis.compact()
 
     # ------------------------------------------------------------------
     # Assignment management
     # ------------------------------------------------------------------
     def assign_user(self, role_id: str, user_id: str) -> None:
         """Add a role -> user edge (idempotent)."""
-        self._require_role(role_id)
-        self._require_user(user_id)
-        members = self._role_users[role_id]
-        if user_id in members:
-            return
-        members.add(user_id)
-        self._user_roles[user_id].add(role_id)
-        self._track(1, _item_digest, "edge:ru", role_id, user_id)
+        role = self._roles.slot(role_id)
+        if self._users.link(role, self._users.slot(user_id)):
+            self._track(1, _item_digest, "edge:ru", role_id, user_id)
 
     def assign_permission(self, role_id: str, permission_id: str) -> None:
         """Add a role -> permission edge (idempotent)."""
-        self._require_role(role_id)
-        self._require_permission(permission_id)
-        grants = self._role_permissions[role_id]
-        if permission_id in grants:
-            return
-        grants.add(permission_id)
-        self._permission_roles[permission_id].add(role_id)
-        self._track(1, _item_digest, "edge:rp", role_id, permission_id)
+        role = self._roles.slot(role_id)
+        axis = self._permissions
+        if axis.link(role, axis.slot(permission_id)):
+            self._track(1, _item_digest, "edge:rp", role_id, permission_id)
 
     def revoke_user(self, role_id: str, user_id: str) -> None:
         """Remove a role -> user edge (no-op if absent)."""
-        self._require_role(role_id)
-        self._require_user(user_id)
-        members = self._role_users[role_id]
-        if user_id not in members:
-            return
-        members.remove(user_id)
-        self._user_roles[user_id].remove(role_id)
-        self._track(-1, _item_digest, "edge:ru", role_id, user_id)
+        role = self._roles.slot(role_id)
+        if self._users.unlink(role, self._users.slot(user_id)):
+            self._track(-1, _item_digest, "edge:ru", role_id, user_id)
 
     def revoke_permission(self, role_id: str, permission_id: str) -> None:
         """Remove a role -> permission edge (no-op if absent)."""
-        self._require_role(role_id)
-        self._require_permission(permission_id)
-        grants = self._role_permissions[role_id]
-        if permission_id not in grants:
-            return
-        grants.remove(permission_id)
-        self._permission_roles[permission_id].remove(role_id)
-        self._track(-1, _item_digest, "edge:rp", role_id, permission_id)
+        role = self._roles.slot(role_id)
+        axis = self._permissions
+        if axis.unlink(role, axis.slot(permission_id)):
+            self._track(-1, _item_digest, "edge:rp", role_id, permission_id)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def n_users(self) -> int:
-        return len(self._users)
+        return len(self._users.index)
 
     @property
     def n_roles(self) -> int:
-        return len(self._roles)
+        return len(self._roles.index)
 
     @property
     def n_permissions(self) -> int:
-        return len(self._permissions)
+        return len(self._permissions.index)
 
     @property
     def n_user_assignments(self) -> int:
-        return sum(len(members) for members in self._role_users.values())
+        return sum(map(len, self._users.edges))
 
     @property
     def n_permission_assignments(self) -> int:
-        return sum(len(grants) for grants in self._role_permissions.values())
+        return sum(map(len, self._permissions.edges))
+
+    @property
+    def n_unassigned_users(self) -> int:
+        """Users no role is assigned to (kept current by the mutators)."""
+        return self._users.n_isolated
+
+    @property
+    def n_unassigned_permissions(self) -> int:
+        """Permissions no role grants (kept current by the mutators)."""
+        return self._permissions.n_isolated
 
     def user_ids(self) -> list[str]:
         """User ids in insertion order (the column order of RUAM)."""
-        return list(self._users)
+        return list(self._users.index)
 
     def role_ids(self) -> list[str]:
         """Role ids in insertion order (the row order of RUAM/RPAM)."""
-        return list(self._roles)
+        return list(self._roles.index)
 
     def permission_ids(self) -> list[str]:
         """Permission ids in insertion order (the column order of RPAM)."""
-        return list(self._permissions)
+        return list(self._permissions.index)
 
     def get_user(self, user_id: str) -> User:
-        self._require_user(user_id)
-        return self._users[user_id]
+        return self._users.entity(User, user_id)
 
     def get_role(self, role_id: str) -> Role:
-        self._require_role(role_id)
-        return self._roles[role_id]
+        return self._roles.entity(Role, role_id)
 
     def get_permission(self, permission_id: str) -> Permission:
-        self._require_permission(permission_id)
-        return self._permissions[permission_id]
+        return self._permissions.entity(Permission, permission_id)
 
     def has_user(self, user_id: str) -> bool:
-        return user_id in self._users
+        return user_id in self._users.index
 
     def has_role(self, role_id: str) -> bool:
-        return role_id in self._roles
+        return role_id in self._roles.index
 
     def has_permission(self, permission_id: str) -> bool:
-        return permission_id in self._permissions
+        return permission_id in self._permissions.index
 
     def users_of_role(self, role_id: str) -> frozenset[str]:
-        self._require_role(role_id)
-        return frozenset(self._role_users[role_id])
+        return self._members_of(self._users, role_id)
 
     def permissions_of_role(self, role_id: str) -> frozenset[str]:
-        self._require_role(role_id)
-        return frozenset(self._role_permissions[role_id])
+        return self._members_of(self._permissions, role_id)
 
     def roles_of_user(self, user_id: str) -> frozenset[str]:
-        self._require_user(user_id)
-        return frozenset(self._user_roles[user_id])
+        return self._roles_of(self._users, user_id)
 
     def roles_of_permission(self, permission_id: str) -> frozenset[str]:
-        self._require_permission(permission_id)
-        return frozenset(self._permission_roles[permission_id])
+        return self._roles_of(self._permissions, permission_id)
+
+    def _members_of(self, axis: _Axis, role_id: str) -> frozenset[str]:
+        ids = axis.ids
+        members = axis.edges[self._roles.slot(role_id)]
+        return frozenset([ids[member] for member in members])
+
+    def _roles_of(self, axis: _Axis, member_id: str) -> frozenset[str]:
+        ids = self._roles.ids
+        roles = axis.roles_holding(axis.slot(member_id))
+        return frozenset([ids[role] for role in roles])
 
     def effective_permissions(self, user_id: str) -> frozenset[str]:
         """Union of permissions granted to ``user_id`` through any role.
@@ -303,11 +828,7 @@ class RbacState:
         roles is safe exactly when no user's effective permission set
         changes.
         """
-        self._require_user(user_id)
-        granted: set[str] = set()
-        for role_id in self._user_roles[user_id]:
-            granted.update(self._role_permissions[role_id])
-        return frozenset(granted)
+        return self._reachable(self._users, user_id, self._permissions)
 
     def effective_users(self, permission_id: str) -> frozenset[str]:
         """Every user who holds ``permission_id`` through any role.
@@ -315,41 +836,67 @@ class RbacState:
         The audit-time converse of :meth:`effective_permissions` ("who
         can do X?").
         """
-        self._require_permission(permission_id)
-        holders: set[str] = set()
-        for role_id in self._permission_roles[permission_id]:
-            holders.update(self._role_users[role_id])
-        return frozenset(holders)
+        return self._reachable(self._permissions, permission_id, self._users)
+
+    def _reachable(
+        self, axis: _Axis, member_id: str, other: _Axis
+    ) -> frozenset[str]:
+        """Ids on ``other`` sharing a role with ``member_id`` on ``axis``."""
+        roles = axis.roles_holding(axis.slot(member_id))
+        ids = other.ids
+        reached = set().union(*(other.edges[role] for role in roles))
+        return frozenset([ids[member] for member in reached])
 
     def effective_permission_map(self) -> dict[str, frozenset[str]]:
         """``effective_permissions`` for every user, in one pass."""
+        granted: dict[int, set[int]] = {}
+        for users, permissions in zip(
+            self._users.edges, self._permissions.edges
+        ):
+            if permissions:
+                for user in users:
+                    granted.setdefault(user, set()).update(permissions)
+        ids = self._permissions.ids
         return {
-            user_id: self.effective_permissions(user_id)
-            for user_id in self._users
+            user_id: frozenset([ids[p] for p in granted.get(slot, ())])
+            for user_id, slot in self._users.index.items()
         }
+
+    def _edge_rows(self, kind: str) -> tuple[IndexArray, IndexArray]:
+        """RUAM (``kind="user"``) or RPAM (``"permission"``) in
+        compressed sparse row form, ``(indptr, indices)``.
+
+        Rows follow :meth:`role_ids`, columns the ``*_ids()`` of
+        ``kind``; each row's column indices ascend.  Private to
+        :mod:`repro.core`: :class:`~repro.core.matrices.AssignmentMatrix`
+        builds on it, and :meth:`to_arrays` is the public export.
+        """
+        axis = self._users if kind == "user" else self._permissions
+        return axis.rows(self._roles.index.values())
 
     # ------------------------------------------------------------------
     # Iteration / copying
     # ------------------------------------------------------------------
     def iter_entities(self) -> Iterator[Entity]:
-        yield from self._users.values()
-        yield from self._roles.values()
-        yield from self._permissions.values()
+        for table, cls in (
+            (self._users, User),
+            (self._roles, Role),
+            (self._permissions, Permission),
+        ):
+            for entity_id in list(table.index):
+                yield table.entity(cls, entity_id)
 
     def copy(self) -> "RbacState":
-        """Deep-enough copy: entities are shared (immutable), edges copied."""
-        clone = RbacState()
-        clone._users = dict(self._users)
-        clone._roles = dict(self._roles)
-        clone._permissions = dict(self._permissions)
-        clone._role_users = {k: set(v) for k, v in self._role_users.items()}
-        clone._role_permissions = {
-            k: set(v) for k, v in self._role_permissions.items()
-        }
-        clone._user_roles = {k: set(v) for k, v in self._user_roles.items()}
-        clone._permission_roles = {
-            k: set(v) for k, v in self._permission_roles.items()
-        }
+        """An independent copy.
+
+        Copies the id and side tables; the edge dicts are shared
+        copy-on-write, so the copy is O(entities + roles), not
+        O(edges).
+        """
+        clone = RbacState.__new__(RbacState)
+        clone._users = self._users.copy()
+        clone._roles = self._roles.copy()
+        clone._permissions = self._permissions.copy()
         clone._digest = self._digest
         return clone
 
@@ -387,16 +934,25 @@ class RbacState:
         """
         return f"{_content_digest(self):064x}"
 
+    def _edge_ids(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+        return {
+            role_id: (
+                self.users_of_role(role_id), self.permissions_of_role(role_id)
+            )
+            for role_id in self._roles.index
+        }
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RbacState):
             return NotImplemented
-        return (
-            self._users == other._users
-            and self._roles == other._roles
-            and self._permissions == other._permissions
-            and self._role_users == other._role_users
-            and self._role_permissions == other._role_permissions
-        )
+        for mine, theirs in (
+            (self._users, other._users),
+            (self._roles, other._roles),
+            (self._permissions, other._permissions),
+        ):
+            if mine.index.keys() != theirs.index.keys() or mine.meta != theirs.meta:
+                return False
+        return self._edge_ids() == other._edge_ids()
 
     def __repr__(self) -> str:
         return (
@@ -419,18 +975,17 @@ class RbacState:
         import networkx as nx
 
         graph = nx.Graph()
-        for user_id in self._users:
+        for user_id in self._users.index:
             graph.add_node(f"user:{user_id}", kind=EntityKind.USER.value)
-        for role_id in self._roles:
+        for role_id in self._roles.index:
             graph.add_node(f"role:{role_id}", kind=EntityKind.ROLE.value)
-        for permission_id in self._permissions:
+        for permission_id in self._permissions.index:
             graph.add_node(
                 f"permission:{permission_id}", kind=EntityKind.PERMISSION.value
             )
-        for role_id, members in self._role_users.items():
+        for role_id, (members, grants) in self._edge_ids().items():
             for user_id in members:
                 graph.add_edge(f"role:{role_id}", f"user:{user_id}")
-        for role_id, grants in self._role_permissions.items():
             for permission_id in grants:
                 graph.add_edge(f"role:{role_id}", f"permission:{permission_id}")
         return graph
@@ -447,18 +1002,3 @@ class RbacState:
         """
         if self._digest is not None:
             self._digest = (self._digest + sign * digest(*item)) & _MASK
-
-    # ------------------------------------------------------------------
-    # Internal guards
-    # ------------------------------------------------------------------
-    def _require_user(self, user_id: str) -> None:
-        if user_id not in self._users:
-            raise UnknownEntityError("user", user_id)
-
-    def _require_role(self, role_id: str) -> None:
-        if role_id not in self._roles:
-            raise UnknownEntityError("role", role_id)
-
-    def _require_permission(self, permission_id: str) -> None:
-        if permission_id not in self._permissions:
-            raise UnknownEntityError("permission", permission_id)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.entities import EntityKind
 
@@ -118,6 +119,35 @@ class RoleGroup:
         return self.size - 1
 
 
+class _NoDetails(Mapping[str, Any]):
+    """The empty, immutable ``details`` all detail-less findings share.
+
+    Most findings (every standalone node) carry no details; sharing one
+    value spares each an empty dict of its own.  It compares equal to
+    ``{}``, prints as ``{}`` and pickles (or copies) to itself.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key: str) -> Any:
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "_NO_DETAILS"
+
+
+_NO_DETAILS = _NoDetails()
+
+
 @dataclass(frozen=True, slots=True)
 class Finding:
     """One detected inefficiency instance.
@@ -134,13 +164,18 @@ class Finding:
     message: str
     axis: Axis | None = None
     group: RoleGroup | None = None
-    details: Mapping[str, Any] = field(default_factory=dict)
+    details: Mapping[str, Any] = field(default_factory=lambda: _NO_DETAILS)
 
     def __post_init__(self) -> None:
         if not self.entity_ids:
             raise ValueError("a finding must reference at least one entity")
         object.__setattr__(self, "entity_ids", tuple(self.entity_ids))
-        object.__setattr__(self, "details", dict(self.details))
+        if self.details is not _NO_DETAILS:
+            object.__setattr__(
+                self,
+                "details",
+                dict(self.details) if self.details else _NO_DETAILS,
+            )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable representation."""
@@ -150,7 +185,9 @@ class Finding:
             "entity_ids": list(self.entity_ids),
             "severity": self.severity.value,
             "message": self.message,
-            "details": dict(self.details),
+            "details": (
+                {} if self.details is _NO_DETAILS else dict(self.details)
+            ),
         }
         if self.axis is not None:
             payload["axis"] = self.axis.value
@@ -197,7 +234,9 @@ class Finding:
 def sort_findings(findings: Sequence[Finding]) -> list[Finding]:
     """Order findings for review: highest severity first, then by type and
     first affected entity id (stable and deterministic)."""
-    return sorted(
-        findings,
-        key=lambda f: (-f.severity.rank, f.type.value, f.entity_ids),
-    )
+    # One stable pass per key, least significant first: the order of a
+    # sort on (-rank, type, ids) without a key tuple per finding.
+    ordered = sorted(findings, key=attrgetter("entity_ids"))
+    ordered.sort(key=lambda f: f.type.value)
+    ordered.sort(key=lambda f: -f.severity.rank)
+    return ordered

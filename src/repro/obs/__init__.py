@@ -40,6 +40,8 @@ from repro.obs.recorder import (
     ARTIFACT_HITS,
     ARTIFACT_MISSES,
     COOCCURRENCE_PASSES,
+    GC_COLLECTIONS,
+    GC_PAUSE,
     NULL_RECORDER,
     NullRecorder,
     Recorder,
@@ -89,6 +91,8 @@ __all__ = [
     "ARTIFACT_MISSES",
     "ARTIFACT_BYTES",
     "COOCCURRENCE_PASSES",
+    "GC_COLLECTIONS",
+    "GC_PAUSE",
     "Sink",
     "InMemorySink",
     "LoggingSink",

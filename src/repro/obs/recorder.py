@@ -28,6 +28,8 @@ deterministic (block) order — see ``repro.core.grouping.cooccurrence``.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
 import uuid
 from contextlib import contextmanager
@@ -48,6 +50,8 @@ __all__ = [
     "ARTIFACT_MISSES",
     "ARTIFACT_BYTES",
     "COOCCURRENCE_PASSES",
+    "GC_COLLECTIONS",
+    "GC_PAUSE",
 ]
 
 #: Key under which a worker fragment payload carries its metric-registry
@@ -75,6 +79,60 @@ ARTIFACT_BYTES = "workspace.artifact_bytes"
 #: criterion "the co-occurrence product is computed exactly once per
 #: axis per analyze()" is asserted against this counter's total.
 COOCCURRENCE_PASSES = "workspace.cooccurrence_passes"
+#: Registry metrics of the garbage collector: full (generation-2)
+#: collections charged to a recorder (see _on_gc), and the pause each
+#: one cost.  They depend on the heap, not on the work, so they
+#: stay out of the deterministic span counters.
+GC_COLLECTIONS = "gc.collections"
+GC_PAUSE = "gc.pause_s"
+
+# One gc.callbacks hook serves every recorder; it is installed while any
+# recorder has a span open.  A collection runs on the thread whose
+# allocation tripped it, so the hook charges it to the innermost
+# recorder with a span open on that thread and to no other: analyses
+# overlapping on other threads never see it, and a sum over their
+# reports counts it once.
+_gc_lock = threading.Lock()
+#: thread ident -> recorders with a span open on it, innermost last.
+_gc_owners: dict[int, list["Recorder"]] = {}
+#: Start of the running full collection (``None`` between them).
+_gc_started: float | None = None
+
+
+def _on_gc(phase: str, info: dict[str, Any]) -> None:
+    # Runs inside the collection: it takes no lock (the thread may hold
+    # one) and only appends, for the recorder's next span close to fold.
+    global _gc_started
+    if info["generation"] != 2:
+        return
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    started, _gc_started = _gc_started, None
+    owners = _gc_owners.get(threading.get_ident())
+    if owners and started is not None:
+        owners[-1]._gc_pauses.append(time.perf_counter() - started)
+
+
+def _gc_attach(recorder: "Recorder") -> int:
+    """Charge this thread's collections to ``recorder``; returns the
+    thread's ident for :func:`_gc_detach`."""
+    thread = threading.get_ident()
+    with _gc_lock:
+        if not _gc_owners:
+            gc.callbacks.append(_on_gc)
+        _gc_owners.setdefault(thread, []).append(recorder)
+    return thread
+
+
+def _gc_detach(recorder: "Recorder", thread: int) -> None:
+    with _gc_lock:
+        owners = _gc_owners[thread]
+        owners.remove(recorder)
+        if not owners:
+            del _gc_owners[thread]
+            if not _gc_owners:
+                gc.callbacks.remove(_on_gc)
 
 
 class _NullSpan(Span):
@@ -222,6 +280,11 @@ class Recorder:
         self._origin = 0.0
         #: Completed top-level spans, oldest first.
         self.traces: list[Span] = []
+        # Full-collection pauses charged to this recorder by _on_gc
+        # while a span is open (on the thread in _gc_thread); span
+        # closes fold them into the registry.
+        self._gc_thread = 0
+        self._gc_pauses: list[float] = []
 
     @property
     def trace_id(self) -> str | None:
@@ -264,10 +327,19 @@ class Recorder:
         """
         self.registry.observe(name, value)
 
+    def _fold_gc(self) -> None:
+        if not self._gc_pauses:
+            return
+        pauses, self._gc_pauses = self._gc_pauses, []
+        self.registry.inc(GC_COLLECTIONS, len(pauses))
+        for pause in pauses:
+            self.registry.observe(GC_PAUSE, pause)
+
     def _open(self, span: Span) -> float:
         now = time.perf_counter()
         if not self._stack:
             self._origin = now
+            self._gc_thread = _gc_attach(self)
         span.start = now - self._origin
         if self._stack:
             self._stack[-1].children.append(span)
@@ -278,8 +350,12 @@ class Recorder:
         span.duration = time.perf_counter() - t0
         popped = self._stack.pop()
         assert popped is span, "span close out of order"
-        if not self._stack:
-            self._finish_trace(span)
+        if self._stack:
+            self._fold_gc()
+            return
+        _gc_detach(self, self._gc_thread)
+        self._fold_gc()
+        self._finish_trace(span)
 
     def _finish_trace(self, root: Span) -> None:
         if root.trace_id is None:

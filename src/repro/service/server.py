@@ -64,6 +64,8 @@ from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError, ReproError
 from repro.jobs import JobClient, JobQueue, JobRecord
 from repro.obs import (
+    GC_COLLECTIONS,
+    GC_PAUSE,
     MetricRegistry,
     Recorder,
     current_recorder,
@@ -972,13 +974,7 @@ class AnalysisService:
                 report = analyze(snapshot, config)
         else:
             report = analyze(snapshot, config)
-        self._merge_counters(report.metrics.get("counters", {}))
-        # Engine histograms (per-block kernel timings, detector
-        # durations, shm publish sizes) accumulate across every analysis
-        # this process serves; /metricz exposes the merged distributions.
-        self._registry.merge_histogram_dicts(
-            report.metrics.get("histograms", {})
-        )
+        self._merge_report_metrics(report)
         self._bump("service.analyses", 1)
         return report, report.to_dict()
 
@@ -1034,10 +1030,7 @@ class AnalysisService:
         )
         payload = result["report"]
         report = Report.from_payload(payload, snapshot)
-        self._merge_counters(report.metrics.get("counters", {}))
-        self._registry.merge_histogram_dicts(
-            report.metrics.get("histograms", {})
-        )
+        self._merge_report_metrics(report)
         self._bump("service.analyses_queued", 1)
         return report, payload
 
@@ -1072,10 +1065,24 @@ class AnalysisService:
         with self._obs_lock:
             self._counters[counter] = self._counters.get(counter, 0) + value
 
-    def _merge_counters(self, counters: dict[str, int | float]) -> None:
+    def _merge_report_metrics(self, report: Report) -> None:
+        """Fold one analysis's ``Report.metrics`` into ``/metricz``.
+
+        Engine counters and histograms (per-block kernel timings,
+        detector durations) accumulate across every analysis this
+        process serves, and so do the analyses' full garbage
+        collections: ``gc.collections`` and the ``gc.pause_s`` histogram.
+        """
+        counters = dict(report.metrics.get("counters", {}))
+        histograms = dict(report.metrics.get("histograms", {}))
+        gc_metrics = report.metrics.get("gc") or {}
+        if gc_metrics.get("collections"):
+            counters[GC_COLLECTIONS] = gc_metrics["collections"]
+            histograms[GC_PAUSE] = gc_metrics["pause_s"]
         with self._obs_lock:
             for name, value in counters.items():
                 self._counters[name] = self._counters.get(name, 0) + value
+        self._registry.merge_histogram_dicts(histograms)
 
     def _observe(
         self, endpoint: str, status: int, seconds: float, recorder: Recorder

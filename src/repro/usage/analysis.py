@@ -73,14 +73,10 @@ class UsageAnalysis:
         # Events that reference access the state does not actually grant
         # (stale log, or — worse — access outside RBAC).  Surfaced, not
         # silently dropped.
+        granted = self.state.effective_permission_map()
         unknown = []
         for user_id, permission_id in sorted(used):
-            if (
-                not self.state.has_user(user_id)
-                or not self.state.has_permission(permission_id)
-                or permission_id
-                not in self.state.effective_permissions(user_id)
-            ):
+            if permission_id not in granted.get(user_id, ()):
                 unknown.append((user_id, permission_id))
         self.unknown_event_pairs = unknown
 

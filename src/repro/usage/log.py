@@ -148,8 +148,8 @@ def generate_access_log(
         raise ConfigurationError("events_per_pair must be >= 1")
     rng = np.random.default_rng(seed)
     log = AccessLog()
-    for user_id in state.user_ids():
-        for permission_id in sorted(state.effective_permissions(user_id)):
+    for user_id, granted in state.effective_permission_map().items():
+        for permission_id in sorted(granted):
             if rng.random() >= exercise_rate:
                 continue
             for _ in range(int(rng.integers(1, events_per_pair + 1))):

@@ -42,6 +42,25 @@ class TestConstruction:
         auditor.remove_role("R01")
         assert paper_example.has_role("R01")
 
+    def test_counts_reads_maintained_standalone_counts(
+        self, paper_example, monkeypatch
+    ):
+        # /v1/counts runs under the service's state lock: it must not
+        # ask every user or permission for its roles.
+        auditor = IncrementalAuditor(paper_example)
+        auditor.remove_role("R01")  # U01 and P02 become unassigned
+        expected = batch_counts(auditor)
+        calls = []
+        for name in ("roles_of_user", "roles_of_permission"):
+            monkeypatch.setattr(
+                RbacState,
+                name,
+                lambda self, member_id, name=name: calls.append(name),
+            )
+        assert auditor.counts() == expected
+        assert expected["standalone_users"] == 1
+        assert calls == []
+
 
 class TestMutations:
     @pytest.fixture

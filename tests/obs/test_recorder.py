@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+
 import pytest
 
 from repro.obs import (
+    GC_COLLECTIONS,
+    GC_PAUSE,
     NULL_RECORDER,
     NullRecorder,
     Recorder,
@@ -15,6 +20,7 @@ from repro.obs import (
     tree_signature,
     use_recorder,
 )
+from repro.obs.recorder import _on_gc
 
 
 class TestSpan:
@@ -138,6 +144,78 @@ class TestRecorder:
                 span.add("c", 2)
         assert recorder.counter_totals() == {"c": 4}
         assert recorder.span_count() == 2
+
+
+class TestGcAttribution:
+    def test_full_collection_inside_a_span_is_counted_and_timed(self):
+        recorder = Recorder()
+        with recorder.span("root"):
+            with recorder.span("child"):
+                gc.collect(2)
+        snapshot = recorder.registry.snapshot()
+        assert snapshot["counters"][GC_COLLECTIONS] == 1
+        pauses = snapshot["histograms"][GC_PAUSE]
+        assert pauses["count"] == 1
+        assert pauses["sum"] > 0.0
+        # Not a span counter: span counters stay deterministic.
+        assert GC_COLLECTIONS not in recorder.counter_totals()
+
+    def test_young_collections_and_idle_recorders_are_ignored(self):
+        recorder = Recorder()
+        gc.collect(2)  # no span open: the hook is not installed
+        with recorder.span("root"):
+            gc.collect(0)
+        assert _on_gc not in gc.callbacks
+        assert recorder.registry.snapshot()["counters"] == {}
+
+    def test_overlapping_recorders_on_two_threads_count_once(self):
+        opened, collected = threading.Event(), threading.Event()
+        other = Recorder()
+
+        def hold_span_open():
+            with other.span("other"):
+                opened.set()
+                collected.wait(10)
+
+        thread = threading.Thread(target=hold_span_open)
+        thread.start()
+        opened.wait(10)
+        mine = Recorder()
+        with mine.span("mine"):
+            assert gc.callbacks.count(_on_gc) == 1  # one hook for both
+            gc.collect(2)
+        collected.set()
+        thread.join(10)
+        # The collection ran on this thread: only its recorder has it.
+        assert mine.registry.snapshot()["counters"][GC_COLLECTIONS] == 1
+        assert GC_COLLECTIONS not in other.registry.snapshot()["counters"]
+        assert _on_gc not in gc.callbacks
+
+    def test_nested_recorders_charge_the_innermost(self):
+        outer, inner = Recorder(), Recorder()
+        with outer.span("outer"):
+            with inner.span("inner"):
+                gc.collect(2)
+            gc.collect(2)
+        assert inner.registry.snapshot()["counters"][GC_COLLECTIONS] == 1
+        assert outer.registry.snapshot()["counters"][GC_COLLECTIONS] == 1
+
+    def test_report_metrics_carry_gc(self, paper_example, monkeypatch):
+        from repro.core.engine import AnalysisEngine
+
+        recorder = Recorder()
+        engine = AnalysisEngine()
+        detect = engine._detectors[0].detect
+
+        def collecting(context):
+            gc.collect(2)
+            return detect(context)
+
+        monkeypatch.setattr(engine._detectors[0], "detect", collecting)
+        report = engine.analyze(paper_example, recorder=recorder)
+        assert report.metrics["gc"]["collections"] == 1
+        assert report.metrics["gc"]["pause_s"]["count"] == 1
+        assert GC_PAUSE not in report.metrics["histograms"]
 
 
 class TestNullRecorder:

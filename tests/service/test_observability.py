@@ -7,10 +7,12 @@ seam), same as tests/service/test_server.py.
 
 from __future__ import annotations
 
+import gc
 import threading
 
 import pytest
 
+from repro.core.matrices import AssignmentMatrix
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
 from repro.service import AnalysisService, ServiceConfig, SloTracker
@@ -80,6 +82,21 @@ class TestMetricz:
         # Engine histograms accumulate into the service registry.
         assert payload["histograms"]["detector.seconds"]["count"] > 0
         assert "slo" not in payload  # tracking is opt-in
+
+    def test_analysis_gc_pauses_accumulate(self, monkeypatch):
+        real = AssignmentMatrix.ruam
+
+        def collecting(state):
+            gc.collect(2)  # a full collection inside the matrix build
+            return real(state)
+
+        monkeypatch.setattr(AssignmentMatrix, "ruam", collecting)
+        service = make_service()
+        service.handle("POST", "/v1/analyze", b"{}")
+        _, payload, _ = service.handle("GET", "/metricz")
+        collections = payload["counters"]["gc.collections"]
+        assert collections >= 1
+        assert payload["histograms"]["gc.pause_s"]["count"] == collections
 
     def test_prometheus_exposition(self):
         service = make_service()

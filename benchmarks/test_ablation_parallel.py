@@ -8,11 +8,11 @@ repository adds on top of the paper's custom algorithm:
   ``M[block] @ Mᵀ`` one block at a time and keeps only the matched
   pairs, bounding peak memory by the densest single block.  Measured
   with ``tracemalloc`` (numpy/scipy allocations are traced).
-* **Parallelism** — blocks fan out over a process pool (the engine's
-  only parallel step; detectors run in-process).  Wall-clock speedup
-  requires real cores; the serial-vs-parallel comparisons therefore
-  skip on single-core machines and assert a speedup wherever
-  ``os.cpu_count() >= 2``.
+* **Parallelism** — blocks fan out over threads in the calling process
+  (the engine's only parallel step; scipy's CSR matmul releases the
+  GIL).  Wall-clock speedup requires real cores; the serial-vs-parallel
+  comparison therefore skips on single-core machines and asserts a
+  speedup wherever the process may use ``>= 2`` CPUs.
 
 Both levers are pure optimisations: every configuration must produce
 identical groups/reports, which each test re-asserts.
@@ -20,7 +20,6 @@ identical groups/reports, which each test re-asserts.
 
 from __future__ import annotations
 
-import os
 import time
 import tracemalloc
 
@@ -29,6 +28,7 @@ import pytest
 from benchmarks.conftest import scaled
 from repro.core.engine import AnalysisConfig, AnalysisEngine
 from repro.core.grouping import make_group_finder
+from repro.core.grouping.cooccurrence import usable_cpus
 from repro.core.state import RbacState
 from repro.datagen import MatrixSpec, generate_matrix
 
@@ -39,12 +39,12 @@ MEMORY_SPEC = MatrixSpec(
 )
 
 #: Larger workload for the serial-vs-parallel wall-clock comparison
-#: (sized to dominate process-pool startup on a multi-core runner).
+#: (sized to dominate thread-pool startup on a multi-core runner).
 SPEEDUP_SPEC = MatrixSpec(
     n_roles=5000, n_cols=500, row_density=0.12, seed=1
 )
 
-MULTI_CORE = (os.cpu_count() or 1) >= 2
+MULTI_CORE = usable_cpus() >= 2
 
 
 def _peak_bytes(fn) -> int:
@@ -180,7 +180,7 @@ def test_parallel_blocks_beat_serial_on_multicore():
     )
     assert parallel_seconds < serial_seconds, (
         f"parallel {parallel_seconds:.3f}s not faster than "
-        f"serial {serial_seconds:.3f}s on {os.cpu_count()} cores"
+        f"serial {serial_seconds:.3f}s on {usable_cpus()} CPUs"
     )
 
 
@@ -213,7 +213,8 @@ def _dual_axis_state() -> RbacState:
 def test_parallel_engine_reproduces_serial_report_everywhere():
     """Runs on every machine (single-core included): the parallel engine
     must reproduce the serial report bit for bit.  ``block_rows`` splits
-    each axis into several blocks, so the scan really fans out."""
+    each axis into several blocks, so wherever the process may use two
+    CPUs the scan really runs them on two threads."""
     state = _dual_axis_state()
     serial = AnalysisEngine(AnalysisConfig(block_rows=256)).analyze(state)
     parallel = AnalysisEngine(
@@ -223,96 +224,3 @@ def test_parallel_engine_reproduces_serial_report_everywhere():
     assert [f.entity_ids for f in parallel.findings] == [
         f.entity_ids for f in serial.findings
     ]
-
-
-# ----------------------------------------------------------------------
-# Shared-memory vs pickled-initargs data plane: setup cost
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(
-    not MULTI_CORE, reason="data-plane setup cost needs a real fan-out"
-)
-def test_shm_data_plane_setup_beats_pickling():
-    """Shipping the scan arrays through one shared-memory segment must
-    beat re-pickling them into every worker.
-
-    Isolates the setup stage the two planes differ on — array transfer —
-    from the (identical) block compute: the pickled plane serialises and
-    deserialises the full array tuple once per worker, the shm plane
-    pays one copy into the segment plus per-worker attach (no copy).
-    """
-    import pickle
-
-    import numpy as np
-    import scipy.sparse as sp
-
-    from repro.parallel import attach, publish
-
-    # Sized so array volume (tens of MB), not per-segment syscall
-    # overhead, dominates the comparison — the regime the shm plane is
-    # built for.
-    rng = np.random.default_rng(9)
-    csr = sp.csr_matrix(
-        (rng.random((3000, 4000)) < 0.15).astype(np.int64)
-    )
-    csr_t = csr.T.tocsr()
-    norms = np.asarray(csr.sum(axis=1)).ravel().astype(np.int64)
-    workers = max(2, os.cpu_count() or 2)
-    initargs = (csr, csr_t, norms, 1, False, False, None)
-    arrays = {
-        "m_data": csr.data, "m_indices": csr.indices,
-        "m_indptr": csr.indptr, "t_data": csr_t.data,
-        "t_indices": csr_t.indices, "t_indptr": csr_t.indptr,
-        "norms": norms,
-    }
-
-    def pickled_setup():
-        for _ in range(workers):
-            pickle.loads(pickle.dumps(initargs))
-
-    def shm_setup():
-        with publish(arrays) as handle:
-            for _ in range(workers):
-                attach(pickle.loads(pickle.dumps(handle.manifest))).close()
-
-    pickled_seconds = min(_wall_clock(pickled_setup) for _ in range(3))
-    shm_seconds = min(_wall_clock(shm_setup) for _ in range(3))
-    assert shm_seconds < pickled_seconds, (
-        f"shm setup {shm_seconds:.4f}s not below pickled setup "
-        f"{pickled_seconds:.4f}s for {workers} workers"
-    )
-
-
-@pytest.mark.skipif(not MULTI_CORE, reason="needs >= 2 cores for speedup")
-def test_warm_pool_scan_beats_cold_pools():
-    """Reusing one WorkerPool across scans must beat a spawn per scan."""
-    import numpy as np
-
-    from repro.core.grouping.cooccurrence import blocked_scan
-    from repro.parallel import WorkerPool, use_pool
-
-    generated = generate_matrix(SPEEDUP_SPEC)
-    csr = generated.matrix.tocsr()
-    norms = np.asarray(csr.sum(axis=1)).ravel().astype(np.int64)
-    scans_per_round = 3
-
-    def cold_pools():
-        for _ in range(scans_per_round):
-            blocked_scan(
-                csr, norms, k=1, block_rows=256, n_workers=2,
-                kernel="sparse",
-            )
-
-    def warm_pool():
-        with WorkerPool(2) as pool, use_pool(pool):
-            for _ in range(scans_per_round):
-                blocked_scan(
-                    csr, norms, k=1, block_rows=256, n_workers=2,
-                    kernel="sparse",
-                )
-
-    cold_seconds = min(_wall_clock(cold_pools) for _ in range(2))
-    warm_seconds = min(_wall_clock(warm_pool) for _ in range(2))
-    assert warm_seconds < cold_seconds, (
-        f"warm pool {warm_seconds:.3f}s not below cold pools "
-        f"{cold_seconds:.3f}s"
-    )

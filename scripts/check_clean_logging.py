@@ -26,7 +26,7 @@ from pathlib import Path
 #: ``service`` matters most: a daemon that prints to stdout corrupts
 #: nothing visibly but interleaves garbage into supervisor logs.
 #: ``jobs`` is in the same boat — workers run under supervisors too.
-REQUIRED_PACKAGES = ("core", "jobs", "obs", "parallel", "service")
+REQUIRED_PACKAGES = ("core", "jobs", "obs", "service")
 
 
 def violations_in(path: Path) -> list[tuple[int, str]]:

@@ -25,10 +25,8 @@ _POPCOUNT16 = np.array(
     [bin(value).count("1") for value in range(1 << 16)], dtype=np.uint8
 )
 
-#: Whether numpy exposes the hardware popcount ufunc (numpy >= 2.0).
-#: The bit-packed co-occurrence kernel's cost model reads this: with the
-#: table fallback a popcounted word costs ~7x more, moving the
-#: sparse-vs-bits crossover density accordingly.
+#: Whether numpy exposes the hardware popcount ufunc (numpy >= 2.0);
+#: without it popcounts go through a 16-bit lookup table (~7x slower).
 HAVE_HW_POPCOUNT = hasattr(np, "bitwise_count")
 
 
@@ -88,8 +86,8 @@ class BitMatrix:
 
         ``words`` must be ``n_rows x ceil(n_cols / 64)`` with any padding
         bits beyond ``n_cols`` cleared (as produced by :func:`pack_csr_rows`
-        or ``_pack_rows``).  The array is not copied when already contiguous,
-        so shared-memory-backed words stay zero-copy.
+        or ``_pack_rows``).  The array is not copied when already
+        contiguous.
         """
         words = np.ascontiguousarray(words, dtype=np.uint64)
         if words.ndim != 2:

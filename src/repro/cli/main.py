@@ -120,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the blocked co-occurrence scan "
-        "(1 = serial, 0 = all cores); the report is identical for every "
-        "value",
+        help="threads for the blocked co-occurrence scan "
+        "(1 = serial, 0 = all usable CPUs); the report is identical for "
+        "every value",
     )
     analyze_parser.add_argument(
         "--block-rows",
@@ -131,14 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ROWS",
         help="row-block size for the co-occurrence product (bounds peak "
         "memory; default: one monolithic block)",
-    )
-    analyze_parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=("auto", "sparse", "bits"),
-        help="per-block co-occurrence kernel: sparse CSR matmul, "
-        "bit-packed AND+popcount, or cost-model dispatch (default); "
-        "the report is identical for every choice",
     )
     analyze_parser.add_argument(
         "--format",
@@ -424,8 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for each analysis's blocked co-occurrence "
-        "scan (1 = serial, 0 = all cores)",
+        help="threads for each analysis's blocked co-occurrence scan "
+        "(1 = serial, 0 = all usable CPUs)",
     )
     serve_parser.add_argument(
         "--block-rows",
@@ -433,12 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ROWS",
         help="row-block size for the co-occurrence product",
-    )
-    serve_parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=("auto", "sparse", "bits"),
-        help="per-block co-occurrence kernel (auto = cost-model dispatch)",
     )
     serve_parser.add_argument(
         "--extensions",
@@ -703,7 +689,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         similarity_threshold=args.similarity_threshold,
         n_workers=None if args.workers == 0 else args.workers,
         block_rows=args.block_rows,
-        kernel=args.kernel,
     )
     if args.extensions:
         config = AnalysisConfig.with_extensions(**options)
@@ -985,7 +970,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         similarity_threshold=args.similarity_threshold,
         n_workers=None if args.workers == 0 else args.workers,
         block_rows=args.block_rows,
-        kernel=args.kernel,
     )
     if args.extensions:
         analysis = AnalysisConfig.with_extensions(**options)

@@ -18,19 +18,17 @@ from repro.core.taxonomy import Finding
 
 class AnalysisContext:
     """An RBAC state, its lazily-built matrices, and the scan shape
-    (``block_rows``, ``n_workers``, ``kernel``) every axis scans with."""
+    (``block_rows``, ``n_workers``) every axis scans with."""
 
     def __init__(
         self,
         state: RbacState,
         block_rows: int | None = None,
         n_workers: int = 1,
-        kernel: str = "auto",
     ) -> None:
         self.state = state
         self.block_rows = block_rows
         self.n_workers = n_workers
-        self.kernel = kernel
 
     @cached_property
     def ruam(self) -> AssignmentMatrix:

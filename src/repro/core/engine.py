@@ -11,17 +11,16 @@ Parallel execution
 Detectors always run in-process, one after the other.  The only
 parallel step is the blocked co-occurrence scan of the warm phase — the
 paper's ``C = M·Mᵀ``, reduced block by block (§III-C).  Its shape
-(``block_rows``, ``n_workers``, ``kernel``) is set once per analysis on
-the :class:`AnalysisContext`: with ``n_workers > 1`` and more than one
-row block, the blocks fan out over one
-:class:`repro.parallel.WorkerPool` through shared memory.  Blocks are
-reduced and concatenated in block order, so the report — findings,
-ordering, and ``counts()`` — is identical for every worker count.
+(``block_rows``, ``n_workers``) is set once per analysis on the
+:class:`AnalysisContext`: with ``n_workers > 1`` and more than one row
+block, the blocks run on a per-scan thread pool inside this process.
+Blocks are reduced and concatenated in block order, so the report —
+findings, ordering, and ``counts()`` — is identical for every worker
+count.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,7 +33,10 @@ from repro.core.detectors import (
     SingleAssignmentDetector,
     StandaloneNodeDetector,
 )
-from repro.core.grouping.kernels import validate_kernel
+from repro.core.grouping.cooccurrence import (
+    resolve_workers,
+    validate_workers,
+)
 from repro.core.report import Report
 from repro.core.state import RbacState
 from repro.core.taxonomy import Axis, InefficiencyType
@@ -47,13 +49,6 @@ from repro.obs import (
     use_recorder,
 )
 from repro.obs.spans import counter_totals, span_count
-from repro.parallel import (
-    WorkerPool,
-    current_pool,
-    resolve_workers,
-    use_pool,
-    validate_workers,
-)
 
 #: All five taxonomy types, in paper order.
 ALL_TYPES: tuple[InefficiencyType, ...] = (
@@ -71,7 +66,13 @@ EXTENSION_TYPES: tuple[InefficiencyType, ...] = (
 
 #: The scan shape: how the blocked co-occurrence product runs, never
 #: what it finds.  Owned by :class:`AnalysisConfig` alone.
-SCAN_KEYS: tuple[str, ...] = ("block_rows", "n_workers", "kernel")
+SCAN_KEYS: tuple[str, ...] = ("block_rows", "n_workers")
+
+#: ``kernel`` values that configs written by earlier versions (queued
+#: jobs, stored reports) may carry.  The kernel never changed a result,
+#: so :meth:`AnalysisConfig.from_dict` drops them; any other value
+#: (``"bits"`` included) is rejected.
+_LEGACY_KERNELS = ("auto", "sparse")
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,10 @@ class AnalysisConfig:
         the paper's algorithm), ``"dbscan"``, ``"hnsw"``, or ``"hash"``.
     finder_options:
         Extra keyword arguments for the finder factory (e.g. HNSW ``m``).
-        For the co-occurrence finder a ``block_rows``, ``n_workers`` or
-        ``kernel`` entry must equal the engine-level field of the same
-        name (a conflicting value raises :class:`ConfigurationError`):
-        the scan shape has one owner, this config.
+        For the co-occurrence finder a ``block_rows`` or ``n_workers``
+        entry must equal the engine-level field of the same name (a
+        conflicting value raises :class:`ConfigurationError`): the scan
+        shape has one owner, this config.
     similarity_threshold:
         The administrator threshold k for type 5 (default 1 — "all but
         one", as in the paper's real-data experiment).
@@ -99,23 +100,17 @@ class AnalysisConfig:
     collapse_duplicates:
         Whether type 5 collapses exact duplicates before grouping.
     n_workers:
-        Worker processes for the blocked co-occurrence scan: ``1``
-        (default) scans in-process; ``None`` uses every core.  Resolved
-        once per analysis and carried by the
+        Threads for the blocked co-occurrence scan: ``1`` (default)
+        scans on the calling thread; ``None`` uses every usable CPU.
+        Resolved once per analysis and carried by the
         :class:`~repro.core.detectors.base.AnalysisContext` to every
         axis scan, whatever the finder.  Blocks fan out only when there
-        is more than one (see ``block_rows``); detectors always run
-        in-process.  No pool starts more processes than the host has
-        cores.  The report is identical for every value.
+        is more than one (see ``block_rows``); detectors always run on
+        the calling thread.  No scan starts more threads than the
+        process may use CPUs.  The report is identical for every value.
     block_rows:
         Row-block size of the blocked co-occurrence product (``None`` =
         one monolithic block per axis).
-    kernel:
-        Per-block co-occurrence kernel: ``"auto"`` (default; cost-model
-        dispatch between the two), ``"sparse"`` (CSR matmul), or
-        ``"bits"`` (bit-packed AND + popcount).  An execution knob like
-        ``n_workers``/``block_rows``: the report is identical for every
-        value.
     """
 
     enabled_types: tuple[InefficiencyType, ...] = ALL_TYPES
@@ -126,7 +121,6 @@ class AnalysisConfig:
     collapse_duplicates: bool = True
     n_workers: int | None = 1
     block_rows: int | None = None
-    kernel: str = "auto"
 
     @classmethod
     def with_extensions(cls, **kwargs) -> "AnalysisConfig":
@@ -146,14 +140,13 @@ class AnalysisConfig:
         ]
         if unknown:
             raise ConfigurationError(f"not inefficiency types: {unknown!r}")
-        # Single source of truth shared with repro.parallel, so the
+        # Single source of truth shared with the scan, so the
         # error message is identical wherever n_workers is validated.
         validate_workers(self.n_workers)
         if self.block_rows is not None and self.block_rows < 1:
             raise ConfigurationError(
                 f"block_rows must be >= 1 or None, got {self.block_rows}"
             )
-        validate_kernel(self.kernel)
         if self.finder == "cooccurrence":
             for key in SCAN_KEYS:
                 owned = getattr(self, key)
@@ -179,7 +172,6 @@ class AnalysisConfig:
             "collapse_duplicates": self.collapse_duplicates,
             "n_workers": self.n_workers,
             "block_rows": self.block_rows,
-            "kernel": self.kernel,
         }
 
     @classmethod
@@ -190,18 +182,34 @@ class AnalysisConfig:
         boundary as JSON — the job plane ships configs this way — with
         ``__post_init__`` re-validating on the far side.  Unknown keys
         are rejected so schema drift fails loudly.
+
+        Payloads written while the config still had a ``kernel`` field
+        (queued jobs, stored reports) stay readable: a ``"kernel"`` of
+        ``"auto"`` or ``"sparse"`` is dropped, as results never depended
+        on it; any other value, and a ``kernel`` finder option, raise
+        :class:`ConfigurationError`.
         """
+        options = dict(payload)
+        kernel = options.pop("kernel", "auto")
+        if kernel not in _LEGACY_KERNELS:
+            raise ConfigurationError(
+                f"kernel {kernel!r} is no longer supported; the scan "
+                "always uses the sparse kernel"
+            )
+        if "kernel" in (options.get("finder_options") or {}):
+            raise ConfigurationError(
+                "finder_options['kernel'] is no longer supported"
+            )
         known = {
             "enabled_types", "finder", "finder_options",
             "similarity_threshold", "axes", "collapse_duplicates",
-            "n_workers", "block_rows", "kernel",
+            "n_workers", "block_rows",
         }
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(options) - known)
         if unknown:
             raise ConfigurationError(
                 f"unknown analysis-config key(s): {', '.join(unknown)}"
             )
-        options = dict(payload)
         try:
             if "enabled_types" in options:
                 options["enabled_types"] = tuple(
@@ -294,23 +302,11 @@ class AnalysisEngine:
         # The one owner of the scan shape for this analysis: every axis
         # workspace the detectors touch scans with it.
         context = AnalysisContext(
-            state,
-            block_rows=self.config.block_rows,
-            n_workers=n_workers,
-            kernel=self.config.kernel,
+            state, block_rows=self.config.block_rows, n_workers=n_workers
         )
         findings: list = []
         timings: dict[str, float] = {}
-        stack = ExitStack()
-        # One worker pool per analyze() for the blocked scans: spawned
-        # lazily on the first fanned-out scan, reused by every axis,
-        # closed (segments unlinked) on the way out.  An ambient pool —
-        # e.g. one held warm by repro.service across requests — takes
-        # precedence.
-        if n_workers > 1 and current_pool() is None:
-            pool = stack.enter_context(WorkerPool(n_workers))
-            stack.enter_context(use_pool(pool))
-        with stack, use_recorder(recorder):
+        with use_recorder(recorder):
             with recorder.span(
                 "engine.analyze",
                 finder=self.config.finder,
@@ -368,17 +364,16 @@ class AnalysisEngine:
 
         ``counters`` and ``spans`` are deterministic for a given input
         and worker mode.  Counter totals are identical between serial and
-        parallel runs of the same analysis, apart from the ``shm.*`` and
-        ``parallel.*`` counters that describe how a fanned-out scan ran.
+        parallel runs of the same analysis.
 
         Schema 2 adds ``histograms``: per-name summaries (count, sum,
         min/max, p50/p90/p99, log-spaced buckets) of the run's
         distribution metrics — per-block kernel timings, per-detector
-        durations, published shm bytes.  Worker-local observations
-        travel back inside trace fragments and merge into the parent's
-        registry exactly (no observation lost or double-counted,
-        independent of worker count and merge order).  Observation
-        counts do not depend on the worker count: one
+        durations.  Block-local observations travel back inside trace
+        fragments and merge into the parent's registry exactly (no
+        observation lost or double-counted, independent of worker
+        count and merge order).  Observation counts do not depend on
+        the worker count: one
         ``cooccurrence.block_seconds`` per block and one
         ``detector.seconds`` per detector.
 
@@ -391,13 +386,14 @@ class AnalysisEngine:
 
         ``workers`` echoes the requested ``n_workers``, the resolved
         count the blocked scans may use, and the mode that actually ran:
-        ``"parallel"`` only when some scan's blocks ran on a worker pool,
-        ``"serial"`` otherwise — also with ``n_workers > 1`` when every
-        axis fits in one block or the pool fell back to in-process.
+        ``"parallel"`` only when some scan ran its blocks on more than
+        one thread, ``"serial"`` otherwise — also with ``n_workers > 1``
+        when every axis fits in one block, the process may use one CPU
+        only, or the recorder measures memory.
         """
-        pooled = any(
-            span.name == "parallel.map"
-            and span.attributes.get("mode") == "pool"
+        threaded = any(
+            span.name == "cooccurrence.block"
+            and span.attributes.get("threads", 1) > 1
             for _, _, span in root.walk()
         )
         histograms = recorder.registry.histogram_summaries()
@@ -414,7 +410,7 @@ class AnalysisEngine:
             "workers": {
                 "requested": self.config.n_workers,
                 "resolved": n_workers,
-                "mode": "parallel" if pooled else "serial",
+                "mode": "parallel" if threaded else "serial",
             },
         }
 

@@ -13,10 +13,10 @@ This module is the memoisation layer that preserves it:
 * :class:`AxisWorkspace` — one per axis (RUAM for users, RPAM for
   permissions).  Every derived structure is an *artifact*, built lazily
   on first access and reused afterwards: the nonempty submatrix and its
-  original-index map, row norms, the dense and bit-packed views, CSR
-  row-content keys and the duplicate buckets/representatives derived
-  from them, MinHash signatures, and — central to everything — the
-  result of one blocked co-occurrence scan.
+  original-index map, row norms, the dense view, CSR row-content keys
+  and the duplicate buckets/representatives derived from them, MinHash
+  signatures, and — central to everything — the result of one blocked
+  co-occurrence scan.
 * The scan is *requested*, not computed, by consumers
   (:meth:`AxisWorkspace.request_scan`): each consumer registers the
   threshold ``k`` and/or subset-pair collection it will need, and the
@@ -51,7 +51,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from repro.bitmatrix import BitMatrix, csr_row_keys, pack_csr_rows
+from repro.bitmatrix import csr_row_keys
 from repro.core.grouping.cooccurrence import ScanResult, blocked_scan
 from repro.obs import (
     ARTIFACT_BYTES,
@@ -80,8 +80,6 @@ def _payload_bytes(value: Any) -> int:
     if sp.issparse(value):
         csr = value
         return int(csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
-    if isinstance(value, BitMatrix):
-        return _payload_bytes(value.words)
     if isinstance(value, ScanResult):
         return value.nbytes()
     if isinstance(value, (bytes, bytearray)):
@@ -125,8 +123,8 @@ class AxisWorkspace(_ArtifactCache):
     with at least one edge on the axis) unless stated otherwise;
     :attr:`original` maps them back to full-matrix rows.
 
-    ``block_rows``, ``n_workers`` and ``kernel`` fix the shape of the
-    blocked co-occurrence scan at construction; requests carry only
+    ``block_rows`` and ``n_workers`` fix the shape of the blocked
+    co-occurrence scan at construction; requests carry only
     what a consumer needs from it (``k``, ``subsets``).
     """
 
@@ -135,13 +133,11 @@ class AxisWorkspace(_ArtifactCache):
         matrix: "AssignmentMatrix",
         block_rows: int | None = None,
         n_workers: int | None = 1,
-        kernel: str = "auto",
     ) -> None:
         super().__init__()
         self.matrix = matrix
         self.block_rows = block_rows
         self.n_workers = n_workers
-        self.kernel = kernel
         self._scan: ScanResult | None = None
         self._scan_subsets = False
         self._want_k: int | None = None
@@ -188,22 +184,6 @@ class AxisWorkspace(_ArtifactCache):
         return self._artifact(
             "dense",
             lambda: np.asarray(self.submatrix.todense()).astype(bool),
-        )
-
-    @property
-    def bits(self) -> BitMatrix:
-        """Bit-packed view of the submatrix rows.
-
-        Packed straight from the CSR structure block by block
-        (:func:`repro.bitmatrix.pack_csr_rows`), so building the packed
-        words — the bits kernel's input — never materialises the full
-        dense matrix.
-        """
-        return self._artifact(
-            "bits",
-            lambda: BitMatrix.from_words(
-                pack_csr_rows(self.submatrix), self.submatrix.shape[1]
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -342,10 +322,6 @@ class AxisWorkspace(_ArtifactCache):
             collect_subsets=subsets,
             block_rows=self.block_rows,
             n_workers=self.n_workers,
-            kernel=self.kernel,
-            # Lazy: only a plan containing bits blocks packs the words,
-            # and a warm `bits` artifact is reused rather than re-packed.
-            words=lambda: self.bits.words,
         )
         recorder.add("cooccurrence.blocks", result.n_blocks)
         recorder.add(COOCCURRENCE_PASSES, 1)
@@ -452,10 +428,6 @@ class CollapsedWorkspace(_ArtifactCache):
         )
 
     @property
-    def bits(self) -> BitMatrix:
-        return self._artifact("bits", lambda: BitMatrix(self.dense))
-
-    @property
     def class_sizes(self) -> npt.NDArray[np.int64]:
         """Parent rows represented by each collapsed row."""
         return self.parent.class_sizes
@@ -540,7 +512,6 @@ class AnalysisWorkspace:
             getattr(context, self._AXES[name]),
             block_rows=context.block_rows,
             n_workers=context.n_workers,
-            kernel=context.kernel,
         )
         self._axes[name] = workspace
         return workspace

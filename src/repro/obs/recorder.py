@@ -20,10 +20,11 @@ loop) need no recorder parameter threading::
     with use_recorder(recorder):
         report = engine.analyze(state)
 
-Worker processes do not inherit the context variable; instead each
-worker task records into a fresh local :class:`Recorder` and returns the
-serialised trace fragment, which the parent grafts into its own tree in
-deterministic (block) order — see ``repro.core.grouping.cooccurrence``.
+Scan threads do not inherit the context variable; instead each block
+of the co-occurrence scan records into a fresh local :class:`Recorder`
+and returns the serialised trace fragment, which the parent grafts into
+its own tree in deterministic (block) order — see
+``repro.core.grouping.cooccurrence``.
 """
 
 from __future__ import annotations
@@ -320,10 +321,10 @@ class Recorder:
         """Record one observation into the registry histogram ``name``.
 
         Histograms complement span counters with *distributions*: the
-        per-block kernel timings, published segment sizes, request
-        latencies.  Fragments recorded by worker-local recorders travel
-        back inside :meth:`export_fragment` payloads and merge
-        deterministically in :meth:`graft`.
+        per-block kernel timings, request latencies.  Fragments
+        recorded by block-local recorders travel back inside
+        :meth:`export_fragment` payloads and merge deterministically in
+        :meth:`graft`.
         """
         self.registry.observe(name, value)
 
@@ -367,8 +368,8 @@ class Recorder:
     def export_fragment(self) -> dict[str, Any]:
         """Serialise the latest completed trace plus metric fragments.
 
-        The payload a worker process ships back to the parent: the span
-        tree (:meth:`Span.to_dict`) with the worker-local registry's
+        The payload a scan block hands back to the parent: the span
+        tree (:meth:`Span.to_dict`) with the block-local registry's
         histograms/counters embedded under ``"metrics"``.  The parent's
         :meth:`graft` reattaches the tree and merges the metrics, so a
         parallel run's merged registry equals the serial run's.
@@ -385,8 +386,8 @@ class Recorder:
     ) -> Span:
         """Attach a serialised trace fragment under the current span.
 
-        Worker processes return their local trace as a plain dict
-        (:meth:`export_fragment`); grafting in task order keeps the
+        Scan blocks return their local trace as a plain dict
+        (:meth:`export_fragment`); grafting in block order keeps the
         merged tree deterministic.  A registry fragment embedded in the
         payload is merged into this recorder's registry.  ``fragment``
         (the task index) is stamped on the grafted root's

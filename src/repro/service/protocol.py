@@ -185,7 +185,6 @@ _ANALYZE_OVERRIDES = (
     "extensions",
     "n_workers",
     "block_rows",
-    "kernel",
 )
 
 
@@ -215,7 +214,6 @@ def build_analysis_config(
         ),
         n_workers=overrides.get("n_workers", base.n_workers),
         block_rows=overrides.get("block_rows", base.block_rows),
-        kernel=overrides.get("kernel", base.kernel),
         # The config fields own the scan shape; a copy of it here could
         # only conflict with a scan override.
         finder_options=_without_scan_keys(base.finder_options),
@@ -245,8 +243,8 @@ def config_key(config: AnalysisConfig) -> str:
 
     Combined with :meth:`RbacState.fingerprint` it forms the report-cache
     key: two requests share a cache entry exactly when they would run
-    the same analysis over the same content.  Worker count, block size
-    and kernel are *excluded* — they change how the analysis is
+    the same analysis over the same content.  Worker count and block
+    size are *excluded* — they change how the analysis is
     executed, never its result (the engine's parity guarantees), so a
     report computed with one execution layout is valid for every other.
     """

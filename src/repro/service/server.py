@@ -72,7 +72,6 @@ from repro.obs import (
     new_trace_id,
     use_recorder,
 )
-from repro.parallel import WorkerPool, resolve_workers, use_pool
 from repro.service.cache import ReportCache
 from repro.service.slo import SloTracker
 from repro.service.tracez import SlowTraceRing
@@ -315,12 +314,6 @@ class AnalysisService:
             refresh_seconds=self.config.refresh_seconds,
         )
         self._started = False
-        #: Warm scan-worker pool shared by every analysis this service
-        #: runs (created in start() when the configured analysis fans
-        #: its blocked scans out).  Closing the service closes the pool,
-        #: which also unlinks any shared-memory segments an interrupted
-        #: scan left registered — the SIGTERM-drain cleanup guarantee.
-        self._pool: WorkerPool | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -330,9 +323,6 @@ class AnalysisService:
         if self._started:
             return
         self._started = True
-        scan_workers = resolve_workers(self.config.analysis.n_workers)
-        if scan_workers > 1:
-            self._pool = WorkerPool(scan_workers)
         if self._jobs is not None:
             # Warm-restart recovery: leases held by a previous (dead)
             # daemon or its workers are reaped before anything else runs,
@@ -386,9 +376,6 @@ class AnalysisService:
             # daemon (that is the durability contract); workers hold
             # their own connections and keep running.
             self._jobs.queue.close()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         if self._store is not None:
             with self._state_lock:
                 state = self._auditor.state.copy()
@@ -962,18 +949,8 @@ class AnalysisService:
     def _compute(
         self, snapshot: RbacState, config: AnalysisConfig
     ) -> tuple[Report, dict[str, Any]]:
-        """One full analysis; runs on a cache compute thread.
-
-        With a warm pool, the blocked scans inside ``analyze`` reuse this
-        service's worker processes instead of spawning a fresh pool per
-        request (``parallel.pool_reuses`` in ``/metricz`` counts the
-        savings).
-        """
-        if self._pool is not None and not self._pool.closed:
-            with use_pool(self._pool):
-                report = analyze(snapshot, config)
-        else:
-            report = analyze(snapshot, config)
+        """One full analysis; runs on a cache compute thread."""
+        report = analyze(snapshot, config)
         self._merge_report_metrics(report)
         self._bump("service.analyses", 1)
         return report, report.to_dict()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
@@ -61,30 +60,30 @@ def small_org_state() -> RbacState:
 
 
 @pytest.fixture
-def spy_executors(monkeypatch):
-    """Record ``max_workers`` of every ProcessPoolExecutor a pool builds.
+def spy_threads(monkeypatch):
+    """Record ``max_workers`` of every thread pool the scan builds.
 
-    Call it (optionally with a constructor ``delay`` in seconds) to
-    install the spy; it returns the list it records into.  A request for
-    more processes than cores is refused with ``OSError`` (as a sandbox
-    would) instead of forked, so a regression of the pool's core-count
-    cap cannot exhaust the host's processes while the test runs.
+    Returns the list it records into.  While installed, starting a child
+    process (``multiprocessing`` or ``os.fork``) fails the test, so a
+    scan that fans out provably stays inside this process.
     """
-    import repro.parallel.pool as pool_module
+    import multiprocessing.process
 
-    real_executor = pool_module.ProcessPoolExecutor
+    import repro.core.grouping.cooccurrence as scan_module
 
-    def install(delay: float = 0.0) -> list[int]:
-        built: list[int] = []
+    real_executor = scan_module.ThreadPoolExecutor
+    built: list[int] = []
 
-        def spy_executor(max_workers):
-            built.append(max_workers)
-            time.sleep(delay)
-            if max_workers > (os.cpu_count() or 1):
-                raise OSError(f"refusing to start {max_workers} processes")
-            return real_executor(max_workers=max_workers)
+    def spy_executor(max_workers, **kwargs):
+        built.append(max_workers)
+        return real_executor(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", spy_executor)
-        return built
+    def no_child_process(*args, **kwargs):
+        raise AssertionError("the scan must not start a child process")
 
-    return install
+    monkeypatch.setattr(scan_module, "ThreadPoolExecutor", spy_executor)
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", no_child_process
+    )
+    monkeypatch.setattr(os, "fork", no_child_process)
+    return built

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-import os
 
 import pytest
 
+import repro.core.grouping.cooccurrence as scan_module
 from repro.core import AnalysisConfig, AnalysisEngine, InefficiencyType, analyze
 from repro.core.detectors import AnalysisContext
 from repro.core.engine import ALL_TYPES
 from repro.exceptions import ConfigurationError
-from repro.obs import Recorder
 
 
 class TestConfig:
@@ -47,7 +46,6 @@ class TestConfig:
         [
             ("block_rows", 7, 3),
             ("n_workers", 2, 1),
-            ("kernel", "bits", "sparse"),
         ],
     )
     def test_finder_option_must_equal_scan_field(self, key, owned, other):
@@ -151,32 +149,35 @@ class TestScanFanOut:
         assert report.metrics["counters"]["cooccurrence.blocks"] == expected
         assert expected > 2  # more than one block per axis
 
-    def test_n_workers_reaches_the_scan(self, small_org_state):
-        # The engine-level knob fans the blocked scan out over shared
-        # memory; detection itself stays in-process.
+    def test_n_workers_reaches_the_scan(
+        self, small_org_state, spy_threads, monkeypatch
+    ):
+        # The engine-level knob runs the blocked scan's blocks on
+        # threads; detection itself stays on the calling thread.
+        monkeypatch.setattr(scan_module, "usable_cpus", lambda: 2)
         assert small_org_state.n_roles > 64
-        recorder = Recorder()
         report = analyze(
-            small_org_state,
-            AnalysisConfig(n_workers=2, block_rows=64),
-            recorder=recorder,
+            small_org_state, AnalysisConfig(n_workers=2, block_rows=64)
         )
-        assert recorder.counter_totals()["shm.bytes_published"] > 0
+        assert spy_threads == [2, 2]  # one pool per axis scan
+        assert report.metrics["workers"]["mode"] == "parallel"
         serial = analyze(small_org_state, AnalysisConfig(block_rows=64))
         assert [f.to_dict() for f in report.findings] == [
             f.to_dict() for f in serial.findings
         ]
 
     def test_oversized_n_workers_capped_at_core_count(
-        self, paper_example, spy_executors
+        self, paper_example, spy_threads, monkeypatch
     ):
         # n_workers is outside input (CLI flag, service request): it must
-        # never start more processes than the host has cores.
-        built = spy_executors()
+        # never start more threads than the process may use CPUs, and
+        # never a child process.
+        monkeypatch.setattr(scan_module, "usable_cpus", lambda: 3)
         report = analyze(
             paper_example, AnalysisConfig(n_workers=10_000, block_rows=1)
         )
-        assert built == [min(10_000, os.cpu_count() or 1)]
+        # Four one-row blocks per axis, three usable CPUs.
+        assert spy_threads == [3, 3]
         assert report.metrics["workers"] == {
             "requested": 10_000,
             "resolved": 10_000,
@@ -184,13 +185,15 @@ class TestScanFanOut:
         }
         assert report.counts() == analyze(paper_example).counts()
 
-    def test_mode_serial_when_nothing_fans_out(self, paper_example):
+    def test_mode_serial_when_nothing_fans_out(
+        self, paper_example, spy_threads
+    ):
         # Without block_rows every axis is one block: nothing runs on a
-        # pool, so the report must not claim a parallel run.
+        # thread pool, so the report must not claim a parallel run.
         report = analyze(paper_example, AnalysisConfig(n_workers=2))
         assert report.metrics["workers"] == {
             "requested": 2,
             "resolved": 2,
             "mode": "serial",
         }
-        assert "shm.segments_published" not in report.metrics["counters"]
+        assert spy_threads == []

@@ -83,6 +83,17 @@ class TestReportFromPayload:
         )
         assert len(rebuilt.sorted_findings()) == len(report.sorted_findings())
 
+    def test_legacy_kernel_config_reloads(self, report, paper_example):
+        # A report stored while the config had a ``kernel`` field loads
+        # and reserialises without it (see test_kernel_parity for the
+        # values AnalysisConfig.from_dict accepts and rejects).
+        payload = report.to_dict()
+        legacy = {**payload, "config": {**payload["config"], "kernel": "auto"}}
+        rebuilt = Report.from_payload(legacy, paper_example)
+        assert json.dumps(rebuilt.to_dict(), sort_keys=True) == json.dumps(
+            payload, sort_keys=True
+        )
+
     def test_text_rendering_matches(self, report, paper_example):
         rebuilt = Report.from_payload(report.to_dict(), paper_example)
         assert rebuilt.to_text() == report.to_text()

@@ -35,7 +35,6 @@ def _pairs_as_set(rows, cols):
 class TestArtifactCache:
     def test_artifacts_are_memoised(self, users_workspace):
         assert users_workspace.dense is users_workspace.dense
-        assert users_workspace.bits is users_workspace.bits
         assert users_workspace.norms is users_workspace.norms
         assert users_workspace.row_keys is users_workspace.row_keys
 
@@ -56,13 +55,12 @@ class TestArtifactCache:
         assert users_workspace.original.tolist() == [0, 1, 3, 4]
         assert users_workspace.norms.tolist() == [1, 2, 2, 1]
 
-    def test_dense_and_bits_match_submatrix(self, users_workspace):
+    def test_dense_matches_submatrix(self, users_workspace):
         dense = users_workspace.dense
         expected = np.asarray(users_workspace.submatrix.todense()).astype(
             bool
         )
         assert np.array_equal(dense, expected)
-        assert users_workspace.bits.shape == dense.shape
 
     def test_duplicate_groups_match_reference_kernel(self, users_workspace):
         expected = equal_row_groups_sparse(users_workspace.submatrix)
@@ -167,16 +165,15 @@ class TestScanAggregation:
         assert recorder.counter_totals()["workspace.cooccurrence_passes"] == 1
 
     def test_context_shape_fixes_the_scan(self, paper_example):
-        context = AnalysisContext(paper_example, block_rows=2, kernel="bits")
+        context = AnalysisContext(paper_example, block_rows=2)
         workspace = context.workspace.axis("users")
-        shape = (workspace.block_rows, workspace.n_workers, workspace.kernel)
-        assert shape == (2, 1, "bits")
+        assert (workspace.block_rows, workspace.n_workers) == (2, 1)
         workspace.request_scan(k=0)
         assert workspace.scan().n_blocks == 2  # 4 rows / block_rows=2
 
     def test_requests_carry_no_scan_shape(self, users_workspace):
         # Consumers say what they need (k, subsets), never how to scan.
-        for key in ("block_rows", "n_workers", "kernel"):
+        for key in ("block_rows", "n_workers"):
             with pytest.raises(TypeError):
                 users_workspace.request_scan(k=0, **{key: 1})
             with pytest.raises(TypeError):
@@ -245,17 +242,13 @@ class TestAnalysisWorkspace:
 
     def test_every_axis_takes_the_context_shape(self, paper_example):
         default = AnalysisContext(paper_example).workspace.axis("users")
-        assert (default.block_rows, default.n_workers, default.kernel) == (
-            None, 1, "auto"
-        )
+        assert (default.block_rows, default.n_workers) == (None, 1)
         bundle = AnalysisContext(
-            paper_example, block_rows=2, n_workers=3, kernel="sparse"
+            paper_example, block_rows=2, n_workers=3
         ).workspace
         for axis in ("users", "permissions"):
             workspace = bundle.axis(axis)
-            assert (
-                workspace.block_rows, workspace.n_workers, workspace.kernel
-            ) == (2, 3, "sparse")
+            assert (workspace.block_rows, workspace.n_workers) == (2, 3)
 
     def test_flush_runs_pending_scans_under_axis_spans(self, paper_example):
         bundle = AnalysisContext(paper_example).workspace

@@ -7,8 +7,13 @@ traces (modulo durations), and the opt-in memory counters.
 
 from __future__ import annotations
 
+import gc
+import threading
+import time
+
 import pytest
 
+import repro.core.grouping.cooccurrence as scan_module
 from repro.core.engine import AnalysisConfig, AnalysisEngine, analyze
 from repro.obs import Recorder, current_recorder, tree_signature, use_recorder
 
@@ -125,25 +130,47 @@ class TestDbscanInstrumentation:
 #: on the paper example.
 SCAN_FAN_OUT = {"n_workers": 2, "block_rows": 2}
 
+#: Key prefixes of the deleted process pool, shared-memory plane and
+#: adaptive kernel: no trace or report may carry them.
+DELETED_PREFIXES = ("shm.", "parallel.", "cooccurrence.kernel_blocks.")
 
-def _result_counters(recorder) -> dict:
-    """Counter totals minus the ``shm.*``/``parallel.*`` counters, which
-    describe how a fanned-out scan ran rather than what it found."""
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the scan run two threads whatever CPUs this host has."""
+    monkeypatch.setattr(scan_module, "usable_cpus", lambda: 2)
+
+
+def _histogram_counts(report) -> dict:
     return {
-        name: value
-        for name, value in recorder.counter_totals().items()
-        if not name.startswith(("shm.", "parallel."))
+        name: summary["count"]
+        for name, summary in report.metrics["histograms"].items()
     }
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestSerialParallelParity:
     def test_counter_totals_equal(self, paper_example):
         _, _, serial = _trace(paper_example, n_workers=1, block_rows=2)
         _, _, parallel = _trace(paper_example, **SCAN_FAN_OUT)
-        assert _result_counters(parallel) == _result_counters(serial)
-        # One published segment per axis: the blocks really fanned out.
-        assert parallel.counter_totals()["shm.segments_published"] == 2
-        assert "shm.segments_published" not in serial.counter_totals()
+        assert parallel.counter_totals() == serial.counter_totals()
+
+    def test_report_metrics_equal_serial(self, paper_example):
+        serial, _, _ = _trace(paper_example, n_workers=1, block_rows=2)
+        parallel, _, _ = _trace(paper_example, **SCAN_FAN_OUT)
+        assert parallel.metrics["workers"]["mode"] == "parallel"
+        assert parallel.metrics["counters"] == serial.metrics["counters"]
+        assert parallel.metrics["spans"] == serial.metrics["spans"]
+        assert _histogram_counts(parallel) == _histogram_counts(serial)
+
+    def test_no_process_plane_or_kernel_keys(self, paper_example):
+        report, root, recorder = _trace(paper_example, **SCAN_FAN_OUT)
+        names = (
+            set(recorder.counter_totals())
+            | set(report.metrics["histograms"])
+            | {span.name for _, _, span in root.walk()}
+        )
+        assert sorted(n for n in names if n.startswith(DELETED_PREFIXES)) == []
 
     def test_parallel_trace_is_deterministic(self, paper_example):
         _, root_a, _ = _trace(paper_example, **SCAN_FAN_OUT)
@@ -156,14 +183,14 @@ class TestSerialParallelParity:
             c for c in root.children if c.name == "engine.workspace_warm"
         )
         for axis_span in warm.children:
-            # The pool maps the blocks, then each worker's block
-            # fragment is grafted after the map in block order.
-            names = [c.name for c in axis_span.children]
-            assert names == [
-                "parallel.map", "cooccurrence.block", "cooccurrence.block"
+            # Each block records on its own thread; the fragments are
+            # grafted under the axis span in block order.
+            blocks = axis_span.children
+            assert [b.name for b in blocks] == [
+                "cooccurrence.block", "cooccurrence.block"
             ]
-            blocks = axis_span.children[1:]
             assert [b.attributes["fragment"] for b in blocks] == [0, 1]
+            assert [b.attributes["threads"] for b in blocks] == [2, 2]
             assert [
                 (b.attributes["start"], b.attributes["stop"]) for b in blocks
             ] == [(0, 2), (2, 4)]
@@ -191,6 +218,49 @@ class TestSerialParallelParity:
             "mode": "parallel",
         }
 
+    def test_mode_parallel_only_when_blocks_ran_on_threads(
+        self, paper_example, monkeypatch
+    ):
+        def mode(recorder=None, **config):
+            report, _, _ = _trace(paper_example, recorder=recorder, **config)
+            assert set(report.metrics["workers"]) == {
+                "requested", "resolved", "mode"
+            }
+            return report.metrics["workers"]["mode"]
+
+        assert mode(**SCAN_FAN_OUT) == "parallel"
+        assert mode(n_workers=1, block_rows=2) == "serial"
+        assert mode(n_workers=2) == "serial"  # one block per axis
+        measured = Recorder(measure_memory=True)
+        assert mode(recorder=measured, **SCAN_FAN_OUT) == "serial"
+        monkeypatch.setattr(scan_module, "usable_cpus", lambda: 1)
+        assert mode(**SCAN_FAN_OUT) == "serial"
+
+    def test_gc_in_a_threaded_block_is_charged_once(
+        self, paper_example, monkeypatch
+    ):
+        real_scan = scan_module.scan_block_sparse
+        collected_on: list[str] = []
+        lock = threading.Lock()
+
+        def collecting_scan(*args):
+            with lock:
+                if not collected_on:
+                    collected_on.append(threading.current_thread().name)
+                    gc.collect(2)
+            return real_scan(*args)
+
+        monkeypatch.setattr(scan_module, "scan_block_sparse", collecting_scan)
+        # Only the forced collection may run during the analysis.
+        gc.disable()
+        try:
+            report, _, _ = _trace(paper_example, **SCAN_FAN_OUT)
+        finally:
+            gc.enable()
+        assert collected_on[0].startswith("repro-scan")
+        assert report.metrics["gc"]["collections"] == 1
+        assert report.metrics["gc"]["pause_s"]["count"] == 1
+
     def test_worker_identity_never_on_spans(self, paper_example):
         _, root, _ = _trace(paper_example, **SCAN_FAN_OUT)
         for _, _, span in root.walk():
@@ -212,6 +282,32 @@ class TestMemoryCounters:
         recorder = Recorder(measure_memory=True)
         _trace(paper_example, recorder=recorder, **SCAN_FAN_OUT)
         assert recorder.counter_totals()["cooccurrence.block_peak_bytes"] > 0
+
+    def test_measured_blocks_never_overlap(
+        self, paper_example, two_cpus, spy_threads, monkeypatch
+    ):
+        # tracemalloc's peak is process-wide: with measure_memory on,
+        # blocks run one at a time even when the scan may fan out.
+        real_block = scan_module._scan_block
+        intervals: list[tuple[float, float]] = []
+
+        def timed_block(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return real_block(*args, **kwargs)
+            finally:
+                intervals.append((started, time.perf_counter()))
+
+        monkeypatch.setattr(scan_module, "_scan_block", timed_block)
+        recorder = Recorder(measure_memory=True)
+        _, root, _ = _trace(paper_example, recorder=recorder, **SCAN_FAN_OUT)
+        assert spy_threads == []
+        blocks = [s for _, _, s in root.walk() if s.name == "cooccurrence.block"]
+        assert len(blocks) == len(intervals) == 4
+        assert {b.attributes["threads"] for b in blocks} == {1}
+        intervals.sort()
+        for (_, end), (start, _) in zip(intervals, intervals[1:]):
+            assert end <= start
 
 
 class TestBenchharnessIntegration:

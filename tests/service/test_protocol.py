@@ -186,13 +186,12 @@ class TestBuildAnalysisConfig:
                 AnalysisConfig(), {"similarity_threshold": 0}
             )
 
-    def test_kernel_override_applies(self):
-        config = build_analysis_config(AnalysisConfig(), {"kernel": "bits"})
-        assert config.kernel == "bits"
-
     def test_invalid_kernel_becomes_protocol_error(self):
-        with pytest.raises(ProtocolError, match="invalid analyze options"):
-            build_analysis_config(AnalysisConfig(), {"kernel": "gpu"})
+        # The scan has one kernel: a kernel override is rejected like any
+        # other unknown option, whatever its value.
+        for kernel in ("auto", "sparse", "bits", "gpu"):
+            with pytest.raises(ProtocolError, match="unknown analyze option"):
+                build_analysis_config(AnalysisConfig(), {"kernel": kernel})
 
     def test_extensions_toggle_enabled_types(self):
         from repro.core.engine import ALL_TYPES, EXTENSION_TYPES
@@ -208,7 +207,7 @@ class TestBuildAnalysisConfig:
         base = AnalysisConfig(
             enabled_types=(InefficiencyType.DUPLICATE_ROLES,)
         )
-        config = build_analysis_config(base, {"kernel": "bits"})
+        config = build_analysis_config(base, {"block_rows": 8})
         assert config.enabled_types == base.enabled_types
         assert config_key(config) == config_key(base)
 
@@ -223,12 +222,12 @@ class TestBuildAnalysisConfig:
         assert off.enabled_types == paper
 
     @pytest.mark.parametrize(
-        "override", [{"n_workers": 3}, {"block_rows": 8}, {"kernel": "bits"}]
+        "override", [{"n_workers": 3}, {"block_rows": 8}]
     )
     def test_scan_override_never_conflicts_with_finder_options(
         self, override
     ):
-        shape = {"n_workers": 2, "block_rows": 4, "kernel": "sparse"}
+        shape = {"n_workers": 2, "block_rows": 4}
         base = AnalysisConfig(finder_options={**shape, "x": 1}, **shape)
         config = build_analysis_config(base, override)
         ((key, value),) = override.items()
@@ -240,7 +239,7 @@ class TestBuildAnalysisConfig:
 class TestConfigKey:
     def test_execution_knobs_do_not_change_the_key(self):
         base = AnalysisConfig()
-        tuned = AnalysisConfig(n_workers=4, block_rows=64, kernel="bits")
+        tuned = AnalysisConfig(n_workers=4, block_rows=64)
         assert config_key(base) == config_key(tuned)
 
     def test_finder_option_copies_of_the_shape_do_not_change_the_key(self):

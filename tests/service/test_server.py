@@ -381,28 +381,13 @@ class TestDrainAndSnapshot:
         service.close()
 
 
-class TestWarmPool:
-    """Lifecycle of the service-held scan-worker pool."""
+class TestScanThreads:
+    """The service's analyses scan on threads inside its own process."""
 
-    def test_no_pool_for_serial_scans(self):
-        service = make_service()
-        service.start()
-        assert service._pool is None
-        service.close()
+    def test_analyze_fans_the_scan_out(self, spy_threads, monkeypatch):
+        import repro.core.grouping.cooccurrence as scan_module
 
-    def test_pool_created_when_scans_fan_out(self):
-        service = make_service(
-            analysis=AnalysisConfig(n_workers=2)
-        )
-        service.start()
-        assert service._pool is not None
-        assert service._pool.n_workers == 2
-        pool = service._pool
-        service.close()
-        assert pool.closed
-        assert service._pool is None
-
-    def test_analyze_runs_with_warm_pool(self):
+        monkeypatch.setattr(scan_module, "usable_cpus", lambda: 2)
         service = make_service(
             analysis=AnalysisConfig(n_workers=2, block_rows=2)
         )
@@ -410,23 +395,40 @@ class TestWarmPool:
         try:
             status, payload, _ = service.handle("POST", "/v1/analyze", b"{}")
             assert status == 200
+            assert payload["report"]["metrics"]["workers"]["mode"] == (
+                "parallel"
+            )
+            assert spy_threads and set(spy_threads) == {2}
             assert payload["report"]["counts"] == analyze(
                 service.state, service.config.analysis
             ).counts()
-            # A kernel override is an execution knob: same cache entry.
+            # A block_rows override is an execution knob: same cache entry.
             status, payload, _ = service.handle(
-                "POST", "/v1/analyze", json.dumps({"kernel": "bits"}).encode()
+                "POST", "/v1/analyze", json.dumps({"block_rows": 3}).encode()
             )
             assert status == 200
             assert payload["cache"] == "hit"
         finally:
             service.close()
 
-    def test_oversized_n_workers_request_capped(self, spy_executors):
-        # A request's n_workers sizes no pool beyond the host's cores.
-        import os
+    def test_kernel_override_is_rejected(self):
+        service = make_service()
+        service.start()
+        try:
+            status, payload, _ = service.handle(
+                "POST", "/v1/analyze", json.dumps({"kernel": "bits"}).encode()
+            )
+        finally:
+            service.close()
+        assert status == 400
+        assert "unknown analyze option" in payload["error"]
 
-        built = spy_executors()
+    def test_oversized_n_workers_request_capped(self, spy_threads, monkeypatch):
+        # A request's n_workers starts no more threads than the process
+        # may use CPUs, and no child process.
+        import repro.core.grouping.cooccurrence as scan_module
+
+        monkeypatch.setattr(scan_module, "usable_cpus", lambda: 3)
         service = make_service()
         service.start()
         try:
@@ -439,27 +441,7 @@ class TestWarmPool:
             service.close()
         assert status == 200
         assert payload["cache"] == "miss"
-        assert built == [min(10_000, os.cpu_count() or 1)]
-
-    def test_drain_close_unlinks_adopted_segments(self):
-        # The SIGTERM-drain cleanup guarantee: segments an interrupted
-        # scan left in the pool registry are unlinked with the pool.
-        import numpy as np
-
-        from repro.parallel import publish
-
-        service = make_service(
-            analysis=AnalysisConfig(n_workers=2)
-        )
-        service.start()
-        handle = service._pool.adopt_segment(publish({"a": np.arange(4)}))
-        service.begin_drain()
-        service.close(drain_reason="test-drain")
-        # Re-attaching by name must fail: the segment is gone.
-        from repro.parallel.shm import _attach_untracked
-
-        with pytest.raises(FileNotFoundError):
-            _attach_untracked(handle.name)
+        assert spy_threads and set(spy_threads) == {3}
 
 
 class TestHTTPBinding:

@@ -9,6 +9,9 @@ Two interchange formats plus an anonymisation pass:
   optional entity CSV for nodes without edges.
 * :mod:`~repro.io.anonymize` — deterministic pseudonymisation so real
   datasets can be shared the way the paper shares only aggregates.
+
+:mod:`~repro.io.statecodec` is the internal binary encoding the job
+plane stores states in (a JSON header plus int32 edge arrays).
 """
 
 from repro.io.csvio import load_csv, save_csv

@@ -39,6 +39,13 @@ Counters (``jobs.*``) and log-bucketed histograms (queue wait, run
 time) are persisted in side tables inside the same transactions, so
 ``/metricz`` reports exact totals across every process that ever
 touched the queue file — including workers that since died.
+
+Bulky inputs do not ride in job rows: a ``state_blobs`` table stores
+each analysed state once, as a :mod:`repro.io.statecodec` blob under its
+fingerprint, and an ``analyze`` payload names it (``state_ref``).  A
+blob carries the SHA-256 of its bytes, checked on every load.  Every
+document a transition stores is encoded before its transaction opens,
+so the write lock is never held for O(payload) work.
 """
 
 from __future__ import annotations
@@ -49,10 +56,11 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError, DataFormatError, ReproError
 from repro.obs.metrics import Histogram
 
 __all__ = [
@@ -74,7 +82,9 @@ TERMINAL_STATES = ("done", "failed", "lost")
 QUEUE_WAIT_HISTOGRAM = "jobs.queue_wait_seconds"
 RUN_SECONDS_HISTOGRAM = "jobs.run_seconds"
 
-_SCHEMA_VERSION = 1
+#: Version 2 added ``state_blobs``; a version-1 file is upgraded in
+#: place (its leftover inline-state ``analyze`` jobs fail when run).
+_SCHEMA_VERSION = 2
 
 #: ``UPDATE ... RETURNING`` needs sqlite >= 3.35 (2021-03).  Older
 #: runtimes fall back to a SELECT + UPDATE inside the same immediate
@@ -100,10 +110,10 @@ def spec_key_of(kind: str, payload: dict[str, Any]) -> str:
 
     SHA-256 over the sorted, separator-normalised JSON encoding — the
     same payload always hashes identically, so enqueueing is naturally
-    idempotent.  Callers whose payload carries bulky data alongside a
-    cheaper identity (the service embeds a full state snapshot but is
-    identified by ``(fingerprint, config_key)``) pass an explicit
-    ``spec_key`` to :meth:`JobQueue.enqueue` instead.
+    idempotent.  Callers whose payload has a cheaper identity of its
+    own (the service's analyses are identified by ``(fingerprint,
+    config_key)``) pass an explicit ``spec_key`` to
+    :meth:`JobQueue.enqueue` instead.
     """
     canonical = json.dumps(
         {"kind": kind, "payload": payload},
@@ -115,7 +125,8 @@ def spec_key_of(kind: str, payload: dict[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class JobRecord:
-    """One row of ``task_runs`` (payload/result parsed when selected)."""
+    """One row of ``task_runs`` (payload parsed, result text kept, when
+    selected)."""
 
     job_id: str
     spec_hash: str
@@ -139,9 +150,17 @@ class JobRecord:
     #: Parsed JSON payload — ``None`` unless selected with the payload
     #: (claims always carry it; status reads skip it to stay cheap).
     payload: dict[str, Any] | None = None
-    #: Parsed JSON result — ``None`` unless the job is ``done`` and the
-    #: row was read with ``include_result=True``.
-    result: dict[str, Any] | None = None
+    #: The stored result, ``json.dumps(result, sort_keys=True)`` —
+    #: ``None`` unless the job is ``done`` and the row was read with
+    #: ``include_result=True``.
+    result_text: str | None = None
+
+    @cached_property
+    def result(self) -> dict[str, Any] | None:
+        """The parsed result (parsed on first access)."""
+        if self.result_text is None:
+            return None
+        return json.loads(self.result_text)
 
     @property
     def terminal(self) -> bool:
@@ -296,8 +315,13 @@ class JobQueue:
                 "CREATE TABLE IF NOT EXISTS job_histograms ("
                 "name TEXT PRIMARY KEY, payload TEXT NOT NULL)"
             )
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS state_blobs ("
+                "address TEXT PRIMARY KEY, sha256 TEXT NOT NULL, "
+                "data BLOB NOT NULL)"
+            )
             version = conn.execute("PRAGMA user_version").fetchone()[0]
-            if version == 0:
+            if version in (0, 1):
                 conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
             elif version != _SCHEMA_VERSION:
                 raise JobError(
@@ -376,12 +400,12 @@ class JobQueue:
         payload = None
         if with_payload and "payload" in keys and row["payload"] is not None:
             payload = json.loads(row["payload"])
-        result = None
-        if with_result and "result" in keys and row["result"] is not None:
-            result = json.loads(row["result"])
+        result_text = None
+        if with_result and "result" in keys:
+            result_text = row["result"]
         return JobRecord(
             payload=payload,
-            result=result,
+            result_text=result_text,
             **{column: row[column] for column in _COLUMNS},
         )
 
@@ -413,7 +437,8 @@ class JobQueue:
         row is about to be inserted or resurrected, and outside the
         write transaction, so a duplicate enqueue never builds a bulky
         payload and other writers never wait for one.  An exception it
-        raises propagates with nothing written.
+        raises propagates with nothing written.  A plain payload is
+        encoded before any transaction opens.
         """
         if max_attempts is not None and max_attempts < 1:
             raise ConfigurationError(
@@ -425,7 +450,7 @@ class JobQueue:
                 "a payload factory needs an explicit spec_key"
             )
         spec_hash = spec_key or spec_key_of(kind, payload)
-        encoded: str | None = None
+        encoded = None if lazy else json.dumps(payload, sort_keys=True)
         budget = max_attempts if max_attempts is not None else self.max_attempts
         conn = self._connection()
         while True:
@@ -437,8 +462,6 @@ class JobQueue:
                 if row is not None and row["state"] not in ("failed", "lost"):
                     self._bump(conn, "jobs.deduplicated")
                     return self._record_of(row), False
-                if not lazy:
-                    encoded = json.dumps(payload, sort_keys=True)
                 if encoded is not None:
                     self._write_queued(
                         conn, row, spec_hash, kind, budget, encoded,
@@ -577,24 +600,29 @@ class JobQueue:
         self,
         job_id: str,
         worker_id: str,
-        result: dict[str, Any],
+        result: dict[str, Any] | str,
         now: float | None = None,
     ) -> bool:
         """Mark a leased job ``done`` (guarded by the lease holder).
 
-        Returns ``False`` — and stores nothing — when the caller no
-        longer holds the lease, which is exactly the no-double-complete
-        guarantee: a reaped-and-retried job keeps the retry's result.
+        ``result`` is the result document, or its text as
+        ``json.dumps(result, sort_keys=True)`` writes it (the worker
+        encodes it inside its ``jobs.run`` span); either is stored as
+        that text.  Returns ``False`` — and stores nothing — when the
+        caller no longer holds the lease, which is exactly the
+        no-double-complete guarantee: a reaped-and-retried job keeps the
+        retry's result.
         """
         now = self._time() if now is None else now
+        if not isinstance(result, str):
+            result = json.dumps(result, sort_keys=True)
         conn = self._connection()
         with self._transaction(conn):
             cursor = conn.execute(
                 "UPDATE task_runs SET state='done', result=?, error=NULL, "
                 "finished_at=?, run_seconds=? - leased_at "
                 "WHERE job_id=? AND state='leased' AND leased_by=?",
-                (json.dumps(result, sort_keys=True), now, now, job_id,
-                 worker_id),
+                (result, now, now, job_id, worker_id),
             )
             if cursor.rowcount:
                 self._bump(conn, "jobs.completed")
@@ -671,6 +699,58 @@ class JobQueue:
             if cursor.rowcount:
                 self._bump(conn, "jobs.released")
         return bool(cursor.rowcount)
+
+    # ------------------------------------------------------------------
+    # State blobs (content-addressed job inputs)
+    # ------------------------------------------------------------------
+    def has_state_blob(self, address: str) -> bool:
+        """Whether a blob is stored at ``address``."""
+        row = self._connection().execute(
+            "SELECT 1 FROM state_blobs WHERE address = ?", (address,)
+        ).fetchone()
+        return row is not None
+
+    def put_state_blob(self, address: str, data: bytes) -> bool:
+        """Store ``data`` at ``address`` unless a blob is already there;
+        returns whether this call wrote it.  The SHA-256 is computed
+        before the (short) write transaction opens."""
+        digest = hashlib.sha256(data).hexdigest()
+        conn = self._connection()
+        with self._transaction(conn):
+            cursor = conn.execute(
+                "INSERT OR IGNORE INTO state_blobs (address, sha256, data) "
+                "VALUES (?, ?, ?)",
+                (address, digest, data),
+            )
+        return bool(cursor.rowcount)
+
+    def state_blob(self, address: str) -> bytes:
+        """The blob at ``address``, checked against its SHA-256.
+
+        Raises :class:`JobError` when there is none, and
+        :class:`DataFormatError` when its bytes do not match the
+        SHA-256 stored with them.  A mismatching blob is deleted, so the
+        next enqueue of that state stores it afresh.
+        """
+        conn = self._connection()
+        row = conn.execute(
+            "SELECT sha256, data FROM state_blobs WHERE address = ?",
+            (address,),
+        ).fetchone()
+        if row is None:
+            raise JobError(f"no state blob at {address}")
+        data = row["data"]
+        if hashlib.sha256(data).hexdigest() != row["sha256"]:
+            with self._transaction(conn):
+                conn.execute(
+                    "DELETE FROM state_blobs WHERE address = ? AND sha256 = ?",
+                    (address, row["sha256"]),
+                )
+            raise DataFormatError(
+                f"state blob {address} does not match its sha256 "
+                f"{row['sha256']}"
+            )
+        return data
 
     # ------------------------------------------------------------------
     # Reaping (any process may run this; transitions are idempotent)

@@ -31,7 +31,10 @@ sink-less one, same as the service's cache thread), so a queued report
 serialises byte-identically to an inline one.  The worker's *own*
 recorder wraps the run in a ``jobs.run`` span stamped with the job's
 ``trace_id`` — worker-side trace fragments therefore stitch into the
-enqueuing request's trace tree in any shared trace store.
+enqueuing request's trace tree in any shared trace store.  Its
+``jobs.decode_state`` and ``jobs.encode_result`` children time the
+state blob's load and decode and the result's encoding, each with the
+``bytes`` it moved.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ import threading
 import time
 from typing import Any, Callable, Mapping
 
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError, DataFormatError, ReproError
 from repro.jobs.queue import JobQueue, JobRecord
-from repro.obs import Recorder
+from repro.obs import NULL_RECORDER, NullRecorder, Recorder
 
 __all__ = ["JobWorker", "default_worker_id", "run_worker"]
 
@@ -160,6 +163,9 @@ class JobWorker:
         self._last_reap = 0.0
         #: Per-config-key engine cache: build once, reuse per job shape.
         self._engines: dict[str, Any] = {}
+        #: The recorder of the job being run (its ``jobs.run`` span is
+        #: open): handlers open child spans on it.
+        self.recorder: Recorder | NullRecorder = NULL_RECORDER
         self.jobs_done = 0
         self.jobs_failed = 0
 
@@ -207,13 +213,16 @@ class JobWorker:
         job's ``trace_id`` (stamped at enqueue time from the request's
         ``X-Trace-Id``) is pinned on the worker's recorder so the
         ``jobs.run`` trace emitted to the sinks correlates with the
-        enqueuing request.
+        enqueuing request.  The result is encoded inside that span, so
+        :meth:`JobQueue.complete` stores the text as it is.
         """
         heartbeat = _HeartbeatThread(
             self.queue, record.job_id, self.worker_id, self._heartbeat_interval
         )
         heartbeat.start()
-        recorder = Recorder(sinks=self._sinks, trace_id=record.trace_id)
+        recorder = self.recorder = Recorder(
+            sinks=self._sinks, trace_id=record.trace_id
+        )
         try:
             with recorder.span(
                 "jobs.run",
@@ -229,6 +238,9 @@ class JobWorker:
                         f"(have {sorted(self.handlers)})"
                     )
                 result = handler(self, record)
+                with recorder.span("jobs.encode_result") as encoding:
+                    result = json.dumps(result, sort_keys=True)
+                    encoding.annotate(bytes=len(result))
                 span.annotate(outcome="done")
         except ReproError as error:
             # Deterministic domain error: retrying cannot help.
@@ -248,6 +260,8 @@ class JobWorker:
                 retryable=True,
             )
             return False
+        finally:
+            self.recorder = NULL_RECORDER
         heartbeat.stop()
         if heartbeat.lost.is_set():
             # The lease was reaped mid-run; complete() below would be
@@ -278,18 +292,34 @@ class JobWorker:
         return engine
 
     def handle_analyze(self, record: JobRecord) -> dict[str, Any]:
-        """Run one analysis job: payload carries the state document and
-        the effective config; the result is ``report.to_dict()``.
+        """Run one analysis job: the payload names the state blob
+        (``state_ref``) and carries the effective config; the result is
+        ``report.to_dict()``.
 
-        The engine runs with *no installed recorder* — it creates its
-        private sink-less one, exactly like the service's in-process
-        cache thread — so ``Report.metrics`` (and therefore the full
-        serialised report) matches inline execution byte for byte.
+        The blob is checked against its SHA-256 and decoded under a
+        ``jobs.decode_state`` span; a missing, altered or malformed blob
+        fails the job without a retry.  The engine runs with *no
+        installed recorder* — it creates its private sink-less one,
+        exactly like the service's in-process cache thread — so
+        ``Report.metrics`` (and therefore the full serialised report)
+        matches inline execution byte for byte.
         """
-        from repro.io.jsonio import state_from_dict
+        from repro.io.statecodec import decode_state
 
         payload = record.payload or {}
-        state = state_from_dict(payload["state"])
+        if "state" in payload:
+            raise DataFormatError(
+                'analyze job carries an inline "state" document, which '
+                'this version does not read (it reads "state_ref"); '
+                "submit the analysis again"
+            )
+        address = payload.get("state_ref")
+        if not isinstance(address, str):
+            raise DataFormatError('analyze job has no "state_ref"')
+        with self.recorder.span("jobs.decode_state") as span:
+            data = self.queue.state_blob(address)
+            span.annotate(bytes=len(data))
+            state = decode_state(data)
         engine = self._engine_for(payload.get("config"))
         report = engine.analyze(state)
         return {

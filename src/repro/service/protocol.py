@@ -125,21 +125,29 @@ def validate_batch(
 ) -> None:
     """Check a batch against ``state`` without mutating anything.
 
-    Simulates only the entity-id sets (membership is all the auditor's
-    mutation vocabulary can violate — edge operations are idempotent),
-    taking earlier mutations of the same batch into account.  Raising
-    here is what makes batch application atomic: the server applies a
-    batch only after it validated in full, so a rejected batch leaves
-    the live state untouched.
+    Simulates only entity-id membership (all the auditor's mutation
+    vocabulary can violate — edge operations are idempotent), taking
+    earlier mutations of the same batch into account.  Raising here is
+    what makes batch application atomic: the server applies a batch
+    only after it validated in full, so a rejected batch leaves the live
+    state untouched.  The cost is O(batch): ids the batch adds or
+    removes are tracked on the side, all others are looked up in
+    ``state``.
     """
-    ids: dict[str, set[str]] = {
-        "user": set(state.user_ids()),
-        "role": set(state.role_ids()),
-        "permission": set(state.permission_ids()),
+    exists = {
+        "user": state.has_user,
+        "role": state.has_role,
+        "permission": state.has_permission,
     }
+    # kind -> id -> present after the batch's mutations so far.
+    changed: dict[str, dict[str, bool]] = {kind: {} for kind in exists}
+
+    def present(kind: str, identifier: str) -> bool:
+        known = changed[kind].get(identifier)
+        return exists[kind](identifier) if known is None else known
 
     def require(kind: str, identifier: str, index: int) -> None:
-        if identifier not in ids[kind]:
+        if not present(kind, identifier):
             raise ProtocolError(
                 f"mutation {index}: unknown {kind} {identifier!r}"
             )
@@ -148,15 +156,15 @@ def validate_batch(
         op, args = mutation.op, mutation.args
         if op.startswith("add_"):
             kind = op[len("add_"):]
-            if args[0] in ids[kind]:
+            if present(kind, args[0]):
                 raise ProtocolError(
                     f"mutation {index}: duplicate {kind} {args[0]!r}"
                 )
-            ids[kind].add(args[0])
+            changed[kind][args[0]] = True
         elif op.startswith("remove_"):
             kind = op[len("remove_"):]
             require(kind, args[0], index)
-            ids[kind].remove(args[0])
+            changed[kind][args[0]] = False
         else:  # assign_* / revoke_*
             target_kind = op.split("_", 1)[1]
             require("role", args[0], index)

@@ -426,7 +426,7 @@ class AnalysisService:
         body: bytes = b"",
         deadline_header: str | None = None,
         trace_id_header: str | None = None,
-    ) -> tuple[int, dict[str, Any] | str, dict[str, str]]:
+    ) -> tuple[int, dict[str, Any] | str | bytes, dict[str, str]]:
         """Serve one request; returns ``(status, payload, headers)``.
 
         Every request is traced under a ``service.request`` span (shipped
@@ -438,7 +438,8 @@ class AnalysisService:
 
         ``payload`` is normally a JSON-able dict; ``GET
         /metricz?format=prometheus`` returns a plain-text str instead
-        (the HTTP layer switches Content-Type accordingly).
+        (the HTTP layer switches Content-Type accordingly), and ``GET
+        /v1/jobs/{id}`` returns its JSON body already encoded, as bytes.
         """
         started = time.monotonic()
         parts = urlsplit(path)
@@ -452,7 +453,7 @@ class AnalysisService:
         trace_id = (trace_id_header or "").strip() or new_trace_id()
         recorder = Recorder(trace_id=trace_id)
         headers: dict[str, str] = {}
-        payload: dict[str, Any] | str
+        payload: dict[str, Any] | str | bytes
         try:
             with use_recorder(recorder):
                 with recorder.span(
@@ -497,7 +498,7 @@ class AnalysisService:
     def _route(
         self, method: str, route: str, query: str, body: bytes,
         deadline_at: float,
-    ) -> tuple[int, dict[str, Any] | str, dict[str, str]]:
+    ) -> tuple[int, dict[str, Any] | str | bytes, dict[str, str]]:
         if route == "/healthz":
             if method != "GET":
                 return self._method_not_allowed("GET")
@@ -516,7 +517,7 @@ class AnalysisService:
 
     def _route_v1(
         self, method: str, route: str, body: bytes, deadline_at: float
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    ) -> tuple[int, dict[str, Any] | bytes, dict[str, str]]:
         if self._draining.is_set():
             raise ServiceDraining("service is draining; retry elsewhere")
         if not self._queue.acquire(blocking=False):
@@ -759,10 +760,11 @@ class AnalysisService:
         same identity the report cache uses, so two requests for the
         same analysis share one queue row (idempotent enqueue) exactly
         as they would share one cache entry inline.  A duplicate costs
-        one O(1) fingerprint read: the state is copied and serialised
-        only when the queue actually writes a row.  If a mutation lands
-        between the fingerprint read and that copy, the request reads
-        the new fingerprint and tries again until its deadline.
+        one O(1) fingerprint read: the state is copied and encoded only
+        when the queue writes a row and holds no blob of that content
+        yet.  If a mutation lands between the fingerprint read and that
+        copy, the request reads the new fingerprint and tries again
+        until its deadline.
 
         The request's remaining deadline becomes the job's queue-visible
         ``expires_at`` (wall clock — comparable across worker
@@ -827,21 +829,31 @@ class AnalysisService:
 
     def _handle_job_status(
         self, job_id: str
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    ) -> tuple[int, dict[str, Any] | bytes, dict[str, str]]:
         """``GET /v1/jobs/{id}``: live status, plus the result once done.
 
         A ``done`` job's payload embeds the worker's full result (the
         serialised report + the fingerprint/mutation_seq it analysed),
         so one poll both observes completion and fetches the report.
+        The body is what ``json.dumps(payload, sort_keys=True)`` writes,
+        but the stored result text goes in as it is: the queue stored it
+        with ``sort_keys=True``, so parsing and encoding it again would
+        only reproduce the same bytes.
         """
         client = self._require_jobs()
         record = client.queue.get(job_id, include_result=True)
         if record is None:
             return 404, {"error": f"no such job: {job_id}"}, {}
-        payload = record.public_dict()
-        if record.state == "done" and record.result is not None:
-            payload["result"] = record.result
-        return 200, payload, {}
+        members = {
+            key: json.dumps(value, sort_keys=True)
+            for key, value in record.public_dict().items()
+        }
+        if record.state == "done" and record.result_text is not None:
+            members["result"] = record.result_text
+        body = ", ".join(
+            f"{json.dumps(key)}: {members[key]}" for key in sorted(members)
+        )
+        return 200, f"{{{body}}}\n".encode("utf-8"), {}
 
     # ------------------------------------------------------------------
     # Analysis plumbing
@@ -920,16 +932,25 @@ class AnalysisService:
         """Enqueue the analysis job of ``(fingerprint, config)``.
 
         The one place the job spec is built: the spec key hashes the
-        cache key, and the payload — the serialised ``snapshot()`` plus
-        the config — is built only if the queue writes a row.
+        cache key, and the payload — a reference to the state blob at
+        ``fingerprint`` plus the config — is built only if the queue
+        writes a row.  The blob is written then too, in its own short
+        transaction, unless one is already stored at that address (the
+        same content under another config): then ``snapshot()`` is not
+        called and nothing is encoded.
         """
-        from repro.io.jsonio import state_to_dict
+        from repro.io.statecodec import encode_state
+
+        queue = self._jobs.queue
 
         def payload() -> dict[str, Any]:
-            with current_recorder().span("service.snapshot"):
-                state = state_to_dict(snapshot())
+            if not queue.has_state_blob(fingerprint):
+                with current_recorder().span("service.snapshot") as span:
+                    data = encode_state(snapshot())
+                    span.annotate(bytes=len(data))
+                queue.put_state_blob(fingerprint, data)
             return {
-                "state": state,
+                "state_ref": fingerprint,
                 "config": config.to_dict(),
                 "fingerprint": fingerprint,
                 "mutation_seq": seq,
@@ -1135,7 +1156,10 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             deadline_header=self.headers.get("X-Deadline"),
             trace_id_header=self.headers.get("X-Trace-Id"),
         )
-        if isinstance(payload, str):
+        if isinstance(payload, bytes):
+            data = payload  # already-encoded JSON (GET /v1/jobs/{id})
+            content_type = "application/json"
+        elif isinstance(payload, str):
             # Prometheus text exposition (and any future text payloads).
             data = payload.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"

@@ -81,7 +81,7 @@ class TestSingleWorker:
             for line in trace_file.read_text().splitlines()
         ]
         spans = [e for e in events if e["event"] == "span"]
-        assert {s["name"] for s in spans} == {"jobs.run"}
+        assert {s["name"] for s in spans} == {"jobs.run", "jobs.encode_result"}
         # The enqueuer's trace id survives into the worker's trace file.
         assert "e" * 32 in {e.get("trace_id") for e in events}
 

@@ -31,7 +31,7 @@ import pytest
 
 from repro.core.engine import AnalysisConfig, analyze
 from repro.core.state import RbacState
-from repro.io.jsonio import state_to_dict
+from repro.io.statecodec import encode_state
 from repro.jobs import JobQueue, JobWorker
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -135,10 +135,11 @@ class TestRetryParity:
         inline = analyze(state, config)
 
         queue = JobQueue(tmp_path / "jobs.sqlite", lease_seconds=10.0)
+        queue.put_state_blob(state.fingerprint(), encode_state(state))
         record, _ = queue.enqueue(
             "analyze",
             {
-                "state": state_to_dict(state),
+                "state_ref": state.fingerprint(),
                 "config": config.to_dict(),
                 "fingerprint": state.fingerprint(),
                 "mutation_seq": 0,

@@ -8,7 +8,8 @@ import threading
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+import repro.jobs.queue as queue_module
+from repro.exceptions import ConfigurationError, DataFormatError
 from repro.jobs import JobError, JobQueue, spec_key_of
 
 
@@ -370,3 +371,99 @@ class TestDurability:
         assert stats["counters"]["jobs.claimed"] == 1
         payload = json.dumps(stats)  # must be JSON-serialisable
         assert "jobs.queue_wait_seconds" in payload
+
+    def test_version_1_file_is_upgraded_in_place(self, tmp_path):
+        path = tmp_path / "q.sqlite"
+        JobQueue(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute("DROP TABLE state_blobs")
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+        q = JobQueue(path)
+        assert q.put_state_blob("a", b"x")
+        q.close()
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
+        conn.close()
+
+
+class TestResults:
+    def test_result_text_is_the_stored_encoding(self, queue):
+        queue.enqueue("sleep", {})
+        claimed = queue.claim("w1")
+        assert queue.complete(claimed.job_id, "w1", {"b": 1, "a": [1.5]})
+        record = queue.get(claimed.job_id)
+        assert record.result_text == '{"a": [1.5], "b": 1}'
+        assert record.result == {"a": [1.5], "b": 1}
+        assert queue.get(claimed.job_id, include_result=False).result is None
+
+    def test_pre_encoded_result_is_stored_as_it_is(self, queue):
+        queue.enqueue("sleep", {})
+        claimed = queue.claim("w1")
+        assert queue.complete(claimed.job_id, "w1", '{"ok": true}')
+        assert queue.get(claimed.job_id).result_text == '{"ok": true}'
+
+
+class TestNoEncodeUnderTheWriteLock:
+    """Documents are encoded before a transition's transaction opens."""
+
+    @pytest.fixture
+    def encodes(self, queue, monkeypatch):
+        """Every ``json.dumps`` call: (its object, in a transaction?)."""
+        seen = []
+        real = json.dumps
+
+        def dumps(obj, *args, **kwargs):
+            seen.append((obj, queue._connection().in_transaction))
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(queue_module.json, "dumps", dumps)
+        return seen
+
+    def test_complete_encodes_the_result_first(self, queue, encodes):
+        queue.enqueue("sleep", {})
+        claimed = queue.claim("w1")
+        result = {"report": {"findings": list(range(100))}}
+        encodes.clear()
+        assert queue.complete(claimed.job_id, "w1", result)
+        assert [inside for obj, inside in encodes if obj is result] == [False]
+        # The probe sees transactions: the run-time histogram is folded
+        # in inside complete()'s.
+        assert any(inside for _obj, inside in encodes)
+        assert queue.get(claimed.job_id).result == result
+
+    def test_plain_enqueue_encodes_the_payload_first(self, queue, encodes):
+        payload = {"seconds": 1, "blob": "x" * 1000}
+        _record, created = queue.enqueue("sleep", payload)
+        assert created
+        assert [inside for obj, inside in encodes if obj is payload] == [False]
+
+
+class TestStateBlobs:
+    def test_put_stores_once_per_address(self, queue):
+        assert not queue.has_state_blob("a")
+        assert queue.put_state_blob("a", b"one")
+        assert not queue.put_state_blob("a", b"two")
+        assert queue.has_state_blob("a")
+        assert queue.state_blob("a") == b"one"
+
+    def test_missing_blob(self, queue):
+        with pytest.raises(JobError, match="no state blob"):
+            queue.state_blob("nope")
+
+    def test_altered_bytes_fail_the_check_and_drop_the_blob(self, queue):
+        queue.put_state_blob("a", b"original")
+        conn = sqlite3.connect(queue.path)
+        conn.execute(
+            "UPDATE state_blobs SET data = ? WHERE address = 'a'",
+            (b"0riginal",),
+        )
+        conn.commit()
+        conn.close()
+        with pytest.raises(DataFormatError, match="sha256"):
+            queue.state_blob("a")
+        assert not queue.has_state_blob("a")
+        # The next enqueue of that state can store it afresh.
+        assert queue.put_state_blob("a", b"original")
+        assert queue.state_blob("a") == b"original"

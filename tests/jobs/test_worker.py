@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.core.engine import AnalysisConfig, analyze
 from repro.core.report import Report
 from repro.core.state import RbacState
-from repro.io.jsonio import state_to_dict
+from repro.io.statecodec import encode_state
 from repro.jobs import JobQueue, JobWorker
 from repro.obs.sinks import InMemorySink
 
@@ -31,9 +32,13 @@ def sample_state() -> RbacState:
     )
 
 
-def analyze_payload(state: RbacState, config: AnalysisConfig) -> dict:
+def analyze_payload(
+    queue: JobQueue, state: RbacState, config: AnalysisConfig
+) -> dict:
+    """An ``analyze`` payload naming ``state``'s blob, stored first."""
+    queue.put_state_blob(state.fingerprint(), encode_state(state))
     return {
-        "state": state_to_dict(state),
+        "state_ref": state.fingerprint(),
         "config": config.to_dict(),
         "fingerprint": state.fingerprint(),
         "mutation_seq": 0,
@@ -60,7 +65,7 @@ class TestAnalyzeHandler:
         state = sample_state()
         config = AnalysisConfig()
         inline = analyze(state, config)
-        queue.enqueue("analyze", analyze_payload(state, config))
+        queue.enqueue("analyze", analyze_payload(queue, state, config))
         worker = JobWorker(queue, worker_id="w1")
         record = queue.claim("w1")
         assert worker.run_one(record)
@@ -76,20 +81,20 @@ class TestAnalyzeHandler:
         config = AnalysisConfig()
         worker = JobWorker(queue, worker_id="w1")
         for seq in range(2):
-            payload = analyze_payload(state, config)
+            payload = analyze_payload(queue, state, config)
             payload["mutation_seq"] = seq  # different job, same config
             queue.enqueue("analyze", payload)
         assert worker.run_one(queue.claim("w1"))
         assert worker.run_one(queue.claim("w1"))
         assert len(worker._engines) == 1
         other = AnalysisConfig(similarity_threshold=2)
-        queue.enqueue("analyze", analyze_payload(state, other))
+        queue.enqueue("analyze", analyze_payload(queue, state, other))
         assert worker.run_one(queue.claim("w1"))
         assert len(worker._engines) == 2
 
     def test_result_carries_job_identity(self, queue):
         state = sample_state()
-        payload = analyze_payload(state, AnalysisConfig())
+        payload = analyze_payload(queue, state, AnalysisConfig())
         queue.enqueue("analyze", payload)
         worker = JobWorker(queue, worker_id="w1")
         record = queue.claim("w1")
@@ -117,6 +122,53 @@ class TestFailureModes:
         worker = JobWorker(queue, worker_id="w1")
         assert not worker.run_one(queue.claim("w1"))
         assert queue.get(record.job_id).state == "failed"
+
+    def test_inline_state_document_fails_naming_the_field(self, queue):
+        # A job written before state blobs: never retried.
+        record, _ = queue.enqueue(
+            "analyze",
+            {"state": {"format": "repro-rbac", "version": 1}, "config": None},
+        )
+        worker = JobWorker(queue, worker_id="w1")
+        assert not worker.run_one(queue.claim("w1"))
+        after = queue.get(record.job_id)
+        assert after.state == "failed"
+        assert after.attempts == 1
+        assert '"state"' in after.error and '"state_ref"' in after.error
+
+    def test_missing_blob_fails_without_retry(self, queue):
+        payload = analyze_payload(queue, sample_state(), AnalysisConfig())
+        payload["state_ref"] = "0" * 64
+        record, _ = queue.enqueue("analyze", payload)
+        worker = JobWorker(queue, worker_id="w1")
+        assert not worker.run_one(queue.claim("w1"))
+        after = queue.get(record.job_id)
+        assert after.state == "failed"
+        assert "no state blob" in after.error
+
+    def test_altered_blob_fails_without_retry(self, queue):
+        state = sample_state()
+        record, _ = queue.enqueue(
+            "analyze", analyze_payload(queue, state, AnalysisConfig())
+        )
+        conn = sqlite3.connect(queue.path)
+        (data,) = conn.execute(
+            "SELECT data FROM state_blobs WHERE address = ?",
+            (state.fingerprint(),),
+        ).fetchone()
+        altered = data[:-1] + bytes([data[-1] ^ 1])
+        conn.execute(
+            "UPDATE state_blobs SET data = ? WHERE address = ?",
+            (altered, state.fingerprint()),
+        )
+        conn.commit()
+        conn.close()
+        worker = JobWorker(queue, worker_id="w1")
+        assert not worker.run_one(queue.claim("w1"))
+        after = queue.get(record.job_id)
+        assert after.state == "failed"  # dead-lettered, not requeued
+        assert after.attempts == 1
+        assert "sha256" in after.error
 
     def test_unexpected_error_requeues(self, queue):
         record, _ = queue.enqueue("boom", {})
@@ -160,7 +212,7 @@ class TestTraceStitching:
         trace_id = "f" * 32
         queue.enqueue(
             "analyze",
-            analyze_payload(state, AnalysisConfig()),
+            analyze_payload(queue, state, AnalysisConfig()),
             trace_id=trace_id,
         )
         sink = InMemorySink()
@@ -172,6 +224,23 @@ class TestTraceStitching:
         assert root.name == "jobs.run"
         assert root.attributes["attempt"] == 1
         assert root.attributes["worker"] == "w1"
+
+    def test_decode_and_encode_spans_carry_their_bytes(self, queue):
+        state = sample_state()
+        queue.enqueue("analyze", analyze_payload(queue, state, AnalysisConfig()))
+        sink = InMemorySink()
+        worker = JobWorker(queue, worker_id="w1", sinks=[sink])
+        record = queue.claim("w1")
+        assert worker.run_one(record)
+        (root,) = sink.traces
+        spans = {span.name: span for span in root.children}
+        assert set(spans) == {"jobs.decode_state", "jobs.encode_result"}
+        assert spans["jobs.decode_state"].attributes["bytes"] == len(
+            queue.state_blob(state.fingerprint())
+        )
+        assert spans["jobs.encode_result"].attributes["bytes"] == len(
+            queue.get(record.job_id).result_text
+        )
 
     def test_generated_trace_id_when_enqueued_without_one(self, queue):
         queue.enqueue("sleep", {"seconds": 0})

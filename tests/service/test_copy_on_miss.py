@@ -2,9 +2,10 @@
 
 The service reads the maintained fingerprint in O(1) under its state
 lock; it copies the state only on a cache miss (inline) or when the
-queue writes a new job row (queue mode), and serialises it only for a
-new job.  These tests count the O(state) operations with spies:
-``RbacState.copy``, the full fingerprint pass and ``state_to_dict``.
+queue writes a new job row (queue mode), and encodes it only for a
+new job whose state the queue holds no blob of.  These tests count the
+O(state) operations with spies: ``RbacState.copy``, the full
+fingerprint pass and ``encode_state``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from collections import Counter
 import pytest
 
 import repro.core.state as state_module
-import repro.io.jsonio as jsonio
+import repro.io.statecodec as statecodec
 from repro.core.state import RbacState
-from repro.io.jsonio import state_from_dict
+from repro.io.statecodec import decode_state
 from repro.service import AnalysisService, ServiceConfig
 from repro.service.protocol import config_key
 
@@ -47,7 +48,7 @@ def spies(monkeypatch) -> Counter:
     calls: Counter = Counter()
     real_copy = RbacState.copy
     real_pass = state_module._content_digest
-    real_to_dict = jsonio.state_to_dict
+    real_encode = statecodec.encode_state
 
     def copy(self):
         calls["copy"] += 1
@@ -57,13 +58,13 @@ def spies(monkeypatch) -> Counter:
         calls["full_pass"] += 1
         return real_pass(state)
 
-    def to_dict(state):
-        calls["state_to_dict"] += 1
-        return real_to_dict(state)
+    def encode(state):
+        calls["encode_state"] += 1
+        return real_encode(state)
 
     monkeypatch.setattr(RbacState, "copy", copy)
     monkeypatch.setattr(state_module, "_content_digest", full_pass)
-    monkeypatch.setattr(jsonio, "state_to_dict", to_dict)
+    monkeypatch.setattr(statecodec, "encode_state", encode)
     return calls
 
 
@@ -145,7 +146,7 @@ class TestQueue:
             first = analyze(service)
             assert first["created"] is True
             assert spies["copy"] == 1
-            assert spies["state_to_dict"] == 1
+            assert spies["encode_state"] == 1
             spies.clear()
             second = analyze(service)
             assert second["created"] is False
@@ -156,6 +157,28 @@ class TestQueue:
             metrics = counters(service)
             assert metrics["service.analyze_dedup"] == 1
             assert metrics["service.state_copies"] == 1
+        finally:
+            service.close()
+
+    def test_same_state_under_another_config_reuses_its_blob(
+        self, tmp_path, spies
+    ):
+        service = make_service(tmp_path)
+        spies.clear()
+        try:
+            first = analyze(service)
+            assert spies["encode_state"] == 1
+            assert blob_count(service) == 1
+            spies.clear()
+            assert analyze(service)["created"] is False  # duplicate
+            other = json.dumps({"similarity_threshold": 2}).encode()
+            status, second, _ = service.handle("POST", "/v1/analyze", other)
+            assert status == 202 and second["created"] is True
+            assert second["fingerprint"] == first["fingerprint"]
+            # Neither the duplicate nor the new job copied or encoded.
+            assert spies == Counter()
+            assert blob_count(service) == 1
+            assert_job_matches_its_key(service, first["job_id"])
         finally:
             service.close()
 
@@ -222,11 +245,17 @@ class TestQueue:
             service.close()
 
 
+def blob_count(service: AnalysisService) -> int:
+    return service.jobs.queue._connection().execute(
+        "SELECT COUNT(*) FROM state_blobs"
+    ).fetchone()[0]
+
+
 def assert_job_matches_its_key(service: AnalysisService, job_id: str) -> None:
-    """The job's payload state has the fingerprint its spec key names."""
+    """The job's state blob has the fingerprint its spec key names."""
     record = service.jobs.queue.get(job_id, include_payload=True)
     payload = record.payload
-    state = state_from_dict(payload["state"])
+    state = decode_state(service.jobs.queue.state_blob(payload["state_ref"]))
     assert state.recompute_fingerprint() == payload["fingerprint"]
     spec_key = hashlib.sha256(
         f"{payload['fingerprint']}|{config_key(service.config.analysis)}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -18,7 +19,8 @@ from repro.core import AnalysisConfig, analyze
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
 from repro.jobs import JobQueue, run_worker
-from repro.service import AnalysisService, ServiceConfig
+from repro.obs import InMemorySink
+from repro.service import AnalysisService, ServiceConfig, ServiceServer
 
 
 def sample_state() -> RbacState:
@@ -131,6 +133,7 @@ class TestQueuedAnalyze:
         assert payload["poll"] == f"/v1/jobs/{job_id}"
 
         status, pending, _ = queue_service.handle("GET", payload["poll"])
+        pending = json.loads(pending)
         assert status == 200
         assert pending["state"] == "queued"
         assert "result" not in pending
@@ -138,6 +141,7 @@ class TestQueuedAnalyze:
         drain_one_job(queue_service)
 
         status, finished, _ = queue_service.handle("GET", payload["poll"])
+        finished = json.loads(finished)
         assert status == 200
         assert finished["state"] == "done"
         assert finished["attempts"] == 1
@@ -179,6 +183,84 @@ class TestQueuedAnalyze:
         record = queue_service.jobs.queue.get(payload["job_id"])
         assert record.expires_at is not None
         assert record.expires_at <= time.time() + 5.5
+
+
+class TestStateBlobs:
+    def test_payload_names_the_blob_and_carries_no_state(self, queue_service):
+        _, submitted, _ = queue_service.handle("POST", "/v1/analyze")
+        queue = queue_service.jobs.queue
+        record = queue.get(submitted["job_id"], include_payload=True)
+        assert "state" not in record.payload
+        assert record.payload["state_ref"] == submitted["fingerprint"]
+        assert queue.has_state_blob(submitted["fingerprint"])
+        row = queue._connection().execute(
+            "SELECT length(payload) FROM task_runs WHERE job_id = ?",
+            (record.job_id,),
+        ).fetchone()
+        assert row[0] < 4096
+
+    def test_snapshot_span_carries_the_blob_size(self, tmp_path):
+        sink = InMemorySink()
+        service = AnalysisService(
+            sample_state(),
+            ServiceConfig(
+                warm_start=False,
+                refresh_mutations=None,
+                execution="queue",
+                jobs_path=tmp_path / "jobs.sqlite",
+            ),
+            sinks=[sink],
+        )
+        try:
+            _, submitted, _ = service.handle("POST", "/v1/analyze")
+            blob = service.jobs.queue.state_blob(submitted["fingerprint"])
+        finally:
+            service.close()
+        snapshots = [
+            span for root in sink.traces for _path, _depth, span in root.walk()
+            if span.name == "service.snapshot"
+        ]
+        assert [span.attributes["bytes"] for span in snapshots] == [len(blob)]
+
+
+class TestVerbatimResult:
+    def test_body_is_canonical_json_and_report_matches_inline(
+        self, queue_service
+    ):
+        _, submitted, _ = queue_service.handle("POST", "/v1/analyze")
+        poll = submitted["poll"]
+        status, pending, _ = queue_service.handle("GET", poll)
+        assert status == 200
+        assert pending == (
+            json.dumps(json.loads(pending), sort_keys=True) + "\n"
+        ).encode("utf-8")
+        drain_one_job(queue_service)
+        status, body, _ = queue_service.handle("GET", poll)
+        assert status == 200
+        job = json.loads(body)
+        assert job["state"] == "done"
+        assert body == (json.dumps(job, sort_keys=True) + "\n").encode("utf-8")
+        inline = analyze(sample_state(), AnalysisConfig())
+        assert normalized(job["result"]["report"]) == normalized(
+            inline.to_dict()
+        )
+
+    def test_http_sends_the_body_unchanged(self, queue_service):
+        _, submitted, _ = queue_service.handle("POST", "/v1/analyze")
+        drain_one_job(queue_service)
+        _, expected, _ = queue_service.handle("GET", submitted["poll"])
+        server = ServiceServer(queue_service, port=0)
+        server.start()
+        try:
+            with urllib.request.urlopen(
+                f"{server.url}{submitted['poll']}", timeout=10
+            ) as response:
+                content_type = response.headers["Content-Type"]
+                body = response.read()
+        finally:
+            server.stop()
+        assert content_type == "application/json"
+        assert body == expected
 
 
 class TestJobEndpoints:

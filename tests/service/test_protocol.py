@@ -116,6 +116,41 @@ class TestValidateBatch:
                 ],
             )
 
+    def test_sees_a_removal_and_re_addition_in_the_batch(self):
+        validate_batch(
+            small_state(),
+            [
+                Mutation("remove_user", ("u0",)),
+                Mutation("add_user", ("u0",)),
+                Mutation("assign_user", ("r0", "u0")),
+            ],
+        )
+        with pytest.raises(ProtocolError, match="mutation 2: duplicate user"):
+            validate_batch(
+                small_state(),
+                [
+                    Mutation("remove_user", ("u0",)),
+                    Mutation("add_user", ("u0",)),
+                    Mutation("add_user", ("u0",)),
+                ],
+            )
+
+    def test_reads_no_full_id_list(self, monkeypatch):
+        # O(batch) under the service's state lock, not O(state).
+        state = small_state()
+        for name in ("user_ids", "role_ids", "permission_ids"):
+            monkeypatch.setattr(
+                type(state), name, lambda self: pytest.fail("id list read")
+            )
+        validate_batch(
+            state,
+            [
+                Mutation("add_role", ("r2",)),
+                Mutation("assign_user", ("r2", "u1")),
+                Mutation("remove_permission", ("p0",)),
+            ],
+        )
+
     @pytest.mark.parametrize(
         "mutation, fragment",
         [

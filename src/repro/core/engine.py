@@ -369,8 +369,8 @@ class AnalysisEngine:
         Schema 2 adds ``histograms``: per-name summaries (count, sum,
         min/max, p50/p90/p99, log-spaced buckets) of the run's
         distribution metrics — per-block kernel timings, per-detector
-        durations.  Block-local observations travel back inside trace
-        fragments and merge into the parent's registry exactly (no
+        durations.  Each scan block records into its own registry,
+        which the parent merges in when it grafts the block (no
         observation lost or double-counted, independent of worker
         count and merge order).  Observation counts do not depend on
         the worker count: one

@@ -32,11 +32,11 @@ Blocks are independent, and scipy's CSR matmul releases the GIL, so
 ``n_workers > 1`` runs them on a per-scan thread pool of
 ``min(n_workers, usable cores, blocks)`` threads, all reading the same
 in-process arrays.  Each block records into its own
-:class:`~repro.obs.Recorder`, and the parent grafts the fragments in
-block order; results are concatenated in block order too, so pairs,
-counters and histograms are identical for every ``block_rows`` and
-worker count.  While the recorder measures memory the blocks run one at
-a time: ``tracemalloc``'s peak is process-wide.
+:class:`~repro.obs.Recorder`, and the parent grafts those recorders'
+spans and metrics in block order; results are concatenated in block
+order too, so pairs, counters and histograms are identical for every
+``block_rows`` and worker count.  While the recorder measures memory
+the blocks run one at a time: ``tracemalloc``'s peak is process-wide.
 """
 
 from __future__ import annotations
@@ -240,9 +240,9 @@ def blocked_scan(
     before the next block is formed, so peak memory stays bounded by the
     densest single block for every combination of collections.  Blocks
     run on ``min(n_workers, usable_cpus(), blocks)`` threads — one at a
-    time while the recorder measures memory — and results plus grafted
-    trace fragments are concatenated in block order, so the outcome is
-    identical for every ``block_rows`` and worker count.
+    time while the recorder measures memory — and results plus the
+    blocks' grafted spans are concatenated in block order, so the
+    outcome is identical for every ``block_rows`` and worker count.
 
     Emits one ``cooccurrence.block`` span per block (under whatever span
     is currently open) and returns the number of blocks on the result;
@@ -270,13 +270,13 @@ def blocked_scan(
 
     def record_block(block: tuple[int, int]):
         # Threads do not inherit the current recorder: each block
-        # records into its own, whose fragment the caller grafts.
+        # records into its own, which the caller grafts.
         local = Recorder(measure_memory=measure)
         with use_recorder(local):
             pairs = _scan_block(
                 csr, csr_t, norms, k, collect_subsets, *block, threads=threads
             )
-        return pairs, local.export_fragment()
+        return pairs, local
 
     if threads > 1:
         with ThreadPoolExecutor(
@@ -286,8 +286,8 @@ def blocked_scan(
     else:
         outcomes = [record_block(block) for block in bounds]
     pieces = []
-    for index, (pairs, fragment) in enumerate(outcomes):
-        recorder.graft(fragment, fragment=index)
+    for index, (pairs, local) in enumerate(outcomes):
+        recorder.graft(local, fragment=index)
         pieces.append(pairs)
     merged = [np.concatenate(column) for column in zip(*pieces)]
     return ScanResult(k, *merged, n_blocks=len(bounds))

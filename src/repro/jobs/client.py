@@ -63,7 +63,7 @@ class JobClient:
     def enqueue(
         self,
         kind: str,
-        payload: dict[str, Any] | Callable[[], dict[str, Any]],
+        payload: dict[str, Any],
         *,
         spec_key: str | None = None,
         trace_id: str | None = None,

@@ -415,7 +415,7 @@ class JobQueue:
     def enqueue(
         self,
         kind: str,
-        payload: dict[str, Any] | Callable[[], dict[str, Any]],
+        payload: dict[str, Any],
         *,
         spec_key: str | None = None,
         trace_id: str | None = None,
@@ -430,52 +430,34 @@ class JobQueue:
         is resurrected into ``queued`` with a reset attempt budget and a
         fresh deadline.  ``expires_at`` is the queue-visible wall-clock
         deadline: claimers skip the job once it passes, and the reaper
-        fails it.
-
-        ``payload`` may be a zero-argument callable (which then needs an
-        explicit ``spec_key``).  It is called at most once, only when a
-        row is about to be inserted or resurrected, and outside the
-        write transaction, so a duplicate enqueue never builds a bulky
-        payload and other writers never wait for one.  An exception it
-        raises propagates with nothing written.  A plain payload is
-        encoded before any transaction opens.
+        fails it.  The payload is encoded before the write transaction
+        opens.
         """
         if max_attempts is not None and max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1 (got {max_attempts})"
             )
-        lazy = callable(payload)
-        if lazy and spec_key is None:
-            raise ConfigurationError(
-                "a payload factory needs an explicit spec_key"
-            )
         spec_hash = spec_key or spec_key_of(kind, payload)
-        encoded = None if lazy else json.dumps(payload, sort_keys=True)
+        encoded = json.dumps(payload, sort_keys=True)
         budget = max_attempts if max_attempts is not None else self.max_attempts
         conn = self._connection()
-        while True:
-            with self._transaction(conn):
-                row = conn.execute(
-                    f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
-                    (spec_hash,),
-                ).fetchone()
-                if row is not None and row["state"] not in ("failed", "lost"):
-                    self._bump(conn, "jobs.deduplicated")
-                    return self._record_of(row), False
-                if encoded is not None:
-                    self._write_queued(
-                        conn, row, spec_hash, kind, budget, encoded,
-                        trace_id, expires_at,
-                    )
-                    row = conn.execute(
-                        f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
-                        (spec_hash,),
-                    ).fetchone()
-                    return self._record_of(row), True
-            # A row must be written but the payload is still a factory:
-            # build it with no transaction open, then look again (another
-            # producer may have inserted the spec in the meantime).
-            encoded = json.dumps(payload(), sort_keys=True)
+        with self._transaction(conn):
+            row = conn.execute(
+                f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
+                (spec_hash,),
+            ).fetchone()
+            if row is not None and row["state"] not in ("failed", "lost"):
+                self._bump(conn, "jobs.deduplicated")
+                return self._record_of(row), False
+            self._write_queued(
+                conn, row, spec_hash, kind, budget, encoded,
+                trace_id, expires_at,
+            )
+            row = conn.execute(
+                f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
+                (spec_hash,),
+            ).fetchone()
+        return self._record_of(row), True
 
     def _write_queued(
         self,
@@ -551,7 +533,7 @@ class JobQueue:
                     f"RETURNING {_COLUMN_SQL}, payload",
                     params,
                 ).fetchone()
-            else:  # pragma: no cover - sqlite < 3.35 only
+            else:  # sqlite < 3.35
                 picked = conn.execute(self._CLAIM_PICK, params).fetchone()
                 row = None
                 if picked is not None:

@@ -8,20 +8,19 @@ a fixed bucket table) so that
 
 * recording is O(1) and allocation-free after the first observation of
   a magnitude,
-* two histogram fragments recorded independently — e.g. one per worker
-  process of a blocked scan — **merge deterministically** by summing
-  bucket counts, in any order, into exactly the histogram a single
-  recorder would have produced (the PR 2/PR 5 worker-fragment merge
-  discipline),
+* two histograms recorded independently — e.g. one per block of a
+  threaded scan — **merge deterministically** by summing bucket counts,
+  in any order, into exactly the histogram a single recorder would have
+  produced,
 * percentiles (p50/p90/p99) are computable at read time from the
   buckets alone, with linear interpolation inside a bucket and exact
   ``min``/``max`` clamping at the tails.
 
 A :class:`MetricRegistry` owns named metric series (optionally labelled,
 e.g. one request-latency histogram per service endpoint), is safe for
-concurrent writers, and serialises three ways: a JSON ``snapshot()`` for
-``/metricz`` and ``Report.metrics``, a ``to_fragment()`` /
-``merge_fragment()`` pair for cross-process merging, and a Prometheus
+concurrent writers, folds another registry in (``merge()``, how a scan
+block's metrics join the parent's), and serialises two ways: a JSON
+``snapshot()`` for ``/metricz`` and ``Report.metrics``, and a Prometheus
 text exposition (``prometheus_text()``) for scraping.
 
 Everything is stdlib-only.
@@ -59,7 +58,7 @@ def bucket_bound(value: float) -> float:
     Bounds are computed from the value with exact float arithmetic
     (``math.frexp``), never from an accumulated table, so two recorders
     observing the same value always agree on the bucket — the property
-    that makes fragment merging deterministic.
+    that makes histogram merging deterministic.
     """
     if value <= 0.0:
         return 0.0
@@ -161,12 +160,13 @@ class Histogram:
         self.merge_dict(other.to_dict())
 
     def merge_dict(self, payload: dict[str, Any]) -> None:
-        """Fold a serialised fragment (:meth:`to_dict` shape) in.
+        """Fold a serialised histogram (:meth:`to_dict` shape) in.
 
         Merging is commutative and associative: bucket counts, count and
-        sum add; min/max combine by min/max.  Fragments recorded by
-        worker processes therefore merge into exactly the histogram one
-        process would have recorded, regardless of merge order.
+        sum add; min/max combine by min/max.  Histograms recorded
+        separately (one per scan block, or one per analysis) therefore
+        merge into exactly the histogram one recorder would have
+        recorded, regardless of merge order.
         """
         buckets = payload.get("buckets", ())
         other_min = payload.get("min")
@@ -401,29 +401,19 @@ class MetricRegistry:
         }
 
     # ------------------------------------------------------------------
-    # Cross-process fragments
+    # Merging
     # ------------------------------------------------------------------
-    def to_fragment(self) -> dict[str, Any]:
-        """Serialise counters + histograms for a parent-side merge.
+    def merge(self, other: "MetricRegistry") -> None:
+        """Fold ``other``'s counters and histograms in (order-insensitive).
 
-        Gauges are point-in-time and deliberately excluded — a worker's
-        gauge has no meaningful parent-side merge.
+        Gauges are point-in-time and deliberately excluded — a scan
+        block's gauge has no meaningful parent-side merge.
         """
-        counters = []
-        histograms = []
-        for name, labels, series in self._items():
+        for name, labels, series in other._items():
             if isinstance(series, Counter):
-                counters.append([name, list(labels), series.value])
+                self.counter(name, dict(labels)).inc(series.value)
             elif isinstance(series, Histogram):
-                histograms.append([name, list(labels), series.to_dict()])
-        return {"counters": counters, "histograms": histograms}
-
-    def merge_fragment(self, fragment: dict[str, Any]) -> None:
-        """Fold a :meth:`to_fragment` payload in (order-insensitive)."""
-        for name, labels, value in fragment.get("counters", ()):
-            self.counter(name, dict(labels)).inc(value)
-        for name, labels, payload in fragment.get("histograms", ()):
-            self.histogram(name, dict(labels)).merge_dict(payload)
+                self.histogram(name, dict(labels)).merge(series)
 
     def merge_histogram_dicts(
         self, payloads: dict[str, dict[str, Any]]

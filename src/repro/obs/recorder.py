@@ -21,10 +21,9 @@ loop) need no recorder parameter threading::
         report = engine.analyze(state)
 
 Scan threads do not inherit the context variable; instead each block
-of the co-occurrence scan records into a fresh local :class:`Recorder`
-and returns the serialised trace fragment, which the parent grafts into
-its own tree in deterministic (block) order — see
-``repro.core.grouping.cooccurrence``.
+of the co-occurrence scan records into a fresh local :class:`Recorder`,
+which the parent grafts into its own tree in deterministic (block)
+order — see ``repro.core.grouping.cooccurrence``.
 """
 
 from __future__ import annotations
@@ -54,14 +53,6 @@ __all__ = [
     "GC_COLLECTIONS",
     "GC_PAUSE",
 ]
-
-#: Key under which a worker fragment payload carries its metric-registry
-#: fragment (histogram buckets, counters).  Lives alongside the span
-#: tree's own keys in :meth:`Recorder.export_fragment` payloads;
-#: :meth:`Span.from_dict` ignores it and :meth:`Recorder.graft` merges
-#: it into the parent's registry.
-FRAGMENT_METRICS_KEY = "metrics"
-
 
 def new_trace_id() -> str:
     """A fresh 32-hex-character trace correlation ID."""
@@ -180,9 +171,7 @@ class NullRecorder:
     def observe(self, name: str, value: int | float) -> None:
         pass
 
-    def graft(
-        self, payload: dict[str, Any], fragment: int | None = None
-    ) -> None:
+    def graft(self, local: "Recorder", fragment: int | None = None) -> None:
         pass
 
     def counter_totals(self) -> dict[str, int | float]:
@@ -321,10 +310,8 @@ class Recorder:
         """Record one observation into the registry histogram ``name``.
 
         Histograms complement span counters with *distributions*: the
-        per-block kernel timings, request latencies.  Fragments
-        recorded by block-local recorders travel back inside
-        :meth:`export_fragment` payloads and merge deterministically in
-        :meth:`graft`.
+        per-block kernel timings, request latencies.  Block-local
+        recorders' histograms merge deterministically in :meth:`graft`.
         """
         self.registry.observe(name, value)
 
@@ -365,51 +352,27 @@ class Recorder:
         for sink in self._sinks:
             sink.emit(root)
 
-    def export_fragment(self) -> dict[str, Any]:
-        """Serialise the latest completed trace plus metric fragments.
+    def graft(self, local: "Recorder", fragment: int | None = None) -> None:
+        """Attach a block-local recorder's traces under the current span.
 
-        The payload a scan block hands back to the parent: the span
-        tree (:meth:`Span.to_dict`) with the block-local registry's
-        histograms/counters embedded under ``"metrics"``.  The parent's
-        :meth:`graft` reattaches the tree and merges the metrics, so a
-        parallel run's merged registry equals the serial run's.
+        Scan blocks record into their own recorder; grafting them in
+        block order keeps the merged tree deterministic.  Each completed
+        root span is attached as it is, with ``fragment`` (the block
+        index) stamped on its attributes so stitched trees record where
+        each piece came from, and without a trace ID of its own: it
+        joins this recorder's trace.  The local registry's counters and
+        histograms are merged into this recorder's registry.  Outside
+        any open span a root becomes a trace of its own.
         """
-        payload = self.traces[-1].to_dict()
-        payload.pop("trace_id", None)  # fragments join the parent's trace
-        fragment = self.registry.to_fragment()
-        if fragment["counters"] or fragment["histograms"]:
-            payload[FRAGMENT_METRICS_KEY] = fragment
-        return payload
-
-    def graft(
-        self, payload: dict[str, Any], fragment: int | None = None
-    ) -> Span:
-        """Attach a serialised trace fragment under the current span.
-
-        Scan blocks return their local trace as a plain dict
-        (:meth:`export_fragment`); grafting in block order keeps the
-        merged tree deterministic.  A registry fragment embedded in the
-        payload is merged into this recorder's registry.  ``fragment``
-        (the task index) is stamped on the grafted root's
-        attributes so stitched trees record where each piece came from.
-        Outside any open span the fragment becomes a trace of its own.
-        """
-        metrics = payload.get(FRAGMENT_METRICS_KEY)
-        if metrics is not None:
-            payload = {
-                key: value
-                for key, value in payload.items()
-                if key != FRAGMENT_METRICS_KEY
-            }
-            self.registry.merge_fragment(metrics)
-        span = Span.from_dict(payload)
-        if fragment is not None:
-            span.attributes.setdefault("fragment", fragment)
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self._finish_trace(span)
-        return span
+        self.registry.merge(local.registry)
+        for root in local.traces:
+            root.trace_id = None
+            if fragment is not None:
+                root.attributes.setdefault("fragment", fragment)
+            if self._stack:
+                self._stack[-1].children.append(root)
+            else:
+                self._finish_trace(root)
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -36,8 +36,8 @@ __all__ = [
 #:
 #: Version 2 adds end-to-end correlation: ``trace_id`` on every event,
 #: plus ``span_id`` / ``parent_id`` on span lines so a flat file
-#: reconstructs into the exact span tree (including fragments grafted
-#: from worker processes) without relying on line order.
+#: reconstructs into the exact span tree (including scan blocks grafted
+#: from their threads' recorders) without relying on line order.
 TRACE_SCHEMA_VERSION = 2
 
 
@@ -118,9 +118,9 @@ class JsonlTraceSink:
         index = self._trace_index
         self._trace_index += 1
         # Deterministic span IDs: the pre-order position within the
-        # trace.  Worker fragments are grafted into the tree before a
-        # trace completes, so numbering the merged tree here gives every
-        # span — local or worker-recorded — a resolvable parent link.
+        # trace.  Scan blocks are grafted into the tree before a trace
+        # completes, so numbering the merged tree here gives every span
+        # — local or block-recorded — a resolvable parent link.
         trace_id = root.trace_id or f"trace-{index}"
         self._write(
             {

@@ -14,14 +14,15 @@ payload:
   work yields the same counter totals no matter how it was partitioned.
 
 Spans are plain mutable objects while recording and serialise to plain
-dicts (``to_dict`` / ``from_dict``) so worker processes can ship their
-trace fragments back to the parent for deterministic merging.
+dicts (``to_dict``) for the sinks.  A threaded scan block records into
+its own recorder; the parent grafts the block's root span object into
+its tree in block order (see :meth:`repro.obs.Recorder.graft`).
 
 Timebase: ``start`` is measured in seconds relative to the root span of
 the trace the span belongs to (``time.perf_counter`` differences).
-Spans grafted from worker processes keep their *worker-local* timebase —
-their durations are meaningful, their starts are only comparable within
-the same worker fragment.
+Grafted block spans keep their *block-local* timebase — their durations
+are meaningful, their starts are only comparable within the same
+fragment.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class Span:
             yield from child.walk(here, depth + 1)
 
     # ------------------------------------------------------------------
-    # Serialisation (cross-process + sinks)
+    # Serialisation (sinks)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict representation (JSON-able; see docs/OBSERVABILITY.md)."""
@@ -109,18 +110,6 @@ class Span:
         if self.trace_id is not None:
             payload["trace_id"] = self.trace_id
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Span":
-        return cls(
-            name=payload["name"],
-            start=payload.get("start", 0.0),
-            duration=payload.get("duration", 0.0),
-            attributes=dict(payload.get("attributes", {})),
-            counters=dict(payload.get("counters", {})),
-            children=[cls.from_dict(c) for c in payload.get("children", [])],
-            trace_id=payload.get("trace_id"),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

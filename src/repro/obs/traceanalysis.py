@@ -13,9 +13,9 @@ spans linked by ``span_id``/``parent_id``) back into
   between two files, for before/after comparisons.
 
 Self-time is a span's duration minus the sum of its children's
-durations, clamped at zero: spans grafted from worker processes keep a
-worker-local timebase, so children recorded concurrently can sum to
-more than the parent's wall-clock duration.
+durations, clamped at zero: scan blocks grafted from their threads'
+recorders keep a block-local timebase, so children recorded
+concurrently can sum to more than the parent's wall-clock duration.
 """
 
 from __future__ import annotations

@@ -186,9 +186,12 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"queue_limit must be >= 1 (got {self.queue_limit})"
             )
-        if self.deadline_seconds <= 0:
+        # Chained so that nan fails too; the upper end is the longest
+        # wait a thread can make (inf would overflow it).
+        if not 0 < self.deadline_seconds <= threading.TIMEOUT_MAX:
             raise ConfigurationError(
-                f"deadline_seconds must be > 0 (got {self.deadline_seconds})"
+                f"deadline_seconds must be in (0, {threading.TIMEOUT_MAX:g}] "
+                f"(got {self.deadline_seconds})"
             )
         if self.retry_after_seconds < 0:
             raise ConfigurationError(
@@ -270,18 +273,20 @@ class AnalysisService:
         self._cache = ReportCache(self.config.cache_capacity)
         self._queue = threading.Semaphore(self.config.queue_limit)
         self._draining = threading.Event()
+        #: Serialises trace emission to the sinks shared by handler threads.
         self._obs_lock = threading.Lock()
-        self._counters: dict[str, int | float] = {}
-        self._endpoints: dict[str, dict[str, Any]] = {}
-        self._in_flight = 0
-        self._rejected = 0
         self._started_monotonic = time.monotonic()
-        #: Process-wide metric registry: per-endpoint request-latency
-        #: histograms (labelled ``{"endpoint": ...}``) plus the engine
-        #: histograms merged in from every analysis this service runs.
-        #: The registry is internally locked, so request threads record
-        #: into it without taking ``_obs_lock``.
+        #: Process-wide metric registry, the one store of every service
+        #: aggregate: the service and engine counters, per-endpoint
+        #: request-latency histograms and error counters (labelled
+        #: ``{"endpoint": ...}``), the engine histograms merged in from
+        #: every analysis this service runs, and the queue gauges.  It
+        #: is internally locked, so request threads record into it
+        #: without a lock of their own.
         self._registry = MetricRegistry()
+        # Created up front so /metricz reports them before any request.
+        self._in_flight = self._registry.gauge("service.in_flight")
+        self._rejected = self._registry.gauge("service.rejected")
         self._slo = (
             SloTracker(
                 self.config.slo_target_seconds,
@@ -389,7 +394,7 @@ class AnalysisService:
                     extra={"reason": drain_reason},
                 ),
             )
-            self._bump("service.snapshots_written", 1)
+            self._registry.inc("service.snapshots_written")
 
     @property
     def scheduler(self) -> RefreshScheduler:
@@ -521,14 +526,12 @@ class AnalysisService:
         if self._draining.is_set():
             raise ServiceDraining("service is draining; retry elsewhere")
         if not self._queue.acquire(blocking=False):
-            with self._obs_lock:
-                self._rejected += 1
+            self._rejected.add(1)
             raise ServiceSaturated(
                 f"request queue is full ({self.config.queue_limit} in "
                 "flight); retry later"
             )
-        with self._obs_lock:
-            self._in_flight += 1
+        self._in_flight.add(1)
         try:
             if route == "/v1/mutations":
                 if method != "POST":
@@ -556,8 +559,7 @@ class AnalysisService:
                 return self._handle_job_status(route[len("/v1/jobs/"):])
             return 404, {"error": f"no such endpoint: {route}"}, {}
         finally:
-            with self._obs_lock:
-                self._in_flight -= 1
+            self._in_flight.add(-1)
             self._queue.release()
 
     @staticmethod
@@ -620,56 +622,58 @@ class AnalysisService:
                           "(use json or prometheus)"},
                 {},
             )
-        with self._obs_lock:
-            counters = dict(sorted(self._counters.items()))
-            endpoints = {
-                name: dict(stats) for name, stats in self._endpoints.items()
-            }
-            in_flight = self._in_flight
-            rejected = self._rejected
         uptime = time.monotonic() - self._started_monotonic
         job_stats = (
             self._jobs.queue.stats() if self._jobs is not None else None
         )
         if exposition == "prometheus":
-            extra_gauges = {
-                "service.uptime_seconds": uptime,
-                "service.in_flight": in_flight,
-                "service.rejected": rejected,
-            }
+            extra_counters: dict[str, int | float] = {}
+            extra_gauges = {"service.uptime_seconds": uptime}
             if job_stats is not None:
                 # jobs.claimed / jobs.lease_expired / ... counters plus
                 # one gauge per queue state, all from the durable tables
                 # (exact across every process sharing the queue file).
-                counters = {**counters, **job_stats["counters"]}
+                extra_counters = job_stats["counters"]
                 for state_name, count in job_stats["states"].items():
                     extra_gauges[f"jobs.state_{state_name}"] = count
             text = self._registry.prometheus_text(
-                extra_counters=counters,
+                extra_counters=extra_counters,
                 extra_gauges=extra_gauges,
             )
             return 200, text, {}
-        # Per-endpoint latency quantiles come from the labelled
-        # request_seconds histograms; the legacy count/error/total/max
-        # aggregates stay for continuity.
-        for name, stats in endpoints.items():
-            summary = self._registry.histogram(
-                "service.request_seconds", {"endpoint": name}
-            ).summary()
-            stats["p50_seconds"] = summary["p50"]
-            stats["p90_seconds"] = summary["p90"]
-            stats["p99_seconds"] = summary["p99"]
+        snapshot = self._registry.snapshot()
+        counters = snapshot["counters"]
+        errors = {
+            entry["labels"]["endpoint"]: entry["value"]
+            for entry in counters.pop("service.request_errors", [])
+        }
+        # Each endpoint's count, total and max are the exact count, sum
+        # and max of its request_seconds histogram.
+        endpoints = {
+            entry["labels"]["endpoint"]: {
+                "count": entry["count"],
+                "errors": errors.get(entry["labels"]["endpoint"], 0),
+                "total_seconds": entry["sum"],
+                "max_seconds": entry["max"],
+                "p50_seconds": entry["p50"],
+                "p90_seconds": entry["p90"],
+                "p99_seconds": entry["p99"],
+            }
+            for entry in snapshot["histograms"].get(
+                "service.request_seconds", []
+            )
+        }
         payload: dict[str, Any] = {
             "schema": 2,
             "uptime_seconds": uptime,
             "counters": counters,
             "endpoints": endpoints,
-            "histograms": self._registry.snapshot()["histograms"],
+            "histograms": snapshot["histograms"],
             "cache": self._cache.stats(),
             "queue": {
                 "limit": self.config.queue_limit,
-                "in_flight": in_flight,
-                "rejected": rejected,
+                "in_flight": self._in_flight.value,
+                "rejected": self._rejected.value,
             },
             "scheduler": self._scheduler.stats(),
         }
@@ -705,7 +709,7 @@ class AnalysisService:
             self._mutation_seq += applied
             seq = self._mutation_seq
         self._scheduler.notify_mutations(applied)
-        self._bump("service.mutations_applied", applied)
+        self._registry.inc("service.mutations_applied", applied)
         return 200, {"applied": applied, "mutation_seq": seq}, {}
 
     def _handle_counts(self) -> tuple[int, dict[str, Any], dict[str, str]]:
@@ -760,8 +764,8 @@ class AnalysisService:
         same identity the report cache uses, so two requests for the
         same analysis share one queue row (idempotent enqueue) exactly
         as they would share one cache entry inline.  A duplicate costs
-        one O(1) fingerprint read: the state is copied and encoded only
-        when the queue writes a row and holds no blob of that content
+        an O(1) fingerprint read and one blob probe: the state is copied
+        and encoded only when the queue holds no blob of that content
         yet.  If a mutation lands between the fingerprint read and that
         copy, the request reads the new fingerprint and tries again
         until its deadline.
@@ -793,13 +797,11 @@ class AnalysisService:
                     trace_id=current_recorder().trace_id,
                 )
             except _StateMoved:
-                self._bump("service.snapshot_retries", 1)
+                self._registry.inc("service.snapshot_retries")
                 continue
             break
-        self._bump(
-            "service.analyze_enqueued" if created
-            else "service.analyze_dedup",
-            1,
+        self._registry.inc(
+            "service.analyze_enqueued" if created else "service.analyze_dedup"
         )
         return (
             202,
@@ -899,12 +901,12 @@ class AnalysisService:
             value, source = self._cache.get_or_compute(
                 key, lambda: compute(snapshot, fingerprint, seq), timeout
             )
-        self._bump(f"service.analyze_{source}", 1)
+        self._registry.inc(f"service.analyze_{source}")
         return value, source, fingerprint, seq
 
     def _copy_state(self) -> RbacState:
         """Copy the live state for one analysis (caller holds the lock)."""
-        self._bump("service.state_copies", 1)
+        self._registry.inc("service.state_copies")
         return self._auditor.state.copy()
 
     def _snapshot_if_unchanged(self, fingerprint: str) -> RbacState:
@@ -932,36 +934,32 @@ class AnalysisService:
         """Enqueue the analysis job of ``(fingerprint, config)``.
 
         The one place the job spec is built: the spec key hashes the
-        cache key, and the payload — a reference to the state blob at
-        ``fingerprint`` plus the config — is built only if the queue
-        writes a row.  The blob is written then too, in its own short
-        transaction, unless one is already stored at that address (the
-        same content under another config): then ``snapshot()`` is not
-        called and nothing is encoded.
+        cache key, and the payload is a reference to the state blob at
+        ``fingerprint`` plus the config.  The blob is written first, in
+        its own short transaction, so no row ever names a missing blob —
+        unless one is already stored at that address (a duplicate, or
+        the same content under another config): then ``snapshot()`` is
+        not called and nothing is encoded.
         """
         from repro.io.statecodec import encode_state
 
         queue = self._jobs.queue
-
-        def payload() -> dict[str, Any]:
-            if not queue.has_state_blob(fingerprint):
-                with current_recorder().span("service.snapshot") as span:
-                    data = encode_state(snapshot())
-                    span.annotate(bytes=len(data))
-                queue.put_state_blob(fingerprint, data)
-            return {
-                "state_ref": fingerprint,
-                "config": config.to_dict(),
-                "fingerprint": fingerprint,
-                "mutation_seq": seq,
-            }
-
+        if not queue.has_state_blob(fingerprint):
+            with current_recorder().span("service.snapshot") as span:
+                data = encode_state(snapshot())
+                span.annotate(bytes=len(data))
+            queue.put_state_blob(fingerprint, data)
         spec_key = hashlib.sha256(
             f"{fingerprint}|{config_key(config)}".encode("utf-8")
         ).hexdigest()
         return self._jobs.enqueue(
             "analyze",
-            payload,
+            {
+                "state_ref": fingerprint,
+                "config": config.to_dict(),
+                "fingerprint": fingerprint,
+                "mutation_seq": seq,
+            },
             spec_key=spec_key,
             trace_id=trace_id,
             expires_at=expires_at,
@@ -973,7 +971,7 @@ class AnalysisService:
         """One full analysis; runs on a cache compute thread."""
         report = analyze(snapshot, config)
         self._merge_report_metrics(report)
-        self._bump("service.analyses", 1)
+        self._registry.inc("service.analyses")
         return report, report.to_dict()
 
     def _refresh_runner(self, inline: bool = False) -> tuple[Report, str, int]:
@@ -1029,7 +1027,7 @@ class AnalysisService:
         payload = result["report"]
         report = Report.from_payload(payload, snapshot)
         self._merge_report_metrics(report)
-        self._bump("service.analyses_queued", 1)
+        self._registry.inc("service.analyses_queued")
         return report, payload
 
     # ------------------------------------------------------------------
@@ -1053,15 +1051,15 @@ class AnalysisService:
             raise ProtocolError(
                 f"X-Deadline must be a number of seconds (got {header!r})"
             ) from None
-        if deadline <= 0:
+        # As for ServiceConfig.deadline_seconds: a longer wait overflows
+        # (500), and nan would time out at once inline and never expire
+        # as a queued job.
+        if not 0 < deadline <= threading.TIMEOUT_MAX:
             raise ProtocolError(
-                f"X-Deadline must be > 0 seconds (got {deadline})"
+                "X-Deadline must be a number of seconds in "
+                f"(0, {threading.TIMEOUT_MAX:g}] (got {header!r})"
             )
         return deadline
-
-    def _bump(self, counter: str, value: int | float) -> None:
-        with self._obs_lock:
-            self._counters[counter] = self._counters.get(counter, 0) + value
 
     def _merge_report_metrics(self, report: Report) -> None:
         """Fold one analysis's ``Report.metrics`` into ``/metricz``.
@@ -1077,46 +1075,28 @@ class AnalysisService:
         if gc_metrics.get("collections"):
             counters[GC_COLLECTIONS] = gc_metrics["collections"]
             histograms[GC_PAUSE] = gc_metrics["pause_s"]
-        with self._obs_lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0) + value
+        for name, value in counters.items():
+            self._registry.inc(name, value)
         self._registry.merge_histogram_dicts(histograms)
 
     def _observe(
         self, endpoint: str, status: int, seconds: float, recorder: Recorder
     ) -> None:
         """Fold one request into the service metrics and emit its trace."""
-        # The registry and SLO tracker have their own locks; only the
-        # plain-dict aggregates (and sink emission) need _obs_lock.
-        self._registry.observe(
-            "service.request_seconds", seconds, labels={"endpoint": endpoint}
+        # The registry and SLO tracker have their own locks; only sink
+        # emission needs _obs_lock.
+        labels = {"endpoint": endpoint}
+        self._registry.observe("service.request_seconds", seconds, labels)
+        self._registry.inc(
+            "service.request_errors", int(status >= 400), labels
         )
+        self._registry.inc("service.requests")
+        self._registry.inc(f"service.http_{status}")
         if self._slo is not None:
             self._slo.observe(endpoint, seconds)
         for root in recorder.traces:
             self._tracez.record(root, endpoint, status)
         with self._obs_lock:
-            stats = self._endpoints.setdefault(
-                endpoint,
-                {
-                    "count": 0,
-                    "errors": 0,
-                    "total_seconds": 0.0,
-                    "max_seconds": 0.0,
-                },
-            )
-            stats["count"] += 1
-            if status >= 400:
-                stats["errors"] += 1
-            stats["total_seconds"] += seconds
-            stats["max_seconds"] = max(stats["max_seconds"], seconds)
-            self._counters["service.requests"] = (
-                self._counters.get("service.requests", 0) + 1
-            )
-            key = f"service.http_{status}"
-            self._counters[key] = self._counters.get(key, 0) + 1
-            # Sinks are shared across handler threads; emit under the
-            # same lock that guards the aggregates.
             for root in recorder.traces:
                 for sink in self._sinks:
                     sink.emit(root)

@@ -106,92 +106,6 @@ class TestEnqueue:
         assert queue.get(record.job_id).trace_id == "t" * 32
 
 
-class TestLazyPayload:
-    """``enqueue`` with a payload factory builds it only for a new row."""
-
-    def factory(self, calls, payload=None):
-        def build():
-            calls.append(1)
-            return payload if payload is not None else {"seconds": 1}
-        return build
-
-    def test_factory_needs_an_explicit_spec_key(self, queue):
-        with pytest.raises(ConfigurationError, match="spec_key"):
-            queue.enqueue("sleep", self.factory([]))
-
-    def test_factory_called_once_for_a_new_row(self, queue):
-        calls = []
-        record, created = queue.enqueue(
-            "sleep", self.factory(calls), spec_key="k"
-        )
-        assert created and record.job_id == "k"
-        assert calls == [1]
-        assert queue.claim("w1").payload == {"seconds": 1}
-
-    @pytest.mark.parametrize("finish", [None, "done"])
-    def test_factory_never_called_on_a_duplicate(self, queue, finish):
-        queue.enqueue("sleep", {"seconds": 1}, spec_key="k")
-        if finish == "done":
-            claimed = queue.claim("w1")
-            queue.complete(claimed.job_id, "w1", {"ok": True})
-        calls = []
-        again, created = queue.enqueue(
-            "sleep", self.factory(calls), spec_key="k"
-        )
-        assert not created and again.job_id == "k"
-        assert calls == []
-        assert queue.counters()["jobs.deduplicated"] == 1
-
-    def test_factory_called_to_resurrect_a_failed_row(self, queue):
-        queue.enqueue("sleep", {"seconds": 1}, spec_key="k")
-        claimed = queue.claim("w1")
-        queue.fail(claimed.job_id, "w1", "boom", retryable=False)
-        calls = []
-        again, created = queue.enqueue(
-            "sleep", self.factory(calls, {"seconds": 2}), spec_key="k"
-        )
-        assert created and again.state == "queued"
-        assert calls == [1]
-        assert queue.get("k", include_payload=True).payload == {"seconds": 2}
-
-    def test_factory_runs_outside_the_write_transaction(self, queue):
-        seen = []
-
-        def build():
-            seen.append(queue._connection().in_transaction)
-            return {"seconds": 1}
-
-        queue.enqueue("sleep", build, spec_key="k")
-        assert seen == [False]
-
-    def test_factory_error_writes_nothing(self, queue):
-        def build():
-            raise RuntimeError("state moved")
-
-        with pytest.raises(RuntimeError, match="state moved"):
-            queue.enqueue("sleep", build, spec_key="k")
-        assert queue.get("k") is None
-        assert queue.counters().get("jobs.enqueued", 0) == 0
-
-    def test_row_inserted_while_the_factory_ran_wins(self, queue, tmp_path):
-        other = JobQueue(queue.path)
-        calls = []
-
-        def build():
-            calls.append(1)
-            other.enqueue("sleep", {"seconds": 9}, spec_key="k")
-            return {"seconds": 1}
-
-        try:
-            record, created = queue.enqueue("sleep", build, spec_key="k")
-        finally:
-            other.close()
-        assert not created
-        assert calls == [1]
-        assert queue.get("k", include_payload=True).payload == {"seconds": 9}
-        assert queue.counters()["jobs.deduplicated"] == 1
-
-
 class TestClaim:
     def test_claim_carries_payload(self, queue):
         queue.enqueue("sleep", {"seconds": 3})
@@ -255,6 +169,16 @@ class TestClaim:
         assert claimed.queue_wait_seconds is not None
         summaries = queue.histogram_summaries()
         assert summaries["jobs.queue_wait_seconds"]["count"] == 1
+
+
+class TestClaimWithoutReturning(TestClaim):
+    """Every claim test again on the sqlite < 3.35 branch (no
+    ``UPDATE ... RETURNING``): a SELECT then a guarded UPDATE inside the
+    same immediate transaction."""
+
+    @pytest.fixture(autouse=True)
+    def without_returning(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "_HAS_RETURNING", False)
 
 
 class TestLeaseGuards:

@@ -177,6 +177,20 @@ class TestSerialParallelParity:
         _, root_b, _ = _trace(paper_example, **SCAN_FAN_OUT)
         assert tree_signature(root_a) == tree_signature(root_b)
 
+    def test_parallel_tree_matches_serial_without_nested_trace_ids(
+        self, paper_example
+    ):
+        _, serial, _ = _trace(paper_example, n_workers=1, block_rows=2)
+        _, parallel, _ = _trace(paper_example, **SCAN_FAN_OUT)
+        assert tree_signature(parallel) == tree_signature(serial)
+        for root in (serial, parallel):
+            assert root.trace_id is not None
+            spans = [span for _, _, span in root.walk()][1:]
+            # Grafted blocks join the analysis trace: no ID of their own.
+            assert [s for s in spans if s.trace_id is not None] == []
+            blocks = [s for s in spans if s.name == "cooccurrence.block"]
+            assert [b.attributes["fragment"] for b in blocks] == [0, 1] * 2
+
     def test_parallel_grafts_block_fragments(self, paper_example):
         _, root, _ = _trace(paper_example, **SCAN_FAN_OUT)
         warm = next(

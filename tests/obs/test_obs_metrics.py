@@ -174,17 +174,23 @@ class TestMetricRegistry:
         assert set(registry.histogram_summaries()) == {"plain"}
 
     def test_fragment_round_trip_excludes_gauges(self):
-        worker = MetricRegistry()
-        worker.inc("items", 5)
-        worker.gauge("in_flight").set(9)
-        worker.observe("seconds", 0.25)
-        fragment = worker.to_fragment()
+        # A scan block's registry (its fragment) merged into the parent's.
+        block = MetricRegistry()
+        block.inc("items", 5)
+        block.inc("by_axis", 1, labels={"axis": "users"})
+        block.gauge("in_flight").set(9)
+        block.observe("seconds", 0.25)
+        block.observe("seconds", 4.0)
 
         parent = MetricRegistry()
         parent.inc("items", 2)
-        parent.merge_fragment(fragment)
+        parent.observe("seconds", 1.0)
+        parent.merge(block)
         assert parent.counter("items").value == 7
-        assert parent.histogram("seconds").count == 1
+        assert parent.counter("by_axis", {"axis": "users"}).value == 1
+        merged = parent.histogram("seconds").to_dict()
+        assert (merged["count"], merged["sum"]) == (3, 5.25)
+        assert (merged["min"], merged["max"]) == (0.25, 4.0)
         assert "in_flight" not in parent.snapshot()["gauges"]
 
     def test_merge_histogram_dicts(self):

@@ -47,18 +47,6 @@ class TestSpan:
             ("root/b", 1),
         ]
 
-    def test_dict_round_trip(self):
-        root = Span(
-            "root",
-            start=0.5,
-            duration=1.25,
-            attributes={"k": "v"},
-            counters={"c": 3},
-            children=[Span("child", counters={"c": 1})],
-        )
-        clone = Span.from_dict(root.to_dict())
-        assert clone.to_dict() == root.to_dict()
-
     def test_counter_totals_sum_subtree(self):
         root = Span("root", counters={"x": 1}, children=[
             Span("a", counters={"x": 2, "y": 5}),
@@ -125,17 +113,39 @@ class TestRecorder:
 
     def test_graft_attaches_under_current_span(self):
         recorder = Recorder()
-        fragment = Span("worker", counters={"w": 1}).to_dict()
+        block = Recorder()
+        with block.span("block") as span:
+            span.add("w", 1)
         with recorder.span("root"):
-            recorder.graft(fragment)
+            recorder.graft(block)
         root = recorder.traces[0]
-        assert [c.name for c in root.children] == ["worker"]
+        assert root.children == [span]  # the span object itself
         assert recorder.counter_totals() == {"w": 1}
 
     def test_graft_outside_span_becomes_trace(self):
-        recorder = Recorder()
-        recorder.graft(Span("orphan").to_dict())
+        recorder = Recorder(trace_id="parent-trace")
+        block = Recorder()
+        with block.span("orphan"):
+            pass
+        recorder.graft(block)
         assert [t.name for t in recorder.traces] == ["orphan"]
+        assert recorder.traces[0].trace_id == "parent-trace"
+
+    def test_graft_stamps_fragment_drops_trace_id_and_merges_metrics(self):
+        recorder = Recorder()
+        recorder.observe("block_seconds", 1.0)
+        block = Recorder()
+        with block.span("block") as span:
+            block.observe("block_seconds", 0.5)
+            block.registry.inc("items", 3)
+        assert span.trace_id is not None  # completed as the block's trace
+        with recorder.span("root") as root:
+            recorder.graft(block, fragment=4)
+        assert span.attributes["fragment"] == 4
+        assert span.trace_id is None
+        assert root.trace_id is not None
+        assert recorder.registry.histogram("block_seconds").count == 2
+        assert recorder.registry.counter("items").value == 3
 
     def test_counter_totals_across_traces(self):
         recorder = Recorder()

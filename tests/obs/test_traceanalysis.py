@@ -53,9 +53,8 @@ class TestLoadTraceFile:
             worker = Recorder()
             with worker.span("detector:x") as span:
                 span.add("findings", 1)
-            fragment = worker.export_fragment()
             with recorder.span("engine"):
-                recorder.graft(fragment, fragment=0)
+                recorder.graft(worker, fragment=0)
 
         path = _write_trace(tmp_path, actions)
         trace = load_trace_file(path)[0]

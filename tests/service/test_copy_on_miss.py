@@ -1,9 +1,9 @@
 """No O(state) work on a cache hit or a deduplicated enqueue.
 
 The service reads the maintained fingerprint in O(1) under its state
-lock; it copies the state only on a cache miss (inline) or when the
-queue writes a new job row (queue mode), and encodes it only for a
-new job whose state the queue holds no blob of.  These tests count the
+lock; it copies the state only on a cache miss (inline) or, in queue
+mode, when the queue holds no blob of that content yet, and encodes it
+only then.  These tests count the
 O(state) operations with spies: ``RbacState.copy``, the full
 fingerprint pass and ``encode_state``.
 """
@@ -22,6 +22,7 @@ import repro.core.state as state_module
 import repro.io.statecodec as statecodec
 from repro.core.state import RbacState
 from repro.io.statecodec import decode_state
+from repro.jobs import JobQueue, JobWorker
 from repro.service import AnalysisService, ServiceConfig
 from repro.service.protocol import config_key
 
@@ -187,29 +188,76 @@ class TestQueue:
     ):
         service = make_service(tmp_path)
         try:
-            client = service.jobs
-            real_enqueue = client.enqueue
+            queue = service.jobs.queue
+            real_probe = queue.has_state_blob
             injected = []
 
-            def enqueue_after_a_mutation(*args, **kwargs):
+            def probe_after_a_mutation(address):
                 # The request has read the fingerprint and released the
-                # state lock; land a mutation before the payload exists.
+                # state lock; land a mutation before its blob exists.
                 if not injected:
-                    injected.append(kwargs["spec_key"])
+                    injected.append(address)
                     mutate(service, [
                         {"op": "assign_user", "role": "r3", "user": "u3"}
                     ])
-                return real_enqueue(*args, **kwargs)
+                return real_probe(address)
 
-            monkeypatch.setattr(client, "enqueue", enqueue_after_a_mutation)
+            monkeypatch.setattr(
+                queue, "has_state_blob", probe_after_a_mutation
+            )
             doc = analyze(service)
             assert doc["created"] is True
             assert doc["fingerprint"] == service.state.recompute_fingerprint()
-            assert doc["job_id"] != injected[0]
+            assert doc["fingerprint"] != injected[0]
+            assert blob_count(service) == 1
             assert counters(service)["service.snapshot_retries"] == 1
             stats = service.jobs.queue.stats()
             assert sum(stats["states"].values()) == 1
             assert_job_matches_its_key(service, doc["job_id"])
+        finally:
+            service.close()
+
+    def test_analyze_row_is_never_inserted_before_its_blob(
+        self, tmp_path, monkeypatch
+    ):
+        # At every insert or resurrection of an analyze row, the blob it
+        # names is already stored.
+        blob_at_insert = []
+        real_write = JobQueue._write_queued
+
+        def write_queued(queue, conn, row, spec_hash, kind, *args):
+            if kind == "analyze":
+                address = json.loads(args[1])["state_ref"]
+                blob_at_insert.append(queue.has_state_blob(address))
+            return real_write(queue, conn, row, spec_hash, kind, *args)
+
+        monkeypatch.setattr(JobQueue, "_write_queued", write_queued)
+        service = make_service(tmp_path)
+        try:
+            queue = service.jobs.queue
+            first = analyze(service)  # a fresh enqueue
+            other = json.dumps({"similarity_threshold": 2}).encode()
+            status, second, _ = service.handle("POST", "/v1/analyze", other)
+            assert status == 202 and second["created"] is True
+            assert blob_at_insert == [True, True]
+
+            # Alter the blob: the worker's check fails the job and
+            # deletes the blob; the next enqueue resurrects the job.
+            data = queue.state_blob(first["fingerprint"])
+            queue._connection().execute(
+                "UPDATE state_blobs SET data = ? WHERE address = ?",
+                (data[:-1] + bytes([data[-1] ^ 1]), first["fingerprint"]),
+            )
+            worker = JobWorker(queue, worker_id="w")
+            while (record := queue.claim("w")) is not None:
+                worker.run_one(record)
+            assert queue.get(first["job_id"]).state == "failed"
+            assert not queue.has_state_blob(first["fingerprint"])
+            again = analyze(service)
+            assert again["created"] is True
+            assert again["job_id"] == first["job_id"]
+            assert blob_at_insert == [True, True, True]
+            assert_job_matches_its_key(service, again["job_id"])
         finally:
             service.close()
 

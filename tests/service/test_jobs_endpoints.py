@@ -185,6 +185,18 @@ class TestQueuedAnalyze:
         assert record.expires_at <= time.time() + 5.5
 
 
+    @pytest.mark.parametrize("header", ["nan", "inf", "1e400", "1e12"])
+    def test_non_finite_deadline_enqueues_nothing(self, queue_service, header):
+        # sqlite stores a nan expiry as NULL: the job would never expire.
+        status, payload, _ = queue_service.handle(
+            "POST", "/v1/analyze", deadline_header=header
+        )
+        assert status == 400, payload
+        assert "X-Deadline" in payload["error"]
+        states = queue_service.jobs.queue.counts_by_state()
+        assert sum(states.values()) == 0
+
+
 class TestStateBlobs:
     def test_payload_names_the_blob_and_carries_no_state(self, queue_service):
         _, submitted, _ = queue_service.handle("POST", "/v1/analyze")

@@ -98,6 +98,49 @@ class TestMetricz:
         assert collections >= 1
         assert payload["histograms"]["gc.pause_s"]["count"] == collections
 
+    def test_endpoint_aggregates_are_the_histogram_and_error_counter(self):
+        service = make_service()
+        service.handle("GET", "/v1/counts")
+        service.handle("GET", "/v1/counts", deadline_header="soon")  # 400
+        service.handle("GET", "/v1/nope")  # 404
+        _, payload, _ = service.handle("GET", "/metricz")
+        series = {
+            entry["labels"]["endpoint"]: entry
+            for entry in payload["histograms"]["service.request_seconds"]
+        }
+        assert set(payload["endpoints"]) == set(series) == {
+            "GET /v1/counts", "GET /v1/nope",
+        }
+        for name, stats in payload["endpoints"].items():
+            histogram = series[name]
+            assert stats == {
+                "count": histogram["count"],
+                "errors": stats["errors"],
+                "total_seconds": histogram["sum"],
+                "max_seconds": histogram["max"],
+                "p50_seconds": histogram["p50"],
+                "p90_seconds": histogram["p90"],
+                "p99_seconds": histogram["p99"],
+            }
+            assert isinstance(stats["count"], int)
+            assert isinstance(stats["total_seconds"], float)
+            assert isinstance(stats["max_seconds"], float)
+        assert payload["endpoints"]["GET /v1/counts"]["count"] == 2
+        assert payload["endpoints"]["GET /v1/counts"]["errors"] == 1
+        assert payload["endpoints"]["GET /v1/nope"]["errors"] == 1
+        # The error counter is per endpoint, not a service counter.
+        assert "service.request_errors" not in payload["counters"]
+        assert payload["counters"]["service.requests"] == 3
+        assert payload["counters"]["service.http_400"] == 1
+        assert payload["queue"] == {"limit": 8, "in_flight": 0, "rejected": 0}
+
+    def test_queue_gauges_are_exposed_before_any_request(self):
+        _, text, _ = make_service().handle(
+            "GET", "/metricz?format=prometheus"
+        )
+        for gauge in ("repro_service_in_flight", "repro_service_rejected"):
+            assert f"# TYPE {gauge} gauge\n{gauge} 0\n" in text
+
     def test_prometheus_exposition(self):
         service = make_service()
         service.handle("POST", "/v1/analyze", b"{}")
@@ -121,9 +164,8 @@ class TestMetricz:
         assert "unknown format" in payload["error"]
 
     def test_concurrent_requests_lose_no_observations(self):
-        """Satellite hammer: N threads, every request lands in both the
-        plain-dict aggregates and the latency histograms, and the
-        percentile invariants hold."""
+        """N threads: every request lands in the endpoint aggregates and
+        the latency histograms, and the percentile invariants hold."""
         service = make_service()
         threads, per_thread = 8, 25
 

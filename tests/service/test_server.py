@@ -64,6 +64,9 @@ class TestServiceConfig:
             {"queue_limit": 0},
             {"deadline_seconds": 0},
             {"retry_after_seconds": -1},
+            {"deadline_seconds": float("inf")},
+            {"deadline_seconds": float("nan")},
+            {"deadline_seconds": 1e12},
         ],
     )
     def test_validation(self, options):
@@ -267,6 +270,22 @@ class TestDeadlines:
         _, metrics, _ = service.handle("GET", "/metricz")
         assert metrics["counters"]["service.http_504"] == 1
         assert metrics["cache"]["deadline_abandons"] == 1
+
+
+    @pytest.mark.parametrize("header", ["nan", "inf", "-inf", "1e400", "1e12"])
+    @pytest.mark.parametrize(
+        "method, route", [("GET", "/v1/counts"), ("POST", "/v1/analyze")]
+    )
+    def test_non_finite_deadline_is_400(self, header, method, route):
+        # inf and 1e12 used to overflow the wait on the analysis (500)
+        # and nan to time it out at once (504).
+        service = make_service()
+        status, payload, _ = service.handle(
+            method, route, deadline_header=header
+        )
+        assert status == 400, payload
+        assert "X-Deadline" in payload["error"]
+        assert service.cache.stats()["entries"] == 0
 
 
 class TestBackpressure:

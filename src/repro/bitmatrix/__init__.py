@@ -27,6 +27,7 @@ from repro.bitmatrix.sparse import (
     cooccurrence,
     csr_row_keys,
     equal_row_groups_sparse,
+    row_content_classes,
     row_norms,
     to_csr,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "cooccurrence",
     "csr_row_keys",
     "equal_row_groups_sparse",
+    "row_content_classes",
     "row_norms",
     "to_csr",
 ]

@@ -13,6 +13,7 @@ import numpy.typing as npt
 import scipy.sparse as sp
 
 from repro.types import as_bool_matrix
+from repro.util import groups_of_labels
 
 
 def to_csr(matrix: npt.ArrayLike | sp.spmatrix) -> sp.csr_matrix:
@@ -63,6 +64,26 @@ def csr_row_keys(matrix: npt.ArrayLike | sp.spmatrix) -> list[bytes]:
     ]
 
 
+def row_content_classes(
+    keys: list[bytes],
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.int64], npt.NDArray[np.intp]]:
+    """Classes of rows with equal content keys, numbered in first-seen order.
+
+    ``keys`` are exact row keys (:func:`csr_row_keys`), compared whole,
+    so two rows share a class iff they have the same content.  Returns
+    the first row of each class, each class's size, and the class of
+    every row.
+    """
+    _, first, inverse, sizes = np.unique(
+        np.array(keys, dtype=object),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    order = np.argsort(first)
+    return first[order], sizes[order], np.argsort(order)[inverse]
+
+
 def equal_row_groups_sparse(
     matrix: npt.ArrayLike | sp.spmatrix,
 ) -> list[list[int]]:
@@ -71,9 +92,4 @@ def equal_row_groups_sparse(
     Same ordering contract as
     :meth:`repro.bitmatrix.BitMatrix.equal_row_groups`.
     """
-    buckets: dict[bytes, list[int]] = {}
-    for row_index, key in enumerate(csr_row_keys(matrix)):
-        buckets.setdefault(key, []).append(row_index)
-    groups = [members for members in buckets.values() if len(members) > 1]
-    groups.sort(key=lambda members: members[0])
-    return groups
+    return groups_of_labels(row_content_classes(csr_row_keys(matrix))[2])

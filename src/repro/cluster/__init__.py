@@ -15,7 +15,7 @@ DBSCAN directly:
   scikit-learn-compatible integer labels (``-1`` marks noise).
 """
 
-from repro.cluster.dbscan import DBSCAN, NOISE, dbscan_labels, labels_to_groups
+from repro.cluster.dbscan import DBSCAN, NOISE, dbscan_labels
 from repro.cluster.distances import (
     METRICS,
     euclidean_distances,
@@ -29,6 +29,7 @@ from repro.cluster.neighbors import (
     BruteForceSearch,
     NeighborSearch,
 )
+from repro.util import groups_of_labels as labels_to_groups
 
 __all__ = [
     "DBSCAN",

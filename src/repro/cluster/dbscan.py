@@ -172,19 +172,3 @@ def dbscan_labels(
         fit_span.add("dbscan.noise_points", int(np.sum(labels == NOISE)))
 
     return labels
-
-
-def labels_to_groups(labels: npt.NDArray[np.intp]) -> list[list[int]]:
-    """Convert a label vector into sorted groups of member indices.
-
-    Noise points are dropped; groups are ordered by smallest member, which
-    matches :meth:`repro.bitmatrix.BitMatrix.equal_row_groups`.
-    """
-    by_label: dict[int, list[int]] = {}
-    for index, label in enumerate(labels):
-        if label == NOISE:
-            continue
-        by_label.setdefault(int(label), []).append(index)
-    groups = [sorted(members) for members in by_label.values()]
-    groups.sort(key=lambda members: members[0])
-    return groups

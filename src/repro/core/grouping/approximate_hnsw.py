@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.ann import HNSWIndex
 from repro.core.grouping.base import GroupFinder, register_group_finder
-from repro.util import DisjointSet
+from repro.util import groups_of_pairs
 
 #: Float-comparison guard, as for the DBSCAN baseline.
 EPSILON = 1e-6
@@ -88,13 +88,14 @@ class HnswGroupFinder(GroupFinder):
         )
         index.add_items(dense)
 
-        components = DisjointSet(n_rows)
+        rows: list[int] = []
+        cols: list[int] = []
         radius = k + EPSILON
         for row_index in range(n_rows):
             hits = index.radius_search(
                 dense[row_index], radius=radius, ef=self._ef_search
             )
             for neighbor, _distance in hits:
-                if neighbor != row_index:
-                    components.union(row_index, neighbor)
-        return components.groups(min_size=2)
+                rows.append(row_index)
+                cols.append(neighbor)
+        return groups_of_pairs(n_rows, rows, cols)

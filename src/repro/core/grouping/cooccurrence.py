@@ -53,7 +53,7 @@ import scipy.sparse as sp
 from repro.core.grouping.base import GroupFinder, register_group_finder
 from repro.exceptions import ConfigurationError
 from repro.obs import Recorder, current_recorder, use_recorder
-from repro.util import DisjointSet
+from repro.util import groups_of_pairs
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -336,6 +336,31 @@ class ScanResult:
         return int(sum(a.nbytes for a in arrays))
 
 
+def zero_overlap_pairs(
+    norms: npt.ArrayLike, k: int
+) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+    """Anchor pairs for the matches a co-occurrence scan cannot see.
+
+    Two non-overlapping roles share no stored co-occurrence entry, yet
+    they are within distance ``k`` iff ``|R^i| + |R^j| <= k`` (for
+    ``k = 0``: both empty).  Every such pair involves only roles with
+    ``|R| <= k``; and if a pair qualifies, both members also qualify
+    against the smallest-norm role, so pairing everything qualifying
+    with that anchor yields exactly the right connected components
+    without enumerating all pairs.
+    """
+    norms = np.asarray(norms)
+    small = np.flatnonzero(norms <= k)
+    if len(small) < 2:
+        return _EMPTY, _EMPTY
+    anchor = small[np.argmin(norms[small])]
+    partners = small[(small != anchor) & (norms[small] + norms[anchor] <= k)]
+    return (
+        np.full(len(partners), anchor, dtype=np.int64),
+        partners.astype(np.int64),
+    )
+
+
 @register_group_finder("cooccurrence")
 class CooccurrenceGroupFinder(GroupFinder):
     """Exact, deterministic group finder via co-occurrence counts.
@@ -429,39 +454,16 @@ class CooccurrenceGroupFinder(GroupFinder):
             return
         view.request_scan(k=int(max_differences))
 
-    @classmethod
+    @staticmethod
     def _groups(
-        cls, n_rows: int, rows: np.ndarray, cols: np.ndarray,
+        n_rows: int, rows: np.ndarray, cols: np.ndarray,
         norms: np.ndarray, k: int,
     ) -> list[list[int]]:
         """Groups (size >= 2) joined by the matched pairs and by the
-        zero-overlap anchor pass (:meth:`_union_non_overlapping`)."""
-        components = DisjointSet(n_rows)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            components.union(i, j)
-        cls._union_non_overlapping(components, norms, k)
-        return components.groups(min_size=2)
-
-    @staticmethod
-    def _union_non_overlapping(
-        components: DisjointSet, norms: np.ndarray, k: int
-    ) -> None:
-        """Handle pairs absent from the co-occurrence entries (zero overlap).
-
-        Two non-overlapping roles are within distance ``k`` iff
-        ``|R^i| + |R^j| <= k`` (for ``k = 0``: both empty).  Every such
-        pair involves only roles with ``|R| <= k``; and if a pair
-        qualifies, both members also qualify against the smallest-norm
-        role, so chaining everything through that anchor yields exactly
-        the right connected components without enumerating all pairs.
-        """
-        small = np.flatnonzero(norms <= k)
-        if len(small) < 2:
-            return
-        anchor = int(small[np.argmin(norms[small])])
-        anchor_norm = int(norms[anchor])
-        for index in small.tolist():
-            if index == anchor:
-                continue
-            if anchor_norm + int(norms[index]) <= k:
-                components.union(anchor, index)
+        zero-overlap anchor pairs (:func:`zero_overlap_pairs`)."""
+        anchor_rows, anchor_cols = zero_overlap_pairs(norms, k)
+        return groups_of_pairs(
+            n_rows,
+            np.concatenate((rows, anchor_rows)),
+            np.concatenate((cols, anchor_cols)),
+        )

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cluster import DBSCAN, labels_to_groups
+from repro.cluster import DBSCAN
 from repro.core.grouping.base import GroupFinder, register_group_finder
 from repro.exceptions import ConfigurationError
 from repro.obs import current_recorder
+from repro.util import groups_of_labels
 
 #: Float-comparison guard added to the integer threshold (paper §III-D).
 EPSILON = 1e-6
@@ -73,6 +74,6 @@ class DbscanGroupFinder(GroupFinder):
                 eps=k + EPSILON, min_samples=2, metric=self._backend
             )
             labels = clusterer.fit_predict(dense)
-            groups = labels_to_groups(labels)
+            groups = groups_of_labels(labels)
             span.add("dbscan.groups", len(groups))
         return groups

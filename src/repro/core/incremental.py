@@ -36,7 +36,7 @@ from typing import Iterable
 from repro.core.state import RbacState
 from repro.core.taxonomy import Axis
 from repro.exceptions import ConfigurationError
-from repro.util import DisjointSet
+from repro.util import groups_of_pairs
 
 
 class _AxisIndex:
@@ -158,14 +158,14 @@ class _AxisIndex:
         """Connected components (size >= 2) of the similarity graph."""
         contents = [c for c in self.similar if self.similar[c]]
         index_of = {content: i for i, content in enumerate(contents)}
-        components = DisjointSet(len(contents))
-        for content in contents:
-            for neighbor in self.similar[content]:
-                components.union(index_of[content], index_of[neighbor])
-        return [
-            [contents[i] for i in group]
-            for group in components.groups(min_size=2)
+        pairs = [
+            (index_of[content], index_of[neighbor])
+            for content in contents
+            for neighbor in self.similar[content]
         ]
+        rows, cols = zip(*pairs) if pairs else ((), ())
+        groups = groups_of_pairs(len(contents), rows, cols)
+        return [[contents[i] for i in group] for group in groups]
 
     def similar_groups(self) -> list[list[str]]:
         """Representative role ids per similarity component.

@@ -51,7 +51,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from repro.bitmatrix import csr_row_keys
+from repro.bitmatrix import csr_row_keys, row_content_classes
 from repro.core.grouping.cooccurrence import ScanResult, blocked_scan
 from repro.obs import (
     ARTIFACT_BYTES,
@@ -60,6 +60,7 @@ from repro.obs import (
     COOCCURRENCE_PASSES,
     current_recorder,
 )
+from repro.util import groups_of_labels
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.detectors.base import AnalysisContext
@@ -73,7 +74,7 @@ def _payload_bytes(value: Any) -> int:
 
     Artifact lists are homogeneous and never walked item by item: a list
     of content keys (``bytes``) is sized in one pass, and any other list
-    (Python ints, or the row-class member lists of them) counts 0.
+    (of Python ints, say) counts 0.
     """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
@@ -197,30 +198,8 @@ class AxisWorkspace(_ArtifactCache):
         )
 
     def _row_classes(self) -> tuple[Any, ...]:
-        return self._artifact("row_classes", self._build_row_classes)
-
-    def _build_row_classes(self) -> tuple[Any, ...]:
-        lookup: dict[bytes, int] = {}
-        representatives: list[int] = []
-        sizes: list[int] = []
-        members: list[list[int]] = []
-        class_index = np.empty(len(self.row_keys), dtype=np.intp)
-        for row, key in enumerate(self.row_keys):
-            slot = lookup.get(key)
-            if slot is None:
-                slot = len(representatives)
-                lookup[key] = slot
-                representatives.append(row)
-                sizes.append(0)
-                members.append([])
-            sizes[slot] += 1
-            members[slot].append(row)
-            class_index[row] = slot
-        return (
-            np.asarray(representatives, dtype=np.intp),
-            np.asarray(sizes, dtype=np.int64),
-            class_index,
-            members,
+        return self._artifact(
+            "row_classes", lambda: row_content_classes(self.row_keys)
         )
 
     @property
@@ -243,12 +222,9 @@ class AxisWorkspace(_ArtifactCache):
         """Groups (size >= 2) of identical submatrix rows.
 
         Same ordering contract as
-        :func:`repro.bitmatrix.equal_row_groups_sparse`: members
-        ascending, groups by first member (first-seen order is already
-        ascending in the first member).
+        :func:`repro.bitmatrix.equal_row_groups_sparse`.
         """
-        members = self._row_classes()[3]
-        return [list(group) for group in members if len(group) > 1]
+        return groups_of_labels(self.class_index)
 
     # ------------------------------------------------------------------
     # MinHash signatures
@@ -463,8 +439,8 @@ class CollapsedWorkspace(_ArtifactCache):
         of zero-overlap rows are absent here exactly as they are absent
         from the parent scan — the co-occurrence finder covers them with
         its separate anchor pass.  The output may repeat a representative
-        pair (once per contributing parent pair); union-find consumption
-        is insensitive to both repetition and order.
+        pair (once per contributing parent pair); connected components
+        are insensitive to both repetition and order.
         """
         return self._artifact(
             f"collapsed_pairs[{k}]",

@@ -13,10 +13,13 @@ of being bolted on:
   duplicating work; a previously ``failed``/``lost`` spec is
   resurrected into ``queued`` with a fresh attempt budget.
 * **Claim-with-lease** — :meth:`JobQueue.claim` emulates Postgres
-  ``SKIP LOCKED`` with a single guarded ``UPDATE ... RETURNING``: the
-  oldest runnable ``queued`` row flips to ``leased`` atomically, so two
-  concurrent claimers can never obtain the same job.  A lease expires
-  at ``lease_expires_at`` unless the worker heartbeats.
+  ``SKIP LOCKED`` with a SELECT of the oldest runnable ``queued`` row
+  and a guarded UPDATE that flips it to ``leased``, both inside one
+  ``BEGIN IMMEDIATE`` transaction: the write lock is held across the
+  two statements, so two concurrent claimers can never obtain the same
+  job, on every sqlite release (``UPDATE ... RETURNING`` would need
+  3.35).  A lease expires at ``lease_expires_at`` unless the worker
+  heartbeats.
 * **Reaping** — :meth:`JobQueue.reap_expired` requeues expired leases
   with exponential backoff (bounded by ``max_attempts``, after which
   the job is dead-lettered as ``lost``) and fails ``queued`` jobs whose
@@ -85,12 +88,6 @@ RUN_SECONDS_HISTOGRAM = "jobs.run_seconds"
 #: Version 2 added ``state_blobs``; a version-1 file is upgraded in
 #: place (its leftover inline-state ``analyze`` jobs fail when run).
 _SCHEMA_VERSION = 2
-
-#: ``UPDATE ... RETURNING`` needs sqlite >= 3.35 (2021-03).  Older
-#: runtimes fall back to a SELECT + UPDATE inside the same immediate
-#: transaction, which is equally atomic (the write lock is held across
-#: both statements) — only less elegant.
-_HAS_RETURNING = sqlite3.sqlite_version_info >= (3, 35, 0)
 
 _COLUMNS = (
     "job_id", "spec_hash", "kind", "state", "attempts", "max_attempts",
@@ -221,19 +218,25 @@ class JobQueue:
         backoff_cap_seconds: float = 60.0,
         time_source: Callable[[], float] = time.time,
     ) -> None:
-        if lease_seconds <= 0:
+        # Chained so that nan fails too (sqlite stores a nan expiry as
+        # NULL, which the reaper never matches); a heartbeat waits a
+        # third of the lease, and a wait past TIMEOUT_MAX overflows.
+        if not 0 < lease_seconds <= threading.TIMEOUT_MAX:
             raise ConfigurationError(
-                f"lease_seconds must be > 0 (got {lease_seconds})"
+                f"lease_seconds must be in (0, {threading.TIMEOUT_MAX:g}] "
+                f"(got {lease_seconds})"
             )
         if max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1 (got {max_attempts})"
             )
-        if backoff_seconds < 0 or backoff_cap_seconds < backoff_seconds:
+        if not (
+            0 <= backoff_seconds <= backoff_cap_seconds <= threading.TIMEOUT_MAX
+        ):
             raise ConfigurationError(
                 "backoff must satisfy 0 <= backoff_seconds <= "
-                f"backoff_cap_seconds (got {backoff_seconds}, "
-                f"{backoff_cap_seconds})"
+                f"backoff_cap_seconds <= {threading.TIMEOUT_MAX:g} "
+                f"(got {backoff_seconds}, {backoff_cap_seconds})"
             )
         self.path = Path(path)
         self.lease_seconds = float(lease_seconds)
@@ -526,29 +529,18 @@ class JobQueue:
         }
         conn = self._connection()
         with self._transaction(conn):
-            if _HAS_RETURNING:
-                row = conn.execute(
-                    f"UPDATE task_runs SET {self._CLAIM_SET} "
-                    f"WHERE id = ({self._CLAIM_PICK}) "
-                    f"RETURNING {_COLUMN_SQL}, payload",
-                    params,
-                ).fetchone()
-            else:  # sqlite < 3.35
-                picked = conn.execute(self._CLAIM_PICK, params).fetchone()
-                row = None
-                if picked is not None:
-                    conn.execute(
-                        f"UPDATE task_runs SET {self._CLAIM_SET} "
-                        "WHERE id = :id AND state='queued'",
-                        {**params, "id": picked["id"]},
-                    )
-                    row = conn.execute(
-                        f"SELECT {_COLUMN_SQL}, payload FROM task_runs "
-                        "WHERE id = ?",
-                        (picked["id"],),
-                    ).fetchone()
-            if row is None:
+            picked = conn.execute(self._CLAIM_PICK, params).fetchone()
+            if picked is None:
                 return None
+            conn.execute(
+                f"UPDATE task_runs SET {self._CLAIM_SET} "
+                "WHERE id = :id AND state='queued'",
+                {**params, "id": picked["id"]},
+            )
+            row = conn.execute(
+                f"SELECT {_COLUMN_SQL}, payload FROM task_runs WHERE id = ?",
+                (picked["id"],),
+            ).fetchone()
             record = self._record_of(row, with_payload=True)
             self._bump(conn, "jobs.claimed")
             self._bump(conn, "jobs.attempts")

@@ -136,9 +136,12 @@ class JobWorker:
         reap_interval_seconds: float | None = None,
         sinks: Any = (),
     ) -> None:
-        if poll_seconds <= 0:
+        # Chained so that nan (a busy-spinning claim loop) fails too; inf
+        # would overflow the idle wait.
+        if not 0 < poll_seconds <= threading.TIMEOUT_MAX:
             raise ConfigurationError(
-                f"poll_seconds must be > 0 (got {poll_seconds})"
+                f"poll_seconds must be in (0, {threading.TIMEOUT_MAX:g}] "
+                f"(got {poll_seconds})"
             )
         if max_jobs is not None and max_jobs < 1:
             raise ConfigurationError(

@@ -2,7 +2,7 @@
 
 A second approximate baseline next to the paper's HNSW one.  Candidate
 pairs come from banded MinHash collisions; each candidate is then
-verified against the *exact* Hamming criterion before union-find, so the
+verified against the *exact* Hamming criterion before grouping, so the
 finder is sound by construction:
 
 * ``k = 0`` — identical rows have identical signatures, which collide in
@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.bitmatrix import row_norms
 from repro.core.grouping.base import GroupFinder, register_group_finder
-from repro.core.grouping.cooccurrence import CooccurrenceGroupFinder
+from repro.core.grouping.cooccurrence import zero_overlap_pairs
 from repro.lsh.index import LshIndex
 from repro.lsh.minhash import minhash_signatures
-from repro.util import DisjointSet
+from repro.util import groups_of_pairs
 
 
 @register_group_finder("lsh")
@@ -99,18 +97,22 @@ class LshGroupFinder(GroupFinder):
         def row_set(row: int) -> set[int]:
             return set(indices[indptr[row] : indptr[row + 1]].tolist())
 
-        components = DisjointSet(n_rows)
+        matched_rows: list[int] = []
+        matched_cols: list[int] = []
         for i, j in index.candidate_pairs():
             # cheap norm bound first, then exact verification
             if abs(int(norms[i]) - int(norms[j])) > k:
                 continue
             distance = len(row_set(i).symmetric_difference(row_set(j)))
             if distance <= k:
-                components.union(i, j)
+                matched_rows.append(i)
+                matched_cols.append(j)
 
-        # Zero-overlap small sets never collide in LSH; same anchor pass
-        # as the custom algorithm keeps degenerate inputs correct.
-        CooccurrenceGroupFinder._union_non_overlapping(
-            components, np.asarray(norms), k
+        # Zero-overlap small sets never collide in LSH; the custom
+        # algorithm's anchor pairs keep degenerate inputs correct.
+        anchor_rows, anchor_cols = zero_overlap_pairs(norms, k)
+        return groups_of_pairs(
+            n_rows,
+            matched_rows + anchor_rows.tolist(),
+            matched_cols + anchor_cols.tolist(),
         )
-        return components.groups(min_size=2)

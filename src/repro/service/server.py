@@ -217,19 +217,19 @@ class ServiceConfig:
                 'execution "queue" requires jobs_path (the shared queue '
                 "database file)"
             )
-        if self.job_lease_seconds <= 0:
+        if not 0 < self.job_lease_seconds <= threading.TIMEOUT_MAX:
             raise ConfigurationError(
-                "job_lease_seconds must be > 0 "
-                f"(got {self.job_lease_seconds})"
+                "job_lease_seconds must be in "
+                f"(0, {threading.TIMEOUT_MAX:g}] (got {self.job_lease_seconds})"
             )
         if self.job_max_attempts < 1:
             raise ConfigurationError(
                 f"job_max_attempts must be >= 1 (got {self.job_max_attempts})"
             )
-        if self.job_backoff_seconds < 0:
+        if not 0 <= self.job_backoff_seconds <= threading.TIMEOUT_MAX:
             raise ConfigurationError(
-                "job_backoff_seconds must be >= 0 "
-                f"(got {self.job_backoff_seconds})"
+                "job_backoff_seconds must be in "
+                f"[0, {threading.TIMEOUT_MAX:g}] (got {self.job_backoff_seconds})"
             )
         if self.job_reap_seconds is not None and self.job_reap_seconds <= 0:
             raise ConfigurationError(

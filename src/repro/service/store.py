@@ -60,12 +60,15 @@ class SnapshotMeta:
     def from_dict(cls, payload: Any) -> "SnapshotMeta":
         if not isinstance(payload, dict):
             raise DataFormatError("snapshot meta must be an object")
-        return cls(
-            mutation_seq=int(payload.get("mutation_seq", 0)),
-            fingerprint=str(payload.get("fingerprint", "")),
-            saved_at=float(payload.get("saved_at", 0.0)),
-            extra=dict(payload.get("extra", {})),
-        )
+        try:
+            return cls(
+                mutation_seq=int(payload.get("mutation_seq", 0)),
+                fingerprint=str(payload.get("fingerprint", "")),
+                saved_at=float(payload.get("saved_at", 0.0)),
+                extra=dict(payload.get("extra", {})),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(f"malformed snapshot meta: {exc}") from exc
 
 
 class SnapshotStore:

@@ -1,5 +1,5 @@
-"""Small shared utilities (disjoint sets, deterministic RNG helpers)."""
+"""Small shared utilities: the canonical grouping primitive."""
 
-from repro.util.disjoint_set import DisjointSet
+from repro.util.groups import groups_of_labels, groups_of_pairs
 
-__all__ = ["DisjointSet"]
+__all__ = ["groups_of_labels", "groups_of_pairs"]

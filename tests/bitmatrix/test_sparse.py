@@ -10,6 +10,7 @@ from repro.bitmatrix import (
     cooccurrence,
     csr_row_keys,
     equal_row_groups_sparse,
+    row_content_classes,
     row_norms,
     to_csr,
 )
@@ -95,6 +96,31 @@ class TestCsrRowKeys:
     def test_empty_rows_share_a_key(self):
         keys = csr_row_keys(np.zeros((3, 4), dtype=bool))
         assert keys[0] == keys[1] == keys[2]
+
+
+class TestRowContentClasses:
+    def test_first_seen_order(self):
+        dense = np.array(
+            [[0, 1, 1], [1, 0, 0], [0, 1, 1], [0, 0, 1], [1, 0, 0], [0, 1, 1]]
+        )
+        representatives, sizes, class_index = row_content_classes(
+            csr_row_keys(dense)
+        )
+        assert representatives.tolist() == [0, 1, 3]
+        assert sizes.tolist() == [3, 2, 1]
+        assert class_index.tolist() == [0, 1, 0, 2, 1, 0]
+        assert representatives.dtype == class_index.dtype == np.intp
+        assert sizes.dtype == np.int64
+
+    def test_keys_compared_whole(self):
+        # Column 0's key is eight zero bytes: a fixed-width byte-string
+        # array would strip them and merge the row with an empty one.
+        keys = csr_row_keys(np.array([[1, 0], [0, 0], [1, 0]], dtype=bool))
+        assert row_content_classes(keys)[2].tolist() == [0, 1, 0]
+
+    def test_no_rows(self):
+        representatives, sizes, class_index = row_content_classes([])
+        assert len(representatives) == len(sizes) == len(class_index) == 0
 
 
 class TestEqualRowGroupsSparse:

@@ -8,9 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from union_find import DisjointSet
 
 from repro.cluster import DBSCAN, labels_to_groups
-from repro.util import DisjointSet
 
 
 def bool_matrices():

@@ -32,9 +32,18 @@ class TestValidation:
         [
             {"lease_seconds": 0},
             {"lease_seconds": -1},
+            {"lease_seconds": float("nan")},
+            {"lease_seconds": float("inf")},
+            {"lease_seconds": 1e12},
             {"max_attempts": 0},
             {"backoff_seconds": -0.1},
             {"backoff_seconds": 5.0, "backoff_cap_seconds": 1.0},
+            {"backoff_seconds": float("nan")},
+            {"backoff_seconds": float("inf"), "backoff_cap_seconds": float("inf")},
+            {"backoff_seconds": 1e12, "backoff_cap_seconds": 1e12},
+            {"backoff_cap_seconds": float("nan")},
+            {"backoff_cap_seconds": float("inf")},
+            {"backoff_cap_seconds": 1e12},
         ],
     )
     def test_bad_options(self, tmp_path, options):
@@ -169,16 +178,6 @@ class TestClaim:
         assert claimed.queue_wait_seconds is not None
         summaries = queue.histogram_summaries()
         assert summaries["jobs.queue_wait_seconds"]["count"] == 1
-
-
-class TestClaimWithoutReturning(TestClaim):
-    """Every claim test again on the sqlite < 3.35 branch (no
-    ``UPDATE ... RETURNING``): a SELECT then a guarded UPDATE inside the
-    same immediate transaction."""
-
-    @pytest.fixture(autouse=True)
-    def without_returning(self, monkeypatch):
-        monkeypatch.setattr(queue_module, "_HAS_RETURNING", False)
 
 
 class TestLeaseGuards:

@@ -11,6 +11,7 @@ import pytest
 from repro.core.engine import AnalysisConfig, analyze
 from repro.core.report import Report
 from repro.core.state import RbacState
+from repro.exceptions import ConfigurationError
 from repro.io.statecodec import encode_state
 from repro.jobs import JobQueue, JobWorker
 from repro.obs.sinks import InMemorySink
@@ -58,6 +59,23 @@ def queue(tmp_path):
     q = JobQueue(tmp_path / "jobs.sqlite", lease_seconds=5.0)
     yield q
     q.close()
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"poll_seconds": 0},
+            {"poll_seconds": -1},
+            {"poll_seconds": float("nan")},
+            {"poll_seconds": float("inf")},
+            {"poll_seconds": 1e12},
+            {"max_jobs": 0},
+        ],
+    )
+    def test_bad_options(self, queue, options):
+        with pytest.raises(ConfigurationError):
+            JobWorker(queue, **options)
 
 
 class TestAnalyzeHandler:

@@ -67,6 +67,11 @@ class TestServiceConfig:
             {"deadline_seconds": float("inf")},
             {"deadline_seconds": float("nan")},
             {"deadline_seconds": 1e12},
+            {"job_lease_seconds": float("nan")},
+            {"job_lease_seconds": float("inf")},
+            {"job_lease_seconds": 1e12},
+            {"job_backoff_seconds": float("nan")},
+            {"job_backoff_seconds": float("inf")},
         ],
     )
     def test_validation(self, options):

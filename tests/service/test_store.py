@@ -123,6 +123,28 @@ class TestLoadValidation:
         with pytest.raises(DataFormatError, match="fingerprint check"):
             store.load()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mutation_seq", "abc"),
+            ("mutation_seq", [1]),
+            ("mutation_seq", float("inf")),
+            ("saved_at", "abc"),
+            ("saved_at", {}),
+            ("extra", 5),
+            ("extra", "abc"),
+        ],
+    )
+    def test_malformed_meta(self, tmp_path, field, value):
+        state = sample_state()
+        store = SnapshotStore(tmp_path / "snap.json")
+        store.save(state, sample_meta(state))
+        document = json.loads(store.path.read_text(encoding="utf-8"))
+        document["meta"][field] = value
+        store.path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="snapshot meta"):
+            store.load()
+
     def test_empty_fingerprint_skips_the_check(self, tmp_path):
         state = sample_state()
         store = SnapshotStore(tmp_path / "snap.json")

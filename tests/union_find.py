@@ -1,10 +1,10 @@
-"""Disjoint-set (union-find) over dense integer indices.
+"""Union-find: the reference the grouping primitive is tested against.
 
-Used to turn pairwise "same/similar" relations into role groups.  For
-exact duplicates the relation is an equivalence, so the components are
-the true groups; for the ≤k-similarity relation the components implement
-the chaining semantics shared by DBSCAN and the custom algorithm (see
-``repro.cluster.dbscan``).
+:mod:`repro.util.groups` builds canonical groups with
+``scipy.sparse.csgraph``; this plain disjoint-set forest with a
+dictionary-built ``groups`` is slow but obviously right, so
+``tests/util/test_groups.py`` and the DBSCAN component property compare
+against it (and ``tests/util/test_disjoint_set.py`` pins it down).
 """
 
 from __future__ import annotations

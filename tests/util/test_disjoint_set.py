@@ -1,12 +1,11 @@
-"""Unit tests for the union-find utility."""
+"""Unit tests for the union-find reference (tests/union_find.py)."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-
-from repro.util import DisjointSet
+from union_find import DisjointSet
 
 
 class TestBasics:

@@ -74,14 +74,17 @@ def row_content_classes(
     the first row of each class, each class's size, and the class of
     every row.
     """
-    _, first, inverse, sizes = np.unique(
-        np.array(keys, dtype=object),
-        return_index=True,
-        return_inverse=True,
-        return_counts=True,
+    classes: dict[bytes, int] = {}
+    class_index = np.fromiter(
+        (classes.setdefault(key, len(classes)) for key in keys),
+        dtype=np.intp,
+        count=len(keys),
     )
-    order = np.argsort(first)
-    return first[order], sizes[order], np.argsort(order)[inverse]
+    # Classes are numbered as first seen, so the first row of each
+    # class is where its number first appears.
+    _, first = np.unique(class_index, return_index=True)
+    sizes = np.bincount(class_index, minlength=len(classes))
+    return first, sizes.astype(np.int64), class_index
 
 
 def equal_row_groups_sparse(

@@ -198,6 +198,21 @@ class Report:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable representation of the whole report."""
+        return self._payload([f.to_dict() for f in self.sorted_findings()])
+
+    def encode(self) -> bytes:
+        """``json.dumps(self.to_dict(), sort_keys=True)`` in UTF-8.
+
+        The encoder gets the findings themselves and turns each into its
+        dict only as it writes it, so the dicts of all findings are never
+        alive at once.  Kept alive together they are a burst of GC-tracked
+        containers, which sets off full collections of the whole heap.
+        """
+        payload = self._payload(self.sorted_findings())
+        text = json.dumps(payload, sort_keys=True, default=Finding.to_dict)
+        return text.encode("utf-8")
+
+    def _payload(self, findings: list[Any]) -> dict[str, Any]:
         return {
             "dataset": {
                 "users": self.state.n_users,
@@ -213,7 +228,7 @@ class Report:
             "total_seconds": self.total_seconds,
             "metrics": dict(self.metrics),
             "n_findings": len(self.findings),
-            "findings": [f.to_dict() for f in self.sorted_findings()],
+            "findings": findings,
         }
 
     def to_json(self, indent: int | None = 2) -> str:

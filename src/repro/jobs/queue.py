@@ -67,12 +67,17 @@ from repro.exceptions import ConfigurationError, DataFormatError, ReproError
 from repro.obs.metrics import Histogram
 
 __all__ = [
+    "BACKOFF_CAP_SECONDS",
     "JOB_STATES",
     "JobError",
     "JobRecord",
     "JobQueue",
     "spec_key_of",
 ]
+
+#: The longest requeue delay (seconds) exponential backoff grows to, and
+#: so the largest ``backoff_seconds`` base a queue accepts by default.
+BACKOFF_CAP_SECONDS = 60.0
 
 #: Every state a ``task_runs`` row can be in.  ``queued`` and ``leased``
 #: are live; ``done``, ``failed`` and ``lost`` are terminal (``lost`` =
@@ -215,7 +220,7 @@ class JobQueue:
         lease_seconds: float = 15.0,
         max_attempts: int = 3,
         backoff_seconds: float = 0.5,
-        backoff_cap_seconds: float = 60.0,
+        backoff_cap_seconds: float = BACKOFF_CAP_SECONDS,
         time_source: Callable[[], float] = time.time,
     ) -> None:
         # Chained so that nan fails too (sqlite stores a nan expiry as

@@ -27,9 +27,9 @@ from repro.exceptions import ConfigurationError
 __all__ = ["RefreshScheduler"]
 
 #: ``runner`` contract: produce ``(report, fingerprint, mutation_seq)``
-#: for the current live state (the service routes this through its
-#: report cache, so back-to-back refreshes of an unchanged state are
-#: nearly free).
+#: for the current live state (the service serves a refresh of content
+#: it has analysed before from its report cache inline, or from the
+#: job's ``done`` row in queue mode).
 RunnerResult = "tuple[Report, str, int]"
 
 

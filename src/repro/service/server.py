@@ -3,11 +3,15 @@
 :class:`AnalysisService` is the application object — it owns the live
 :class:`~repro.core.incremental.IncrementalAuditor` (so ``GET
 /v1/counts`` is served from maintained indexes, never a re-analysis),
-the fingerprint-keyed :class:`~repro.service.cache.ReportCache`, the
-background :class:`~repro.service.scheduler.RefreshScheduler`, and the
-service metrics.  Its :meth:`~AnalysisService.handle` method maps one
+the fingerprint-keyed :class:`~repro.service.cache.ReportCache` of
+encoded reports, the background
+:class:`~repro.service.scheduler.RefreshScheduler`, and the service
+metrics.  Its :meth:`~AnalysisService.handle` method maps one
 ``(method, path, body)`` triple to ``(status, payload, headers)`` with
-no socket involved, which is what the unit tests drive.
+no socket involved, which is what the unit tests drive.  The two
+endpoints that serve a stored result, inline ``POST /v1/analyze`` and
+``GET /v1/jobs/{id}``, return their JSON body already encoded, as
+bytes: the stored report goes into it as it is, never re-encoded.
 
 :class:`ServiceServer` binds a service to a stdlib
 ``ThreadingHTTPServer`` (zero third-party dependencies).  Production
@@ -63,6 +67,7 @@ from repro.core.report import Report
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError, ReproError
 from repro.jobs import JobClient, JobQueue, JobRecord
+from repro.jobs.queue import BACKOFF_CAP_SECONDS
 from repro.obs import (
     GC_COLLECTIONS,
     GC_PAUSE,
@@ -96,6 +101,29 @@ class _StateMoved(Exception):
     """A mutation changed the live state after its fingerprint was read."""
 
 
+def _verbatim_json(plain: dict[str, Any], encoded: dict[str, bytes]) -> bytes:
+    """Sorted-key JSON of an object whose ``encoded`` members are JSON already.
+
+    ``plain`` members are encoded here with ``json.dumps(value,
+    sort_keys=True)``; ``encoded`` members must be UTF-8 JSON written
+    the same way, and go in as they are.  The result is byte-identical
+    to ``json.dumps(whole, sort_keys=True) + "\n"`` for the parsed
+    whole, without parsing or encoding the stored members again.
+    """
+    members = {
+        key: json.dumps(value, sort_keys=True).encode("utf-8")
+        for key, value in plain.items()
+    }
+    members.update(encoded)
+    # One join, so a large stored member is copied once.
+    parts: list[bytes] = []
+    for key in sorted(members):
+        parts += (b", ", json.dumps(key).encode("utf-8"), b": ", members[key])
+    parts[:1] = [b"{"]  # the first separator opens the object instead
+    parts.append(b"}\n")
+    return b"".join(parts)
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Configuration of one :class:`AnalysisService`.
@@ -109,7 +137,9 @@ class ServiceConfig:
         Default per-request deadline; clients override per request with
         the ``X-Deadline`` header.
     cache_capacity:
-        Reports kept in the LRU report cache.
+        Encoded reports kept in the LRU report cache.  Only inline
+        analyses (and the warm start) fill it; in queue mode the job
+        table is the result store.
     refresh_mutations / refresh_seconds:
         Background full-analysis triggers (``None`` disables a trigger;
         both ``None`` disables the scheduler).
@@ -145,7 +175,8 @@ class ServiceConfig:
         reaped on warm start.
     job_lease_seconds / job_max_attempts / job_backoff_seconds:
         Lease duration, retry budget, and backoff base for enqueued
-        jobs (see :class:`repro.jobs.JobQueue`).
+        jobs (see :class:`repro.jobs.JobQueue`).  The backoff base is at
+        most the queue's fixed cap, ``BACKOFF_CAP_SECONDS`` (60 s).
     job_reap_seconds:
         Interval of the service's background reaper sweep (defaults to
         half the lease).
@@ -226,10 +257,10 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"job_max_attempts must be >= 1 (got {self.job_max_attempts})"
             )
-        if not 0 <= self.job_backoff_seconds <= threading.TIMEOUT_MAX:
+        if not 0 <= self.job_backoff_seconds <= BACKOFF_CAP_SECONDS:
             raise ConfigurationError(
                 "job_backoff_seconds must be in "
-                f"[0, {threading.TIMEOUT_MAX:g}] (got {self.job_backoff_seconds})"
+                f"[0, {BACKOFF_CAP_SECONDS:g}] (got {self.job_backoff_seconds})"
             )
         if self.job_reap_seconds is not None and self.job_reap_seconds <= 0:
             raise ConfigurationError(
@@ -443,8 +474,9 @@ class AnalysisService:
 
         ``payload`` is normally a JSON-able dict; ``GET
         /metricz?format=prometheus`` returns a plain-text str instead
-        (the HTTP layer switches Content-Type accordingly), and ``GET
-        /v1/jobs/{id}`` returns its JSON body already encoded, as bytes.
+        (the HTTP layer switches Content-Type accordingly), and a
+        successful inline ``POST /v1/analyze`` and ``GET /v1/jobs/{id}``
+        return their JSON body already encoded, as bytes.
         """
         started = time.monotonic()
         parts = urlsplit(path)
@@ -720,29 +752,17 @@ class AnalysisService:
 
     def _handle_analyze(
         self, body: bytes, deadline_at: float
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
+    ) -> tuple[int, dict[str, Any] | bytes, dict[str, str]]:
         overrides = self._parse_json(body) if body.strip() else None
         effective = build_analysis_config(self.config.analysis, overrides)
         if self._jobs is not None:
             return self._enqueue_analyze(effective, deadline_at)
-        # The cached dict (not the Report) is the response body.
-        (_report, payload), source, fingerprint, seq = self._cached_analysis(
-            effective,
-            lambda snapshot, _fingerprint, _seq: self._compute(
-                snapshot, effective
-            ),
-            deadline_at,
+        # The cached bytes (not the Report) are the body's report.
+        (_report, encoded), source, fingerprint, seq = self._cached_analysis(
+            effective, deadline_at
         )
-        return (
-            200,
-            {
-                "cache": source,
-                "fingerprint": fingerprint,
-                "mutation_seq": seq,
-                "report": payload,
-            },
-            {},
-        )
+        plain = {"cache": source, "fingerprint": fingerprint, "mutation_seq": seq}
+        return 200, _verbatim_json(plain, {"report": encoded}), {}
 
     def _handle_latest_report(
         self,
@@ -837,25 +857,18 @@ class AnalysisService:
         A ``done`` job's payload embeds the worker's full result (the
         serialised report + the fingerprint/mutation_seq it analysed),
         so one poll both observes completion and fetches the report.
-        The body is what ``json.dumps(payload, sort_keys=True)`` writes,
-        but the stored result text goes in as it is: the queue stored it
-        with ``sort_keys=True``, so parsing and encoding it again would
-        only reproduce the same bytes.
+        The stored result text goes into the body as it is: the queue
+        stored it with ``sort_keys=True``, so parsing and encoding it
+        again would only reproduce the same bytes.
         """
         client = self._require_jobs()
         record = client.queue.get(job_id, include_result=True)
         if record is None:
             return 404, {"error": f"no such job: {job_id}"}, {}
-        members = {
-            key: json.dumps(value, sort_keys=True)
-            for key, value in record.public_dict().items()
-        }
+        encoded: dict[str, bytes] = {}
         if record.state == "done" and record.result_text is not None:
-            members["result"] = record.result_text
-        body = ", ".join(
-            f"{json.dumps(key)}: {members[key]}" for key in sorted(members)
-        )
-        return 200, f"{{{body}}}\n".encode("utf-8"), {}
+            encoded["result"] = record.result_text.encode("utf-8")
+        return 200, _verbatim_json(record.public_dict(), encoded), {}
 
     # ------------------------------------------------------------------
     # Analysis plumbing
@@ -863,22 +876,19 @@ class AnalysisService:
     def _cached_analysis(
         self,
         config: AnalysisConfig,
-        compute: Callable[
-            [RbacState, str, int], tuple[Report, dict[str, Any]]
-        ],
         deadline_at: float | None = None,
-    ) -> tuple[tuple[Report, dict[str, Any]], str, str, int]:
-        """The cached analysis of the live state under ``config``.
+    ) -> tuple[tuple[Report, bytes], str, str, int]:
+        """The cached inline analysis of the live state under ``config``.
 
-        Returns ``(value, source, fingerprint, mutation_seq)`` with
-        ``source`` one of ``hit``/``miss``/``coalesced``.  The
-        fingerprint read and the cache probe share one hold of the state
-        lock: the read is O(1) and a hit copies nothing.  On a miss the
-        state is copied inside that same hold, so the cache key is
-        guaranteed to describe exactly the copied content — mutations
-        arriving after the lock is released cannot desynchronise the
-        key from the analysed snapshot.  ``compute(snapshot,
-        fingerprint, seq)`` then runs on a cache compute thread.
+        Returns ``((report, encoded), source, fingerprint,
+        mutation_seq)`` with ``source`` one of
+        ``hit``/``miss``/``coalesced``.  The fingerprint read and the
+        cache probe share one hold of the state lock: the read is O(1)
+        and a hit copies nothing.  On a miss the state is copied inside
+        that same hold, so the cache key is guaranteed to describe
+        exactly the copied content — mutations arriving after the lock
+        is released cannot desynchronise the key from the analysed
+        snapshot.  :meth:`_compute` then runs on a cache compute thread.
         """
         with self._state_lock:
             fingerprint = self._auditor.state.fingerprint()
@@ -899,7 +909,7 @@ class AnalysisService:
             source = "hit"
         else:
             value, source = self._cache.get_or_compute(
-                key, lambda: compute(snapshot, fingerprint, seq), timeout
+                key, lambda: self._compute(snapshot, config), timeout
             )
         self._registry.inc(f"service.analyze_{source}")
         return value, source, fingerprint, seq
@@ -967,68 +977,51 @@ class AnalysisService:
 
     def _compute(
         self, snapshot: RbacState, config: AnalysisConfig
-    ) -> tuple[Report, dict[str, Any]]:
-        """One full analysis; runs on a cache compute thread."""
+    ) -> tuple[Report, bytes]:
+        """One full analysis and its encoded report; runs on a cache
+        compute thread, the report cache's only producer."""
         report = analyze(snapshot, config)
         self._merge_report_metrics(report)
         self._registry.inc("service.analyses")
-        return report, report.to_dict()
+        return report, report.encode()
 
     def _refresh_runner(self, inline: bool = False) -> tuple[Report, str, int]:
         """Scheduler hook: analyse the current state with the defaults.
 
-        In queue mode the refresh is *enqueued* like any client analysis
-        and awaited — the scheduler thread tolerates the latency, the
-        work lands on the worker fleet, and the result still flows
-        through the report cache under the same key a ``/v1/analyze``
-        for the same content would use.  ``inline=True`` (warm start)
-        forces in-process computation.
+        Inline (and for the warm start, ``inline=True``, in both modes)
+        the refresh is a cached analysis, the same as a ``/v1/analyze``
+        for the same content.  In queue mode it is *enqueued* like any
+        client analysis and awaited: the scheduler thread tolerates the
+        latency, the work lands on the worker fleet, and the job table
+        is the result store — a refresh of content already analysed is
+        answered by its ``done`` row.  :meth:`Report.from_payload`
+        reattaches this process's snapshot, so the scheduler's diff gets
+        a live report indistinguishable from an inline one.
         """
         config = self.config.analysis
-        if self._jobs is not None and not inline:
-            def compute(
-                snapshot: RbacState, fingerprint: str, seq: int
-            ) -> tuple[Report, dict[str, Any]]:
-                return self._compute_queued(snapshot, config, fingerprint, seq)
-        else:
-            def compute(
-                snapshot: RbacState, fingerprint: str, seq: int
-            ) -> tuple[Report, dict[str, Any]]:
-                return self._compute(snapshot, config)
-        (report, _payload), _source, fingerprint, seq = self._cached_analysis(
-            config, compute
-        )
-        return report, fingerprint, seq
-
-    def _compute_queued(
-        self,
-        snapshot: RbacState,
-        config: AnalysisConfig,
-        fingerprint: str,
-        seq: int,
-    ) -> tuple[Report, dict[str, Any]]:
-        """Run one analysis through the worker fleet and reconstruct it.
-
-        The worker ships ``report.to_dict()`` back through the queue;
-        :meth:`Report.from_payload` reattaches this process's snapshot so
-        downstream consumers (the scheduler's diff, renderers) get a live
-        report indistinguishable from an inline one.
-        """
-        record, _created = self._submit_analyze(
+        if self._jobs is None or inline:
+            (report, _encoded), _source, fingerprint, seq = (
+                self._cached_analysis(config)
+            )
+            return report, fingerprint, seq
+        with self._state_lock:
+            fingerprint = self._auditor.state.fingerprint()
+            seq = self._mutation_seq
+            snapshot = self._copy_state()
+        timeout = self.config.job_refresh_timeout_seconds
+        record, created = self._submit_analyze(
             config,
             fingerprint,
             seq,
             lambda: snapshot,
-            expires_at=time.time() + self.config.job_refresh_timeout_seconds,
+            expires_at=time.time() + timeout,
         )
-        result = self._jobs.wait(
-            record.job_id, timeout=self.config.job_refresh_timeout_seconds
-        )
-        payload = result["report"]
-        report = Report.from_payload(payload, snapshot)
-        self._merge_report_metrics(report)
+        result = self._jobs.wait(record.job_id, timeout=timeout)
+        report = Report.from_payload(result["report"], snapshot)
+        if created:  # a job's engine metrics are folded in once
+            self._merge_report_metrics(report)
         self._registry.inc("service.analyses_queued")
-        return report, payload
+        return report, fingerprint, seq
 
     # ------------------------------------------------------------------
     # Observability plumbing
@@ -1137,7 +1130,7 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             trace_id_header=self.headers.get("X-Trace-Id"),
         )
         if isinstance(payload, bytes):
-            data = payload  # already-encoded JSON (GET /v1/jobs/{id})
+            data = payload  # already-encoded JSON (a stored result)
             content_type = "application/json"
         elif isinstance(payload, str):
             # Prometheus text exposition (and any future text payloads).

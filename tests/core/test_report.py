@@ -64,6 +64,12 @@ class TestRendering:
         assert payload["n_findings"] == len(report.findings)
         assert len(payload["findings"]) == len(report.findings)
 
+    def test_encode_is_the_sorted_key_dump_of_to_dict(self, report, small_org_state):
+        for each in (report, analyze(small_org_state)):
+            assert any(f.group is not None for f in each.findings)
+            expected = json.dumps(each.to_dict(), sort_keys=True)
+            assert each.encode() == expected.encode("utf-8")
+
     def test_to_text_mentions_key_numbers(self, report):
         text = report.to_text()
         assert "5 roles" in text

@@ -80,7 +80,7 @@ def make_service(tmp_path=None, **overrides) -> AnalysisService:
 def analyze(service: AnalysisService) -> dict:
     status, payload, _ = service.handle("POST", "/v1/analyze", b"")
     assert status in (200, 202), payload
-    return payload
+    return json.loads(payload) if status == 200 else payload
 
 
 def mutate(service: AnalysisService, mutations: list[dict]) -> None:

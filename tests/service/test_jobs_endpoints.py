@@ -18,7 +18,7 @@ import pytest
 from repro.core import AnalysisConfig, analyze
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
-from repro.jobs import JobQueue, run_worker
+from repro.jobs import JobQueue, JobWorker, run_worker
 from repro.obs import InMemorySink
 from repro.service import AnalysisService, ServiceConfig, ServiceServer
 
@@ -105,6 +105,32 @@ class TestConfigValidation:
             ServiceConfig(
                 execution="queue", jobs_path=tmp_path / "q.sqlite", **options
             )
+
+    def test_backoff_above_the_queue_cap_names_the_knob(self, tmp_path):
+        # The queue caps its backoff at 60 s and would refuse a larger
+        # base only when the service starts, naming its own parameter.
+        with pytest.raises(ConfigurationError, match="job_backoff_seconds"):
+            ServiceConfig(
+                execution="queue",
+                jobs_path=tmp_path / "q.sqlite",
+                job_backoff_seconds=100,
+            )
+
+    def test_backoff_at_the_queue_cap_starts(self, tmp_path):
+        service = AnalysisService(
+            sample_state(),
+            ServiceConfig(
+                warm_start=False,
+                refresh_mutations=None,
+                execution="queue",
+                jobs_path=tmp_path / "q.sqlite",
+                job_backoff_seconds=60.0,
+            ),
+        )
+        try:
+            assert service.jobs.queue.backoff_seconds == 60.0
+        finally:
+            service.close()
 
 
 class TestInlineModeGuards:
@@ -273,6 +299,58 @@ class TestVerbatimResult:
             server.stop()
         assert content_type == "application/json"
         assert body == expected
+
+
+class TestQueuedRefresh:
+    """The scheduler's refresh in queue mode runs on the worker fleet."""
+
+    def test_refresh_publishes_a_diff_and_reuses_the_done_job(self, tmp_path):
+        path = tmp_path / "jobs.sqlite"
+        service = AnalysisService(
+            sample_state(),
+            ServiceConfig(
+                refresh_mutations=None, execution="queue", jobs_path=path
+            ),
+        )
+        worker_queue = JobQueue(path)
+        stop = threading.Event()
+        worker = JobWorker(
+            worker_queue, worker_id="w", poll_seconds=0.01, stop_event=stop
+        )
+        thread = threading.Thread(target=worker.run)
+        thread.start()
+        try:
+            service.start()  # the warm start computes inline: seq 1
+            body = json.dumps({"mutations": [
+                {"op": "assign_user", "role": "r3", "user": "u4"},
+            ]}).encode()
+            assert service.handle("POST", "/v1/mutations", body)[0] == 200
+            service.scheduler.run_once()
+            status, latest, _ = service.handle("GET", "/v1/reports/latest")
+            assert status == 200
+            assert latest["seq"] == 2
+            assert latest["diff"] is not None
+            assert latest["counts"] == analyze(
+                service.state.copy(), AnalysisConfig()
+            ).counts()
+            counters = service.handle("GET", "/metricz")[1]["counters"]
+            assert counters["service.analyses_queued"] == 1
+            jobs = service.jobs.queue.stats()["counters"]
+            assert jobs["jobs.enqueued"] == 1
+
+            # Unchanged content: the refresh is answered by the done row.
+            service.scheduler.run_once()
+            status, latest, _ = service.handle("GET", "/v1/reports/latest")
+            assert status == 200
+            assert latest["seq"] == 3
+            jobs = service.jobs.queue.stats()["counters"]
+            assert jobs["jobs.enqueued"] == 1
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            worker_queue.close()
+            service.close()
+        assert not thread.is_alive()
 
 
 class TestJobEndpoints:

@@ -14,11 +14,21 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AnalysisConfig, analyze
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
 from repro.service import AnalysisService, ServiceConfig, ServiceServer
+from repro.service.server import _verbatim_json
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
 
 
 def sample_state() -> RbacState:
@@ -72,6 +82,7 @@ class TestServiceConfig:
             {"job_lease_seconds": 1e12},
             {"job_backoff_seconds": float("nan")},
             {"job_backoff_seconds": float("inf")},
+            {"job_backoff_seconds": 100},
         ],
     )
     def test_validation(self, options):
@@ -184,9 +195,11 @@ class TestMutationsAndCounts:
     def test_mutation_changes_the_fingerprint_and_cache_key(self):
         service = make_service()
         status, first, _ = service.handle("POST", "/v1/analyze")
+        first = json.loads(first)
         assert status == 200 and first["cache"] == "miss"
         post_mutations(service, [{"op": "add_user", "id": "x"}])
         status, second, _ = service.handle("POST", "/v1/analyze")
+        second = json.loads(second)
         assert status == 200 and second["cache"] == "miss"
         assert first["fingerprint"] != second["fingerprint"]
 
@@ -196,9 +209,11 @@ class TestAnalyzeCaching:
         service = make_service()
         status, first, _ = service.handle("POST", "/v1/analyze")
         assert status == 200
+        first = json.loads(first)
         assert first["cache"] == "miss"
         status, second, _ = service.handle("POST", "/v1/analyze")
         assert status == 200
+        second = json.loads(second)
         assert second["cache"] == "hit"
         assert second["report"] == first["report"]
         _, metrics, _ = service.handle("GET", "/metricz")
@@ -212,7 +227,7 @@ class TestAnalyzeCaching:
             "POST", "/v1/analyze", json.dumps({"n_workers": 2}).encode()
         )
         assert status == 200
-        assert payload["cache"] == "hit"
+        assert json.loads(payload)["cache"] == "hit"
 
     def test_result_affecting_overrides_do_not(self):
         service = make_service()
@@ -223,7 +238,7 @@ class TestAnalyzeCaching:
             json.dumps({"similarity_threshold": 2}).encode(),
         )
         assert status == 200
-        assert payload["cache"] == "miss"
+        assert json.loads(payload)["cache"] == "miss"
 
     def test_unknown_override_400(self):
         status, payload, _ = make_service().handle(
@@ -237,7 +252,7 @@ class TestAnalyzeCaching:
         service.start()
         status, payload, _ = service.handle("POST", "/v1/analyze")
         assert status == 200
-        assert payload["cache"] == "hit"
+        assert json.loads(payload)["cache"] == "hit"
         status, latest, _ = service.handle("GET", "/v1/reports/latest")
         assert status == 200
         assert latest["seq"] == 1
@@ -247,6 +262,92 @@ class TestAnalyzeCaching:
     def test_latest_report_404_before_any_publication(self):
         status, _, _ = make_service().handle("GET", "/v1/reports/latest")
         assert status == 404
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    whole=st.dictionaries(st.text(), json_values, max_size=6),
+    data=st.data(),
+)
+def test_verbatim_json_equals_sorted_key_dumps(whole, data):
+    # Any split of the members into plain and pre-encoded ones (text
+    # with non-ASCII and escapes, floats, nested and empty members)
+    # gives the bytes json.dumps writes for the whole object.
+    stored = data.draw(st.sets(st.sampled_from(sorted(whole)))) if whole else ()
+    plain = {key: value for key, value in whole.items() if key not in stored}
+    encoded = {
+        key: json.dumps(whole[key], sort_keys=True).encode("utf-8")
+        for key in stored
+    }
+    expected = json.dumps(whole, sort_keys=True) + "\n"
+    assert _verbatim_json(plain, encoded) == expected.encode("utf-8")
+
+
+class TestVerbatimReport:
+    """Inline ``POST /v1/analyze`` sends the stored report bytes."""
+
+    @staticmethod
+    def report_member(body: bytes) -> bytes:
+        # "report" sorts last, so its member runs to the closing brace.
+        assert body.endswith(b"}\n")
+        return body.split(b'"report": ', 1)[1][:-2]
+
+    def test_miss_hit_and_coalesced_bodies(self, monkeypatch):
+        service = make_service()
+        release = threading.Event()
+        real_analyze = analyze
+
+        def gated_analyze(state, config=None, recorder=None):
+            assert release.wait(5)
+            return real_analyze(state, config, recorder)
+
+        monkeypatch.setattr("repro.service.server.analyze", gated_analyze)
+        results = []
+
+        def request():
+            results.append(service.handle("POST", "/v1/analyze"))
+
+        owner = threading.Thread(target=request)
+        owner.start()
+        assert wait_for(lambda: service.cache.stats()["in_flight"] == 1)
+        joiner = threading.Thread(target=request)
+        joiner.start()
+        assert wait_for(lambda: service.cache.stats()["coalesced"] == 1)
+        release.set()
+        owner.join(timeout=10)
+        joiner.join(timeout=10)
+        results.append(service.handle("POST", "/v1/analyze"))
+        bodies = {}
+        for status, body, _ in results:
+            assert status == 200
+            assert isinstance(body, bytes)
+            doc = json.loads(body)
+            assert body == (json.dumps(doc, sort_keys=True) + "\n").encode()
+            bodies[doc["cache"]] = body
+        assert set(bodies) == {"miss", "coalesced", "hit"}
+        miss = self.report_member(bodies["miss"])
+        assert self.report_member(bodies["hit"]) == miss
+        assert self.report_member(bodies["coalesced"]) == miss
+        report = json.loads(miss)
+        assert report["counts"] == analyze(service.state).counts()
+
+    def test_http_sends_the_body_unchanged(self):
+        service = make_service()
+        service.handle("POST", "/v1/analyze")
+        _, expected, _ = service.handle("POST", "/v1/analyze")
+        server = ServiceServer(service, port=0)
+        server.start()
+        try:
+            request = urllib.request.Request(
+                f"{server.url}/v1/analyze", data=b"", method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                content_type = response.headers["Content-Type"]
+                body = response.read()
+        finally:
+            server.stop()
+        assert content_type == "application/json"
+        assert body == expected
 
 
 class TestDeadlines:
@@ -271,7 +372,7 @@ class TestDeadlines:
         # ...and serves the retry (gate still patched: a hit needs no compute).
         status, payload, _ = service.handle("POST", "/v1/analyze")
         assert status == 200
-        assert payload["cache"] == "hit"
+        assert json.loads(payload)["cache"] == "hit"
         _, metrics, _ = service.handle("GET", "/metricz")
         assert metrics["counters"]["service.http_504"] == 1
         assert metrics["cache"]["deadline_abandons"] == 1
@@ -333,6 +434,7 @@ class TestBackpressure:
         # The rejected request did not corrupt the in-flight one.
         status, payload, _ = in_flight_result[0]
         assert status == 200
+        payload = json.loads(payload)
         assert payload["cache"] == "miss"
         assert payload["report"]["counts"] == analyze(
             service.state, service.config.analysis
@@ -419,6 +521,7 @@ class TestScanThreads:
         try:
             status, payload, _ = service.handle("POST", "/v1/analyze", b"{}")
             assert status == 200
+            payload = json.loads(payload)
             assert payload["report"]["metrics"]["workers"]["mode"] == (
                 "parallel"
             )
@@ -431,7 +534,7 @@ class TestScanThreads:
                 "POST", "/v1/analyze", json.dumps({"block_rows": 3}).encode()
             )
             assert status == 200
-            assert payload["cache"] == "hit"
+            assert json.loads(payload)["cache"] == "hit"
         finally:
             service.close()
 
@@ -464,7 +567,7 @@ class TestScanThreads:
         finally:
             service.close()
         assert status == 200
-        assert payload["cache"] == "miss"
+        assert json.loads(payload)["cache"] == "miss"
         assert spy_threads and set(spy_threads) == {3}
 
 

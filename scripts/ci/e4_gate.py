@@ -1,0 +1,90 @@
+"""The paper-scale E4 gate: every planted count of the §IV-B table is
+measured exactly.
+
+Generates the paper's own workload (``OrgProfile.paper_scale()``: 90k
+users, 350k permissions, 50k roles) once, analyses it serially and with
+the blocked scan fanned out over two workers, and requires every row of
+the table to match the planted count.  The serial report's ``encode()``
+must be the sorted-key dump of its ``to_dict()``; the digest of that
+report without its run-specific members is printed.  Then the state
+round-trips through the JSON document (the snapshot format; the job
+plane ships ``statecodec`` blobs instead) and must keep its fingerprint
+and counts::
+
+    PYTHONPATH=src python scripts/ci/e4_gate.py
+
+Exits non-zero when an assertion fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import time
+
+from repro.core.engine import AnalysisConfig, analyze
+from repro.datagen import OrgProfile, generate_org
+from repro.io.jsonio import state_from_dict, state_to_dict
+
+#: Report members that differ from run to run.
+RUN_SPECIFIC = ("timings_seconds", "total_seconds", "metrics")
+
+
+def main() -> None:
+    start = time.perf_counter()
+    org = generate_org(OrgProfile.paper_scale())
+    print(f"generate_org: {time.perf_counter() - start:.1f}s")
+    expected = org.expected_counts()
+    configs = {
+        "serial": AnalysisConfig(),
+        "2 workers, block_rows=4096": AnalysisConfig(
+            n_workers=2, block_rows=4096
+        ),
+    }
+    for label, config in configs.items():
+        start = time.perf_counter()
+        report = analyze(org.state, config)
+        counts = report.counts()
+        print(f"{label}: analyze {time.perf_counter() - start:.1f}s")
+        for row, planted in expected.items():
+            print(f"  {row:28} planted {planted:>7} measured {counts[row]:>7}")
+        assert counts == expected, f"{label}: planted != measured"
+        if label == "serial":
+            check_report_bytes(report)
+        del report
+    print("E4 gate ok: every row matches at paper scale")
+
+    start = time.perf_counter()
+    text = json.dumps(state_to_dict(org.state))
+    print(f"state_to_dict + dumps: {time.perf_counter() - start:.1f}s "
+          f"({len(text) / 1e6:.1f} MB)")
+    document = json.loads(text)
+    start = time.perf_counter()
+    restored = state_from_dict(document)
+    print(f"state_from_dict: {time.perf_counter() - start:.2f}s")
+    assert restored.fingerprint() == org.state.fingerprint()
+    assert analyze(restored).counts() == expected
+    print("round trip ok: same fingerprint, same counts")
+
+
+def check_report_bytes(report) -> None:
+    """``encode()`` writes the bytes ``json.dumps(to_dict(), sort_keys=True)``
+    does; print the digest of the report without its run-specific members."""
+    start = time.perf_counter()
+    encoded = report.encode()
+    print(f"encode: {time.perf_counter() - start:.2f}s "
+          f"({len(encoded) / 1e6:.1f} MB)")
+    payload = report.to_dict()
+    assert encoded == json.dumps(payload, sort_keys=True).encode("utf-8"), (
+        "encode() differs from the sorted-key dump of to_dict()"
+    )
+    for key in RUN_SPECIFIC:
+        del payload[key]
+    digest = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    print(f"normalised report sha256: {digest}")
+
+
+if __name__ == "__main__":
+    main()

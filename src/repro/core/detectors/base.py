@@ -9,6 +9,7 @@ access builds them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from functools import cached_property
 
 from repro.core.matrices import AssignmentMatrix
@@ -59,9 +60,11 @@ class Detector(ABC):
     name: str = ""
 
     @abstractmethod
-    def detect(self, context: AnalysisContext) -> list[Finding]:
+    def detect(self, context: AnalysisContext) -> Sequence[Finding]:
         """Return all findings of this detector's type.
 
+        A list of records, or :class:`~repro.core.taxonomy.Findings`
+        whose buckets hold single-entity findings as columns.
         Implementations must be read-only with respect to the state and
         deterministic: equal inputs yield equal findings in equal order.
         """

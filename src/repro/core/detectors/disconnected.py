@@ -7,15 +7,12 @@ are deliberately excluded here so the two detectors never double-report.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.detectors.base import AnalysisContext, Detector
-from repro.core.entities import EntityKind
 from repro.core.taxonomy import (
-    DEFAULT_SEVERITY,
-    Axis,
-    Finding,
-    InefficiencyType,
+    ROLES_WITHOUT_PERMISSIONS,
+    ROLES_WITHOUT_USERS,
+    Bucket,
+    Findings,
 )
 
 
@@ -24,48 +21,22 @@ class DisconnectedRoleDetector(Detector):
 
     name = "disconnected_roles"
 
-    def detect(self, context: AnalysisContext) -> list[Finding]:
-        findings: list[Finding] = []
-        severity = DEFAULT_SEVERITY[InefficiencyType.DISCONNECTED_ROLE]
+    def detect(self, context: AnalysisContext) -> Findings:
         user_sums = context.ruam.row_sums
         permission_sums = context.rpam.row_sums
-
-        no_users = np.flatnonzero((user_sums == 0) & (permission_sums > 0))
-        for index in no_users:
-            role_id = context.ruam.row_id(int(index))
-            findings.append(
-                Finding(
-                    type=InefficiencyType.DISCONNECTED_ROLE,
-                    entity_kind=EntityKind.ROLE,
-                    entity_ids=(role_id,),
-                    severity=severity,
-                    message=(
-                        f"role {role_id!r} has no users "
-                        f"(but {int(permission_sums[index])} permissions)"
-                    ),
-                    axis=Axis.USERS,
-                    details={"n_permissions": int(permission_sums[index])},
-                )
-            )
-
-        no_permissions = np.flatnonzero(
-            (permission_sums == 0) & (user_sums > 0)
+        no_users = (user_sums == 0) & (permission_sums > 0)
+        no_permissions = (permission_sums == 0) & (user_sums > 0)
+        return Findings(
+            [
+                Bucket(
+                    ROLES_WITHOUT_USERS,
+                    context.ruam.rows_where(no_users),
+                    permission_sums[no_users].tolist(),
+                ),
+                Bucket(
+                    ROLES_WITHOUT_PERMISSIONS,
+                    context.rpam.rows_where(no_permissions),
+                    user_sums[no_permissions].tolist(),
+                ),
+            ]
         )
-        for index in no_permissions:
-            role_id = context.rpam.row_id(int(index))
-            findings.append(
-                Finding(
-                    type=InefficiencyType.DISCONNECTED_ROLE,
-                    entity_kind=EntityKind.ROLE,
-                    entity_ids=(role_id,),
-                    severity=severity,
-                    message=(
-                        f"role {role_id!r} has no permissions "
-                        f"(but {int(user_sums[index])} users)"
-                    ),
-                    axis=Axis.PERMISSIONS,
-                    details={"n_users": int(user_sums[index])},
-                )
-            )
-
-        return findings

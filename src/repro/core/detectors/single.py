@@ -8,13 +8,11 @@ severity and, like everything else, are never auto-fixed.
 from __future__ import annotations
 
 from repro.core.detectors.base import AnalysisContext, Detector
-from repro.core.entities import EntityKind
-from repro.core.matrices import AssignmentMatrix
 from repro.core.taxonomy import (
-    DEFAULT_SEVERITY,
-    Axis,
-    Finding,
-    InefficiencyType,
+    SINGLE_PERMISSION_ROLES,
+    SINGLE_USER_ROLES,
+    Bucket,
+    Findings,
 )
 
 
@@ -23,31 +21,10 @@ class SingleAssignmentDetector(Detector):
 
     name = "single_assignment_roles"
 
-    def detect(self, context: AnalysisContext) -> list[Finding]:
-        findings: list[Finding] = []
-        findings.extend(
-            self._scan_axis(context.ruam, Axis.USERS, "user")
+    def detect(self, context: AnalysisContext) -> Findings:
+        return Findings(
+            [
+                Bucket(SINGLE_USER_ROLES, context.ruam.rows_with_sum(1)),
+                Bucket(SINGLE_PERMISSION_ROLES, context.rpam.rows_with_sum(1)),
+            ]
         )
-        findings.extend(
-            self._scan_axis(context.rpam, Axis.PERMISSIONS, "permission")
-        )
-        return findings
-
-    @staticmethod
-    def _scan_axis(
-        matrix: AssignmentMatrix, axis: Axis, noun: str
-    ) -> list[Finding]:
-        severity = DEFAULT_SEVERITY[InefficiencyType.SINGLE_ASSIGNMENT_ROLE]
-        findings = []
-        for role_id in matrix.rows_with_sum(1):
-            findings.append(
-                Finding(
-                    type=InefficiencyType.SINGLE_ASSIGNMENT_ROLE,
-                    entity_kind=EntityKind.ROLE,
-                    entity_ids=(role_id,),
-                    severity=severity,
-                    message=f"role {role_id!r} has exactly one {noun}",
-                    axis=axis,
-                )
-            )
-        return findings

@@ -12,14 +12,13 @@ A node is standalone when it has no edges at all:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.detectors.base import AnalysisContext, Detector
-from repro.core.entities import EntityKind
 from repro.core.taxonomy import (
-    DEFAULT_SEVERITY,
-    Finding,
-    InefficiencyType,
+    STANDALONE_PERMISSIONS,
+    STANDALONE_ROLES,
+    STANDALONE_USERS,
+    Bucket,
+    Findings,
 )
 
 
@@ -28,51 +27,15 @@ class StandaloneNodeDetector(Detector):
 
     name = "standalone_nodes"
 
-    def detect(self, context: AnalysisContext) -> list[Finding]:
-        findings: list[Finding] = []
-        severity = DEFAULT_SEVERITY[InefficiencyType.STANDALONE_NODE]
-
-        for user_id in context.ruam.cols_with_sum(0):
-            findings.append(
-                Finding(
-                    type=InefficiencyType.STANDALONE_NODE,
-                    entity_kind=EntityKind.USER,
-                    entity_ids=(user_id,),
-                    severity=severity,
-                    message=f"user {user_id!r} is not assigned to any role",
-                )
-            )
-
-        for permission_id in context.rpam.cols_with_sum(0):
-            findings.append(
-                Finding(
-                    type=InefficiencyType.STANDALONE_NODE,
-                    entity_kind=EntityKind.PERMISSION,
-                    entity_ids=(permission_id,),
-                    severity=severity,
-                    message=(
-                        f"permission {permission_id!r} is not linked to any role"
-                    ),
-                )
-            )
-
+    def detect(self, context: AnalysisContext) -> Findings:
+        ruam, rpam = context.ruam, context.rpam
         # A standalone role has zero-sum rows in both matrices; the row
         # order is identical (state.role_ids()), so a vector AND suffices.
-        both_empty = np.flatnonzero(
-            (context.ruam.row_sums == 0) & (context.rpam.row_sums == 0)
+        empty_roles = (ruam.row_sums == 0) & (rpam.row_sums == 0)
+        return Findings(
+            [
+                Bucket(STANDALONE_USERS, ruam.cols_with_sum(0)),
+                Bucket(STANDALONE_PERMISSIONS, rpam.cols_with_sum(0)),
+                Bucket(STANDALONE_ROLES, ruam.rows_where(empty_roles)),
+            ]
         )
-        for index in both_empty:
-            role_id = context.ruam.row_id(int(index))
-            findings.append(
-                Finding(
-                    type=InefficiencyType.STANDALONE_NODE,
-                    entity_kind=EntityKind.ROLE,
-                    entity_ids=(role_id,),
-                    severity=severity,
-                    message=(
-                        f"role {role_id!r} has neither users nor permissions"
-                    ),
-                )
-            )
-
-        return findings

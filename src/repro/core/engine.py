@@ -39,7 +39,7 @@ from repro.core.grouping.cooccurrence import (
 )
 from repro.core.report import Report
 from repro.core.state import RbacState
-from repro.core.taxonomy import Axis, InefficiencyType
+from repro.core.taxonomy import Axis, Findings, InefficiencyType
 from repro.exceptions import ConfigurationError
 from repro.obs import (
     GC_PAUSE,
@@ -304,7 +304,7 @@ class AnalysisEngine:
         context = AnalysisContext(
             state, block_rows=self.config.block_rows, n_workers=n_workers
         )
-        findings: list = []
+        findings = Findings()
         timings: dict[str, float] = {}
         with use_recorder(recorder):
             with recorder.span(

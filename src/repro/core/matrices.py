@@ -156,13 +156,17 @@ class AssignmentMatrix:
 
     def rows_with_sum(self, value: int) -> list[str]:
         """Role ids whose row sum equals ``value``."""
-        indices = np.flatnonzero(self.row_sums == value)
-        return [self._row_ids[int(i)] for i in indices]
+        return self.rows_where(self.row_sums == value)
 
     def cols_with_sum(self, value: int) -> list[str]:
         """Column (user/permission) ids whose column sum equals ``value``."""
-        indices = np.flatnonzero(self.col_sums == value)
-        return [self._col_ids[int(i)] for i in indices]
+        indices = np.flatnonzero(self.col_sums == value).tolist()
+        return list(map(self._col_ids.__getitem__, indices))
+
+    def rows_where(self, mask: npt.NDArray[np.bool_]) -> list[str]:
+        """Role ids of the rows ``mask`` selects, in row order."""
+        indices = np.flatnonzero(mask).tolist()
+        return list(map(self._row_ids.__getitem__, indices))
 
     # ------------------------------------------------------------------
     # Label mapping helpers

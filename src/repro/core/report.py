@@ -3,12 +3,16 @@
 A :class:`Report` bundles the findings of one analysis run with summary
 statistics shaped like the paper's §IV-B narrative (one count per
 inefficiency type and axis) and renders to plain text, Markdown, or JSON.
+
+The findings are held as :class:`~repro.core.taxonomy.Findings` parts:
+counts and the JSON writer read the bucket columns, and
+:class:`~repro.core.taxonomy.Finding` objects are built only for the
+callers that ask for them (``findings``, ``of_type``, the renderers).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.entities import EntityKind
@@ -16,27 +20,44 @@ from repro.core.state import RbacState
 from repro.core.taxonomy import (
     Axis,
     Finding,
+    Findings,
     InefficiencyType,
-    sort_findings,
 )
+from repro.util.jsontext import verbatim_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import AnalysisConfig
 
 
-@dataclass
 class Report:
     """The result of one analysis run."""
 
-    state: RbacState
-    findings: list[Finding]
-    timings: dict[str, float] = field(default_factory=dict)
-    total_seconds: float = 0.0
-    config: "AnalysisConfig | None" = None
-    #: Observability summary for the run (see docs/OBSERVABILITY.md):
-    #: counter totals, span count, and the worker breakdown.  Empty when
-    #: the report was built outside the engine.
-    metrics: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        state: RbacState,
+        findings: Iterable[Finding],
+        timings: dict[str, float] | None = None,
+        total_seconds: float = 0.0,
+        config: "AnalysisConfig | None" = None,
+        metrics: dict | None = None,
+    ) -> None:
+        self.state = state
+        if not isinstance(findings, Findings):
+            findings = Findings([list(findings)])
+        #: The findings, in detection order, as bucket columns and records.
+        self.parts = findings
+        self.timings: dict[str, float] = dict(timings or {})
+        self.total_seconds = total_seconds
+        self.config = config
+        #: Observability summary for the run (see docs/OBSERVABILITY.md):
+        #: counter totals, span count, and the worker breakdown.  Empty
+        #: when the report was built outside the engine.
+        self.metrics: dict = dict(metrics or {})
+
+    @property
+    def findings(self) -> list[Finding]:
+        """Every finding, in detection order (built on first use)."""
+        return self.parts.materialise()
 
     # ------------------------------------------------------------------
     # Reconstruction
@@ -48,31 +69,30 @@ class Report:
         """Rebuild a report from its :meth:`to_dict` payload.
 
         The inverse serialisation used when a report crosses a process
-        boundary as JSON — a queue worker computes and ships
-        ``report.to_dict()``; the service reattaches its own ``state``
+        boundary as JSON — a queue worker computes and ships the
+        encoded report; the service reattaches its own ``state``
         (the payload only carries dataset *counts*) and gets live
         findings back for diffing and rendering.  Derived sections of
         the payload (``counts``, ``consolidation``, ``n_findings``) are
         not stored — they are recomputed from the findings, so a
-        reconstructed report re-serialises byte-identically.
+        reconstructed report re-serialises byte-identically.  A finding
+        a bucket writes as it stands goes back into that bucket's
+        columns (see :meth:`Findings.from_dicts`).
         """
         from repro.core.engine import AnalysisConfig
 
         config_payload = payload.get("config")
         return cls(
             state=state,
-            findings=[
-                Finding.from_dict(item)
-                for item in payload.get("findings", [])
-            ],
-            timings=dict(payload.get("timings_seconds", {})),
+            findings=Findings.from_dicts(payload.get("findings", [])),
+            timings=payload.get("timings_seconds", {}),
             total_seconds=payload.get("total_seconds", 0.0),
             config=(
                 AnalysisConfig.from_dict(config_payload)
                 if config_payload is not None
                 else None
             ),
-            metrics=dict(payload.get("metrics", {})),
+            metrics=payload.get("metrics", {}),
         )
 
     # ------------------------------------------------------------------
@@ -89,8 +109,13 @@ class Report:
         return [f for f in self.findings if f.type is kind and f.axis is axis]
 
     def sorted_findings(self) -> list[Finding]:
-        """Findings ordered for administrator review (severity first)."""
-        return sort_findings(self.findings)
+        """Findings ordered for administrator review (severity first):
+        the order of :func:`~repro.core.taxonomy.sort_findings`."""
+        return self._in_review_order(self.findings)
+
+    def _in_review_order(self, rows: list) -> list:
+        """Detection-order ``rows`` (one per finding) in review order."""
+        return list(map(rows.__getitem__, self.parts.review_order()))
 
     # ------------------------------------------------------------------
     # Statistics (the paper's §IV-B table shape)
@@ -102,46 +127,63 @@ class Report:
         number of groups, matching how the paper reports "8,000 roles
         sharing the same users".
         """
-        standalone = self.of_type(InefficiencyType.STANDALONE_NODE)
+        standalone = InefficiencyType.STANDALONE_NODE
+        disconnected = InefficiencyType.DISCONNECTED_ROLE
+        single = InefficiencyType.SINGLE_ASSIGNMENT_ROLE
+        duplicate = InefficiencyType.DUPLICATE_ROLES
+        similar = InefficiencyType.SIMILAR_ROLES
         return {
-            "standalone_users": _count_kind(standalone, EntityKind.USER),
-            "standalone_permissions": _count_kind(
+            "standalone_users": self._count(standalone, EntityKind.USER),
+            "standalone_permissions": self._count(
                 standalone, EntityKind.PERMISSION
             ),
-            "standalone_roles": _count_kind(standalone, EntityKind.ROLE),
-            "roles_without_users": len(
-                self.on_axis(InefficiencyType.DISCONNECTED_ROLE, Axis.USERS)
+            "standalone_roles": self._count(standalone, EntityKind.ROLE),
+            "roles_without_users": self._count(disconnected, axis=Axis.USERS),
+            "roles_without_permissions": self._count(
+                disconnected, axis=Axis.PERMISSIONS
             ),
-            "roles_without_permissions": len(
-                self.on_axis(
-                    InefficiencyType.DISCONNECTED_ROLE, Axis.PERMISSIONS
-                )
+            "single_user_roles": self._count(single, axis=Axis.USERS),
+            "single_permission_roles": self._count(
+                single, axis=Axis.PERMISSIONS
             ),
-            "single_user_roles": len(
-                self.on_axis(
-                    InefficiencyType.SINGLE_ASSIGNMENT_ROLE, Axis.USERS
-                )
+            "roles_same_users": self._roles_in_groups(duplicate, Axis.USERS),
+            "roles_same_permissions": self._roles_in_groups(
+                duplicate, Axis.PERMISSIONS
             ),
-            "single_permission_roles": len(
-                self.on_axis(
-                    InefficiencyType.SINGLE_ASSIGNMENT_ROLE, Axis.PERMISSIONS
-                )
-            ),
-            "roles_same_users": _roles_in_groups(
-                self.on_axis(InefficiencyType.DUPLICATE_ROLES, Axis.USERS)
-            ),
-            "roles_same_permissions": _roles_in_groups(
-                self.on_axis(
-                    InefficiencyType.DUPLICATE_ROLES, Axis.PERMISSIONS
-                )
-            ),
-            "roles_similar_users": _roles_in_groups(
-                self.on_axis(InefficiencyType.SIMILAR_ROLES, Axis.USERS)
-            ),
-            "roles_similar_permissions": _roles_in_groups(
-                self.on_axis(InefficiencyType.SIMILAR_ROLES, Axis.PERMISSIONS)
+            "roles_similar_users": self._roles_in_groups(similar, Axis.USERS),
+            "roles_similar_permissions": self._roles_in_groups(
+                similar, Axis.PERMISSIONS
             ),
         }
+
+    def _count(
+        self,
+        kind: InefficiencyType,
+        entity_kind: EntityKind | None = None,
+        axis: Axis | None = None,
+    ) -> int:
+        """Findings of ``kind``, of ``entity_kind`` and on ``axis`` where
+        given: a length per bucket plus one step per record."""
+
+        def wanted(f: Any) -> bool:  # a BucketSpec or a Finding
+            return (
+                f.type is kind
+                and entity_kind in (None, f.entity_kind)
+                and axis in (None, f.axis)
+            )
+
+        return sum(
+            len(bucket) for bucket in self.parts.buckets() if wanted(bucket.spec)
+        ) + sum(map(wanted, self.parts.records()))
+
+    def _roles_in_groups(self, kind: InefficiencyType, axis: Axis) -> int:
+        """Total roles involved across the group findings of ``kind`` on
+        ``axis`` (groups are always records)."""
+        return sum(
+            len(f.entity_ids)
+            for f in self.parts.records()
+            if f.type is kind and f.axis is axis
+        )
 
     def extension_counts(self) -> dict[str, int]:
         """Counts for extension detectors (outside the paper's table).
@@ -149,11 +191,7 @@ class Report:
         Keys appear regardless of whether the extension detectors ran,
         so dashboards can rely on the shape; values are 0 when disabled.
         """
-        return {
-            "shadowed_roles": len(
-                self.of_type(InefficiencyType.SHADOWED_ROLE)
-            ),
-        }
+        return {"shadowed_roles": self._count(InefficiencyType.SHADOWED_ROLE)}
 
     def consolidation_potential(self) -> dict[str, Any]:
         """How many roles consolidation of type-4 groups could remove.
@@ -162,26 +200,24 @@ class Report:
         ``group size - 1`` roles; the paper's headline is that this alone
         is ~10% of all roles in the real dataset.
         """
-        removable_users = sum(
-            f.group.redundant_count
-            for f in self.on_axis(InefficiencyType.DUPLICATE_ROLES, Axis.USERS)
-            if f.group is not None
-        )
-        removable_permissions = sum(
-            f.group.redundant_count
-            for f in self.on_axis(
-                InefficiencyType.DUPLICATE_ROLES, Axis.PERMISSIONS
-            )
-            if f.group is not None
-        )
+        removable = {Axis.USERS: 0, Axis.PERMISSIONS: 0}
+        for f in self.parts.records():
+            if (
+                f.type is InefficiencyType.DUPLICATE_ROLES
+                and f.group is not None
+                and f.axis in removable
+            ):
+                removable[f.axis] += f.group.redundant_count
+        removable_users = removable[Axis.USERS]
+        removable_permissions = removable[Axis.PERMISSIONS]
         n_roles = self.state.n_roles
-        removable = removable_users + removable_permissions
+        total = removable_users + removable_permissions
         return {
             "removable_via_same_users": removable_users,
             "removable_via_same_permissions": removable_permissions,
-            "removable_total_upper_bound": removable,
+            "removable_total_upper_bound": total,
             "total_roles": n_roles,
-            "fraction_of_roles": (removable / n_roles) if n_roles else 0.0,
+            "fraction_of_roles": (total / n_roles) if n_roles else 0.0,
         }
 
     # ------------------------------------------------------------------
@@ -198,21 +234,24 @@ class Report:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serialisable representation of the whole report."""
-        return self._payload([f.to_dict() for f in self.sorted_findings()])
+        payload = self._summary()
+        payload["findings"] = self._in_review_order(self.parts.dicts())
+        return payload
 
     def encode(self) -> bytes:
         """``json.dumps(self.to_dict(), sort_keys=True)`` in UTF-8.
 
-        The encoder gets the findings themselves and turns each into its
-        dict only as it writes it, so the dicts of all findings are never
-        alive at once.  Kept alive together they are a burst of GC-tracked
-        containers, which sets off full collections of the whole heap.
+        The findings are written straight from the bucket columns, one
+        JSON text per finding (only records go through
+        :meth:`Finding.to_dict`), and go into the payload's text as
+        they are.
         """
-        payload = self._payload(self.sorted_findings())
-        text = json.dumps(payload, sort_keys=True, default=Finding.to_dict)
-        return text.encode("utf-8")
+        texts = self._in_review_order(self.parts.texts())
+        findings = ("[%s]" % ", ".join(texts)).encode("utf-8")
+        return verbatim_json(self._summary(), {"findings": findings})
 
-    def _payload(self, findings: list[Any]) -> dict[str, Any]:
+    def _summary(self) -> dict[str, Any]:
+        """Every member of :meth:`to_dict` but the findings."""
         return {
             "dataset": {
                 "users": self.state.n_users,
@@ -227,8 +266,7 @@ class Report:
             "timings_seconds": dict(self.timings),
             "total_seconds": self.total_seconds,
             "metrics": dict(self.metrics),
-            "n_findings": len(self.findings),
-            "findings": findings,
+            "n_findings": len(self.parts),
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -271,7 +309,7 @@ class Report:
         if shown:
             lines.append("")
             lines.append(f"top findings (showing {len(shown)} of "
-                         f"{len(self.findings)}):")
+                         f"{len(self.parts)}):")
             for finding in shown:
                 lines.append(
                     f"  [{finding.severity.value:>6}] {finding.message}"
@@ -371,15 +409,7 @@ class Report:
 
     def __repr__(self) -> str:
         return (
-            f"Report(findings={len(self.findings)}, "
+            f"Report(findings={len(self.parts)}, "
             f"total_seconds={self.total_seconds:.3f})"
         )
 
-
-def _count_kind(findings: Iterable[Finding], kind: EntityKind) -> int:
-    return sum(1 for f in findings if f.entity_kind is kind)
-
-
-def _roles_in_groups(findings: Iterable[Finding]) -> int:
-    """Total roles involved across group findings."""
-    return sum(len(f.entity_ids) for f in findings)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.report import Report
-from repro.core.taxonomy import Finding
+from repro.core.taxonomy import Bucket, Finding, Findings, sort_findings
 
 #: Stable identity of a finding across runs.
 FindingKey = tuple[str, str, tuple[str, ...]]
@@ -98,9 +98,11 @@ def diff_reports(old: Report, new: Report) -> ReportDiff:
 
     Both reports should come from the same analysis configuration;
     otherwise "new"/"resolved" mostly reflects the configuration change.
+    Keys are read from the bucket columns; only the new and resolved
+    findings are built.
     """
-    old_by_key = {finding_key(f): f for f in old.findings}
-    new_by_key = {finding_key(f): f for f in new.findings}
+    old_by_key = _by_key(old.parts)
+    new_by_key = _by_key(new.parts)
 
     new_keys = new_by_key.keys() - old_by_key.keys()
     resolved_keys = old_by_key.keys() - new_by_key.keys()
@@ -112,15 +114,37 @@ def diff_reports(old: Report, new: Report) -> ReportDiff:
         key: new_counts[key] - old_counts.get(key, 0) for key in new_counts
     }
 
-    from repro.core.taxonomy import sort_findings
-
     return ReportDiff(
         new_findings=sort_findings(
-            [new_by_key[key] for key in new_keys]
+            [_finding(new_by_key[key]) for key in new_keys]
         ),
         resolved_findings=sort_findings(
-            [old_by_key[key] for key in resolved_keys]
+            [_finding(old_by_key[key]) for key in resolved_keys]
         ),
         persisting_count=persisting,
         count_deltas=deltas,
     )
+
+
+def _by_key(findings: Findings) -> dict[FindingKey, Any]:
+    """Each finding's key, to the finding itself (a record) or to its
+    ``(bucket, row)``; of findings with equal keys the last one counts."""
+    by_key: dict[FindingKey, Any] = {}
+    for part in findings.parts:
+        if not isinstance(part, Bucket):
+            by_key.update((finding_key(f), f) for f in part)
+            continue
+        spec = part.spec
+        type_, axis = spec.type.value, spec.axis.value if spec.axis else ""
+        by_key.update(
+            ((type_, axis, (entity_id,)), (part, row))
+            for row, entity_id in enumerate(part.ids)
+        )
+    return by_key
+
+
+def _finding(located: Any) -> Finding:
+    if isinstance(located, Finding):
+        return located
+    bucket, row = located
+    return bucket.finding(row)

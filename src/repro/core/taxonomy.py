@@ -1,18 +1,28 @@
 """The paper's taxonomy of RBAC data inefficiencies (§III-A).
 
 Five types are defined; types that have a "users or permissions" flavour
-carry an :class:`Axis` discriminating which side was analysed.  Detection
-output is a list of :class:`Finding` records, each tying an inefficiency
-type to the affected entities and a suggested (never auto-applied)
-remediation.
+carry an :class:`Axis` discriminating which side was analysed.  A
+:class:`Finding` ties an inefficiency type to the affected entities and
+a suggested (never auto-applied) remediation.
+
+A report holds its findings as :class:`Findings`: an ordered list of
+parts.  The single-entity findings of types 1-3 come in a
+:class:`Bucket` per ``(type, entity_kind, axis)`` — a column of entity
+ids and, where the type has one, a column of detail counts — and are
+written to JSON straight from those columns; role groups (types 4-5
+and the shadowed-role extension) stay :class:`Finding` records.
 """
 
 from __future__ import annotations
 
+import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.entities import EntityKind
 
@@ -240,3 +250,376 @@ def sort_findings(findings: Sequence[Finding]) -> list[Finding]:
     ordered.sort(key=lambda f: f.type.value)
     ordered.sort(key=lambda f: -f.severity.rank)
     return ordered
+
+
+@dataclass(frozen=True)
+class BucketSpec:
+    """One bucket of single-entity findings, ``(type, entity_kind, axis)``,
+    and the text its findings carry.
+
+    ``template`` is the message, formatted with the entity id (``{0!r}``)
+    and, for a bucket with a ``detail``, the detail count (``{1}``),
+    which the finding also carries as ``details[detail]``.  The severity
+    is the type's default.
+    """
+
+    type: InefficiencyType
+    entity_kind: EntityKind
+    axis: Axis | None
+    template: str
+    detail: str | None = None
+
+    @property
+    def severity(self) -> Severity:
+        return DEFAULT_SEVERITY[self.type]
+
+    def finding(self, entity_id: str, detail: int | None = None) -> Finding:
+        """The finding of one row."""
+        return Finding(
+            type=self.type,
+            entity_kind=self.entity_kind,
+            entity_ids=(entity_id,),
+            severity=self.severity,
+            message=self.template.format(entity_id, detail),
+            axis=self.axis,
+            details={self.detail: detail} if self.detail else _NO_DETAILS,
+        )
+
+    def record(self, entity_id: str, detail: int | None = None) -> dict:
+        """``Finding.to_dict()`` of one row, without the finding."""
+        type_, entity_kind, severity, axis = self._values
+        record = {
+            "type": type_,
+            "entity_kind": entity_kind,
+            "entity_ids": [entity_id],
+            "severity": severity,
+            "message": self.template.format(entity_id, detail),
+            "details": {self.detail: detail} if self.detail else {},
+        }
+        if axis is not None:
+            record["axis"] = axis
+        return record
+
+    def read(self, item: Mapping[str, Any]) -> tuple[str, int | None] | None:
+        """The row whose :meth:`record` equals ``item``, if there is one."""
+        ids = item.get("entity_ids")
+        if type(ids) is not list or len(ids) != 1 or type(ids[0]) is not str:
+            return None
+        detail = None
+        if self.detail is not None:
+            details = item.get("details")
+            if type(details) is not dict:
+                return None
+            detail = details.get(self.detail)
+            if type(detail) is not int:
+                return None
+        if item != self.record(ids[0], detail):
+            return None
+        return ids[0], detail
+
+    @cached_property
+    def _values(self) -> tuple[str, str, str, str | None]:
+        """The enum values a record carries, looked up once."""
+        return (
+            self.type.value,
+            self.entity_kind.value,
+            self.severity.value,
+            self.axis.value if self.axis is not None else None,
+        )
+
+    @cached_property
+    def text(self) -> str:
+        """One finding as ``json.dumps(record, sort_keys=True)`` writes it,
+        with ``%`` slots for the detail (when there is one), the quoted
+        entity id and the quoted message, in that order."""
+        members = {
+            "details": (
+                "{%s: %%d}" % json.dumps(self.detail) if self.detail else "{}"
+            ),
+            "entity_ids": "[%s]",
+            "entity_kind": json.dumps(self.entity_kind.value),
+            "message": "%s",
+            "severity": json.dumps(self.severity.value),
+            "type": json.dumps(self.type.value),
+        }
+        if self.axis is not None:
+            members["axis"] = json.dumps(self.axis.value)
+        return "{%s}" % ", ".join(
+            f"{json.dumps(key)}: {members[key]}" for key in sorted(members)
+        )
+
+
+STANDALONE_USERS = BucketSpec(
+    InefficiencyType.STANDALONE_NODE,
+    EntityKind.USER,
+    None,
+    "user {0!r} is not assigned to any role",
+)
+STANDALONE_PERMISSIONS = BucketSpec(
+    InefficiencyType.STANDALONE_NODE,
+    EntityKind.PERMISSION,
+    None,
+    "permission {0!r} is not linked to any role",
+)
+STANDALONE_ROLES = BucketSpec(
+    InefficiencyType.STANDALONE_NODE,
+    EntityKind.ROLE,
+    None,
+    "role {0!r} has neither users nor permissions",
+)
+ROLES_WITHOUT_USERS = BucketSpec(
+    InefficiencyType.DISCONNECTED_ROLE,
+    EntityKind.ROLE,
+    Axis.USERS,
+    "role {0!r} has no users (but {1} permissions)",
+    detail="n_permissions",
+)
+ROLES_WITHOUT_PERMISSIONS = BucketSpec(
+    InefficiencyType.DISCONNECTED_ROLE,
+    EntityKind.ROLE,
+    Axis.PERMISSIONS,
+    "role {0!r} has no permissions (but {1} users)",
+    detail="n_users",
+)
+SINGLE_USER_ROLES = BucketSpec(
+    InefficiencyType.SINGLE_ASSIGNMENT_ROLE,
+    EntityKind.ROLE,
+    Axis.USERS,
+    "role {0!r} has exactly one user",
+)
+SINGLE_PERMISSION_ROLES = BucketSpec(
+    InefficiencyType.SINGLE_ASSIGNMENT_ROLE,
+    EntityKind.ROLE,
+    Axis.PERMISSIONS,
+    "role {0!r} has exactly one permission",
+)
+
+#: Every bucket, by the ``(type, entity_kind, axis)`` values a record
+#: carries (``axis`` is ``None`` where the record has none).
+_BUCKET_OF_KEY: Mapping[tuple[str, str, str | None], BucketSpec] = {
+    (
+        spec.type.value,
+        spec.entity_kind.value,
+        spec.axis.value if spec.axis is not None else None,
+    ): spec
+    for spec in (
+        STANDALONE_USERS,
+        STANDALONE_PERMISSIONS,
+        STANDALONE_ROLES,
+        ROLES_WITHOUT_USERS,
+        ROLES_WITHOUT_PERMISSIONS,
+        SINGLE_USER_ROLES,
+        SINGLE_PERMISSION_ROLES,
+    )
+}
+
+
+class Bucket:
+    """The findings of one :class:`BucketSpec`, as columns: the entity
+    ids and, when the spec has a detail, its count per row."""
+
+    __slots__ = ("spec", "ids", "details")
+
+    def __init__(
+        self,
+        spec: BucketSpec,
+        ids: list[str],
+        details: list[int] | None = None,
+    ) -> None:
+        if (details is None) != (spec.detail is None):
+            raise ValueError(
+                f"bucket {spec.template!r} takes "
+                f"{'a' if spec.detail else 'no'} details column"
+            )
+        if details is not None and len(details) != len(ids):
+            raise ValueError("the ids and details columns differ in length")
+        self.spec = spec
+        self.ids = ids
+        self.details = details
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _columns(self) -> list[list]:
+        if self.details is None:
+            return [self.ids]
+        return [self.ids, self.details]
+
+    def finding(self, row: int) -> Finding:
+        return self.spec.finding(*(column[row] for column in self._columns()))
+
+    def findings(self) -> list[Finding]:
+        return list(map(self.spec.finding, *self._columns()))
+
+    def dicts(self) -> list[dict]:
+        return list(map(self.spec.record, *self._columns()))
+
+    def texts(self) -> list[str]:
+        """Each row's JSON text, as ``json.dumps(record, sort_keys=True)``
+        writes it (:attr:`BucketSpec.text`)."""
+        columns = self._columns()
+        messages = map(self.spec.template.format, *columns)
+        slots = columns[1:] + [map(_quote, self.ids), map(_quote, messages)]
+        return list(map(self.spec.text.__mod__, zip(*slots)))
+
+
+class Findings(Sequence[Finding]):
+    """A report's findings in detection order, held as a list of parts.
+
+    A part is a :class:`Bucket` or a list of :class:`Finding` records.
+    Counting and writing read the parts; the findings themselves are
+    built on first use (indexing, iterating, comparing) and kept.
+    """
+
+    def __init__(self, parts: Iterable[Bucket | list[Finding]] = ()) -> None:
+        self.parts: list[Bucket | list[Finding]] = []
+        self._findings: list[Finding] | None = None
+        for part in parts:
+            self.add(part)
+
+    @classmethod
+    def from_dicts(cls, items: Iterable[Mapping[str, Any]]) -> "Findings":
+        """Findings from :meth:`Finding.to_dict` payloads, in their order.
+
+        A payload a bucket would write exactly as it stands joins that
+        bucket; any other is rebuilt with :meth:`Finding.from_dict`.
+        """
+        found = cls()
+        parts = found.parts
+        for item in items:
+            try:
+                spec = _BUCKET_OF_KEY.get(
+                    (item.get("type"), item.get("entity_kind"), item.get("axis"))
+                )
+            except TypeError:  # an unhashable value: no bucket's record
+                spec = None
+            row = spec.read(item) if spec is not None else None
+            if row is None:
+                found.add([Finding.from_dict(item)])
+                continue
+            last = parts[-1] if parts else None
+            if not isinstance(last, Bucket) or last.spec is not spec:
+                last = Bucket(spec, [], [] if spec.detail else None)
+                parts.append(last)
+            last.ids.append(row[0])
+            if last.details is not None:
+                last.details.append(row[1])
+        return found
+
+    def add(self, part: Bucket | list[Finding]) -> None:
+        """Append a part; an empty one is dropped, and records following
+        records join their list."""
+        if not len(part):
+            return
+        self._findings = None
+        if isinstance(part, Bucket):
+            self.parts.append(part)
+        elif self.parts and not isinstance(self.parts[-1], Bucket):
+            self.parts[-1].extend(part)
+        else:
+            self.parts.append(list(part))
+
+    def extend(self, found: Iterable[Finding]) -> None:
+        """Append another :class:`Findings`' parts, or findings as records."""
+        if isinstance(found, Findings):
+            for part in found.parts:
+                self.add(part)
+        else:
+            self.add(list(found))
+
+    def buckets(self) -> Iterator[Bucket]:
+        return (part for part in self.parts if isinstance(part, Bucket))
+
+    def records(self) -> Iterator[Finding]:
+        """The findings held as records, in detection order."""
+        for part in self.parts:
+            if not isinstance(part, Bucket):
+                yield from part
+
+    def materialise(self) -> list[Finding]:
+        """Every finding, in detection order (built once)."""
+        if self._findings is None:
+            self._findings = self._rows(Bucket.findings, lambda f: f)
+        return self._findings
+
+    def dicts(self) -> list[dict]:
+        """``Finding.to_dict()`` of every finding, in detection order."""
+        return self._rows(Bucket.dicts, Finding.to_dict)
+
+    def texts(self) -> list[str]:
+        """Every finding's ``json.dumps(to_dict(), sort_keys=True)``, in
+        detection order."""
+        return self._rows(
+            Bucket.texts, lambda f: json.dumps(f.to_dict(), sort_keys=True)
+        )
+
+    def _rows(self, of_bucket: Callable, of_record: Callable) -> list:
+        """One row per finding, in detection order: ``of_bucket(bucket)``
+        for a bucket's rows, ``of_record(finding)`` for a record's."""
+        rows: list = []
+        for part in self.parts:
+            rows += (
+                of_bucket(part)
+                if isinstance(part, Bucket)
+                else map(of_record, part)
+            )
+        return rows
+
+    def review_order(self) -> list[int]:
+        """Detection indices in :func:`sort_findings` order.
+
+        Severity rank descending, then type, then the entity-id tuple;
+        ties keep detection order.  Each ``(severity, type)`` group is
+        sorted once: a group of buckets only by its ids, as strings,
+        concatenated in detection order (which the stable sort keeps for
+        equal ids); a group with records by the id tuples.
+        """
+        groups: dict[tuple[int, str], list[tuple[int, Any]]] = {}
+        start = 0
+        for part in self.parts:
+            if isinstance(part, Bucket):
+                spec = part.spec
+                key = (-spec.severity.rank, spec.type.value)
+                groups.setdefault(key, []).append((start, part))
+                start += len(part)
+                continue
+            for finding in part:
+                key = (-finding.severity.rank, finding.type.value)
+                groups.setdefault(key, []).append((start, finding))
+                start += 1
+        order: list[int] = []
+        for key in sorted(groups):
+            members = groups[key]
+            columns = all(isinstance(member, Bucket) for _, member in members)
+            index: list[int] = []
+            ids: list[Any] = []
+            for offset, member in members:
+                if isinstance(member, Finding):
+                    index.append(offset)
+                    ids.append(member.entity_ids)
+                    continue
+                index += range(offset, offset + len(member))
+                ids += member.ids if columns else [(i,) for i in member.ids]
+            order += map(
+                index.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)
+            )
+        return order
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self.parts)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return self.materialise()[index]
+
+    def __iter__(self) -> Iterator[Finding]:
+        return iter(self.materialise())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Findings, list, tuple)):
+            return self.materialise() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Findings({self.materialise()!r})"

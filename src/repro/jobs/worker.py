@@ -34,7 +34,10 @@ recorder wraps the run in a ``jobs.run`` span stamped with the job's
 enqueuing request's trace tree in any shared trace store.  Its
 ``jobs.decode_state`` and ``jobs.encode_result`` children time the
 state blob's load and decode and the result's encoding, each with the
-``bytes`` it moved.
+``bytes`` it moved.  A report in a result is written by
+:meth:`~repro.core.report.Report.encode`, the writer that serves
+inline reports too, so queued and inline report bytes come from one
+code path.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from typing import Any, Callable, Mapping
 from repro.exceptions import ConfigurationError, DataFormatError, ReproError
 from repro.jobs.queue import JobQueue, JobRecord
 from repro.obs import NULL_RECORDER, NullRecorder, Recorder
+from repro.util.jsontext import verbatim_json
 
 __all__ = ["JobWorker", "default_worker_id", "run_worker"]
 
@@ -105,8 +109,10 @@ class JobWorker:
         Stable identity recorded in ``leased_by`` (defaults to
         ``host:pid``).
     handlers:
-        ``kind -> callable(payload, record) -> result dict``.  Defaults
-        to :data:`DEFAULT_HANDLERS` (``analyze`` and ``sleep``).
+        ``kind -> callable(worker, record) -> result dict``, whose
+        members are JSON values or reports (each stored as its
+        ``to_dict()``).  Defaults to
+        :data:`DEFAULT_HANDLERS` (``analyze`` and ``sleep``).
     poll_seconds:
         Idle sleep between empty claim attempts.
     max_jobs:
@@ -242,7 +248,7 @@ class JobWorker:
                     )
                 result = handler(self, record)
                 with recorder.span("jobs.encode_result") as encoding:
-                    result = json.dumps(result, sort_keys=True)
+                    result = _encode_result(result)
                     encoding.annotate(bytes=len(result))
                 span.annotate(outcome="done")
         except ReproError as error:
@@ -296,8 +302,8 @@ class JobWorker:
 
     def handle_analyze(self, record: JobRecord) -> dict[str, Any]:
         """Run one analysis job: the payload names the state blob
-        (``state_ref``) and carries the effective config; the result is
-        ``report.to_dict()``.
+        (``state_ref``) and carries the effective config; the result
+        holds the report, stored as its ``to_dict()``.
 
         The blob is checked against its SHA-256 and decoded under a
         ``jobs.decode_state`` span; a missing, altered or malformed blob
@@ -326,7 +332,7 @@ class JobWorker:
         engine = self._engine_for(payload.get("config"))
         report = engine.analyze(state)
         return {
-            "report": report.to_dict(),
+            "report": report,
             "fingerprint": payload.get("fingerprint"),
             "mutation_seq": payload.get("mutation_seq"),
         }
@@ -343,6 +349,21 @@ class JobWorker:
                 break
             time.sleep(min(remaining, 0.05))
         return {"slept": seconds}
+
+
+def _encode_result(result: Mapping[str, Any]) -> str:
+    """A job result's stored text: ``json.dumps(result, sort_keys=True)``,
+    where a :class:`~repro.core.report.Report` member stands for its
+    ``to_dict()`` and goes in as :meth:`Report.encode` writes it."""
+    from repro.core.report import Report
+
+    encoded = {
+        key: value.encode()
+        for key, value in result.items()
+        if isinstance(value, Report)
+    }
+    plain = {key: value for key, value in result.items() if key not in encoded}
+    return verbatim_json(plain, encoded).decode("utf-8")
 
 
 #: Default ``kind -> handler`` table (handlers are unbound: they receive

@@ -130,7 +130,7 @@ class RefreshScheduler:
                 "mutation_seq": self._latest_mutation_seq,
                 "fingerprint": self._latest_fingerprint,
                 "counts": self._latest_report.counts(),
-                "n_findings": len(self._latest_report.findings),
+                "n_findings": len(self._latest_report.parts),
                 "diff": (
                     self._latest_diff.to_dict()
                     if self._latest_diff is not None

@@ -93,35 +93,13 @@ from repro.service.protocol import (
 )
 from repro.service.scheduler import RefreshScheduler
 from repro.service.store import SnapshotMeta, SnapshotStore
+from repro.util.jsontext import verbatim_json
 
 __all__ = ["ServiceConfig", "AnalysisService", "ServiceServer"]
 
 
 class _StateMoved(Exception):
     """A mutation changed the live state after its fingerprint was read."""
-
-
-def _verbatim_json(plain: dict[str, Any], encoded: dict[str, bytes]) -> bytes:
-    """Sorted-key JSON of an object whose ``encoded`` members are JSON already.
-
-    ``plain`` members are encoded here with ``json.dumps(value,
-    sort_keys=True)``; ``encoded`` members must be UTF-8 JSON written
-    the same way, and go in as they are.  The result is byte-identical
-    to ``json.dumps(whole, sort_keys=True) + "\n"`` for the parsed
-    whole, without parsing or encoding the stored members again.
-    """
-    members = {
-        key: json.dumps(value, sort_keys=True).encode("utf-8")
-        for key, value in plain.items()
-    }
-    members.update(encoded)
-    # One join, so a large stored member is copied once.
-    parts: list[bytes] = []
-    for key in sorted(members):
-        parts += (b", ", json.dumps(key).encode("utf-8"), b": ", members[key])
-    parts[:1] = [b"{"]  # the first separator opens the object instead
-    parts.append(b"}\n")
-    return b"".join(parts)
 
 
 @dataclass(frozen=True)
@@ -762,7 +740,7 @@ class AnalysisService:
             effective, deadline_at
         )
         plain = {"cache": source, "fingerprint": fingerprint, "mutation_seq": seq}
-        return 200, _verbatim_json(plain, {"report": encoded}), {}
+        return 200, verbatim_json(plain, {"report": encoded}, b"\n"), {}
 
     def _handle_latest_report(
         self,
@@ -868,7 +846,7 @@ class AnalysisService:
         encoded: dict[str, bytes] = {}
         if record.state == "done" and record.result_text is not None:
             encoded["result"] = record.result_text.encode("utf-8")
-        return 200, _verbatim_json(record.public_dict(), encoded), {}
+        return 200, verbatim_json(record.public_dict(), encoded, b"\n"), {}
 
     # ------------------------------------------------------------------
     # Analysis plumbing

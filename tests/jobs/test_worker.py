@@ -14,6 +14,7 @@ from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
 from repro.io.statecodec import encode_state
 from repro.jobs import JobQueue, JobWorker
+from repro.jobs.worker import _encode_result
 from repro.obs.sinks import InMemorySink
 
 
@@ -93,6 +94,22 @@ class TestAnalyzeHandler:
         rebuilt = Report.from_payload(result["report"], state)
         assert normalized(rebuilt.to_dict()) == normalized(inline.to_dict())
         assert rebuilt.counts() == inline.counts()
+
+    def test_result_text_is_the_sorted_key_dump_of_the_result(self, queue):
+        # The report goes in as Report.encode() writes it; the stored
+        # text is what json.dumps(result, sort_keys=True) writes with
+        # the report's to_dict() in its place.
+        state = sample_state()
+        queue.enqueue("analyze", analyze_payload(queue, state, AnalysisConfig()))
+        record = queue.claim("w1")
+        assert JobWorker(queue, worker_id="w1").run_one(record)
+        text = queue.get(record.job_id).result_text
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+        report = analyze(state)
+        result = {"report": report, "fingerprint": "f", "mutation_seq": 3}
+        assert _encode_result(result) == json.dumps(
+            dict(result, report=report.to_dict()), sort_keys=True
+        )
 
     def test_engine_cached_per_config(self, queue):
         state = sample_state()

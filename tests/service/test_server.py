@@ -21,7 +21,7 @@ from repro.core import AnalysisConfig, analyze
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
 from repro.service import AnalysisService, ServiceConfig, ServiceServer
-from repro.service.server import _verbatim_json
+from repro.util.jsontext import verbatim_json
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -280,7 +280,7 @@ def test_verbatim_json_equals_sorted_key_dumps(whole, data):
         for key in stored
     }
     expected = json.dumps(whole, sort_keys=True) + "\n"
-    assert _verbatim_json(plain, encoded) == expected.encode("utf-8")
+    assert verbatim_json(plain, encoded, b"\n") == expected.encode("utf-8")
 
 
 class TestVerbatimReport:

@@ -305,7 +305,10 @@ class Report:
             )
             for key, value in counters.items():
                 lines.append(f"  {key:<34} {value:>10}")
-        shown = self.sorted_findings()[:max_findings]
+        shown = [
+            self.parts.finding(index)
+            for index in self.parts.review_order()[:max_findings]
+        ]
         if shown:
             lines.append("")
             lines.append(f"top findings (showing {len(shown)} of "

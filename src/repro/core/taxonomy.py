@@ -542,6 +542,18 @@ class Findings(Sequence[Finding]):
             self._findings = self._rows(Bucket.findings, lambda f: f)
         return self._findings
 
+    def finding(self, index: int) -> Finding:
+        """The finding at detection ``index`` (>= 0), built alone."""
+        for part in self.parts:
+            if index < len(part):
+                return (
+                    part.finding(index)
+                    if isinstance(part, Bucket)
+                    else part[index]
+                )
+            index -= len(part)
+        raise IndexError("finding index out of range")
+
     def dicts(self) -> list[dict]:
         """``Finding.to_dict()`` of every finding, in detection order."""
         return self._rows(Bucket.dicts, Finding.to_dict)

@@ -101,6 +101,10 @@ class _HeartbeatThread(threading.Thread):
 class JobWorker:
     """One worker loop attached to a shared queue file.
 
+    Workers double as reapers: every half lease the poll loop sweeps
+    expired leases and deadlines, so a fleet of workers recovers
+    crashed peers without a dedicated process.
+
     Parameters
     ----------
     queue:
@@ -121,10 +125,6 @@ class JobWorker:
         Stop after this long without claiming anything (``None`` = never).
     stop_event:
         External shutdown signal; the CLI wires SIGTERM/SIGINT to it.
-    reap_interval_seconds:
-        Workers double as reapers: at most once per interval the poll
-        loop sweeps expired leases/deadlines, so a fleet of workers
-        recovers crashed peers without a dedicated process.
     sinks:
         Trace sinks for the worker's recorder (``jobs.run`` spans).
     """
@@ -139,7 +139,6 @@ class JobWorker:
         max_jobs: int | None = None,
         idle_exit_seconds: float | None = None,
         stop_event: threading.Event | None = None,
-        reap_interval_seconds: float | None = None,
         sinks: Any = (),
     ) -> None:
         # Chained so that nan (a busy-spinning claim loop) fails too; inf
@@ -160,11 +159,6 @@ class JobWorker:
         self.max_jobs = max_jobs
         self.idle_exit_seconds = idle_exit_seconds
         self.stop_event = stop_event or threading.Event()
-        self.reap_interval_seconds = (
-            queue.lease_seconds / 2
-            if reap_interval_seconds is None
-            else float(reap_interval_seconds)
-        )
         self._sinks = sinks
         self._heartbeat_interval = max(
             queue.lease_seconds * HEARTBEAT_FRACTION, 0.05
@@ -208,7 +202,7 @@ class JobWorker:
 
     def _maybe_reap(self) -> None:
         now = time.monotonic()
-        if now - self._last_reap >= self.reap_interval_seconds:
+        if now - self._last_reap >= self.queue.lease_seconds / 2:
             self._last_reap = now
             self.queue.reap_expired()
 

@@ -26,19 +26,16 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["RefreshScheduler"]
 
-#: ``runner`` contract: produce ``(report, fingerprint, mutation_seq)``
-#: for the current live state (the service serves a refresh of content
-#: it has analysed before from its report cache inline, or from the
-#: job's ``done`` row in queue mode).
-RunnerResult = "tuple[Report, str, int]"
-
-
 class RefreshScheduler:
-    """Re-runs full analysis after N mutations or T seconds."""
+    """Re-runs full analysis after N mutations or T seconds.
+
+    ``runner`` analyses the current live state and returns ``(report,
+    fingerprint, mutation_seq)``.
+    """
 
     def __init__(
         self,
-        runner: Callable[[], Any],
+        runner: Callable[[], tuple[Report, str, int]],
         refresh_mutations: int | None = None,
         refresh_seconds: float | None = None,
     ) -> None:

@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.core.engine import AnalysisConfig, analyze
@@ -67,7 +67,6 @@ from repro.core.report import Report
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError, ReproError
 from repro.jobs import JobClient, JobQueue, JobRecord
-from repro.jobs.queue import BACKOFF_CAP_SECONDS
 from repro.obs import (
     GC_COLLECTIONS,
     GC_PAUSE,
@@ -97,9 +96,11 @@ from repro.util.jsontext import verbatim_json
 
 __all__ = ["ServiceConfig", "AnalysisService", "ServiceServer"]
 
-
-class _StateMoved(Exception):
-    """A mutation changed the live state after its fingerprint was read."""
+#: Value of the ``Retry-After`` header on 429 responses.
+RETRY_AFTER_SECONDS = 1
+#: How long a queued scheduler refresh waits for its job before giving
+#: up the cycle.
+REFRESH_TIMEOUT_SECONDS = 300.0
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,15 @@ class ServiceConfig:
         Run one full analysis at startup — warms the matrices, the
         per-axis workspace artifacts, and the report cache, and gives
         the scheduler its diff baseline.
-    retry_after_seconds:
-        Value of the ``Retry-After`` header on 429 responses.
     slo_target_seconds:
         Per-request latency target for rolling-window SLO tracking.
         ``None`` (the default) disables tracking entirely — ``/healthz``
         then reports only liveness/drain state.  When set, an endpoint
         whose recent-request window breaches the error budget degrades
         ``/healthz`` to 503 ``{"status": "degraded"}``.
-    slo_window / slo_budget_fraction / slo_min_samples:
-        SLO window parameters (see :class:`repro.service.slo.SloTracker`).
+    slo_window / slo_budget_fraction:
+        SLO window parameters (see :class:`repro.service.slo.SloTracker`;
+        an endpoint gets a verdict once its window holds 10 requests).
     tracez_capacity:
         How many recent request traces ``GET /tracez`` retains.
     execution:
@@ -151,16 +151,10 @@ class ServiceConfig:
         The shared sqlite queue file (see :mod:`repro.jobs`).  The file
         survives restarts: stale leases from a dead daemon or worker are
         reaped on warm start.
-    job_lease_seconds / job_max_attempts / job_backoff_seconds:
-        Lease duration, retry budget, and backoff base for enqueued
-        jobs (see :class:`repro.jobs.JobQueue`).  The backoff base is at
-        most the queue's fixed cap, ``BACKOFF_CAP_SECONDS`` (60 s).
-    job_reap_seconds:
-        Interval of the service's background reaper sweep (defaults to
-        half the lease).
-    job_refresh_timeout_seconds:
-        How long the background refresh scheduler waits for a queued
-        analysis before giving up the cycle.
+    job_lease_seconds / job_max_attempts:
+        Lease duration and retry budget of enqueued jobs (see
+        :class:`repro.jobs.JobQueue`, whose backoff the service keeps).
+        The service's background reaper sweeps every half lease.
     analysis:
         Default :class:`AnalysisConfig` for ``POST /v1/analyze`` and the
         scheduler; its ``similarity_threshold`` also parameterises the
@@ -175,19 +169,14 @@ class ServiceConfig:
     refresh_seconds: float | None = None
     snapshot_path: str | Path | None = None
     warm_start: bool = True
-    retry_after_seconds: int = 1
     slo_target_seconds: float | None = None
     slo_window: int = 100
     slo_budget_fraction: float = 0.1
-    slo_min_samples: int = 10
     tracez_capacity: int = 64
     execution: str = "inline"
     jobs_path: str | Path | None = None
     job_lease_seconds: float = 15.0
     job_max_attempts: int = 3
-    job_backoff_seconds: float = 0.5
-    job_reap_seconds: float | None = None
-    job_refresh_timeout_seconds: float = 300.0
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self) -> None:
@@ -201,11 +190,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"deadline_seconds must be in (0, {threading.TIMEOUT_MAX:g}] "
                 f"(got {self.deadline_seconds})"
-            )
-        if self.retry_after_seconds < 0:
-            raise ConfigurationError(
-                "retry_after_seconds must be >= 0 "
-                f"(got {self.retry_after_seconds})"
             )
         if self.slo_target_seconds is not None and self.slo_target_seconds <= 0:
             raise ConfigurationError(
@@ -234,21 +218,6 @@ class ServiceConfig:
         if self.job_max_attempts < 1:
             raise ConfigurationError(
                 f"job_max_attempts must be >= 1 (got {self.job_max_attempts})"
-            )
-        if not 0 <= self.job_backoff_seconds <= BACKOFF_CAP_SECONDS:
-            raise ConfigurationError(
-                "job_backoff_seconds must be in "
-                f"[0, {BACKOFF_CAP_SECONDS:g}] (got {self.job_backoff_seconds})"
-            )
-        if self.job_reap_seconds is not None and self.job_reap_seconds <= 0:
-            raise ConfigurationError(
-                "job_reap_seconds must be > 0 when set "
-                f"(got {self.job_reap_seconds})"
-            )
-        if self.job_refresh_timeout_seconds <= 0:
-            raise ConfigurationError(
-                "job_refresh_timeout_seconds must be > 0 "
-                f"(got {self.job_refresh_timeout_seconds})"
             )
 
 
@@ -301,7 +270,6 @@ class AnalysisService:
                 self.config.slo_target_seconds,
                 window=self.config.slo_window,
                 budget_fraction=self.config.slo_budget_fraction,
-                min_samples=self.config.slo_min_samples,
             )
             if self.config.slo_target_seconds is not None
             else None
@@ -319,7 +287,6 @@ class AnalysisService:
                 self.config.jobs_path,
                 lease_seconds=self.config.job_lease_seconds,
                 max_attempts=self.config.job_max_attempts,
-                backoff_seconds=self.config.job_backoff_seconds,
             )
             self._jobs = JobClient(queue)
         self._scheduler = RefreshScheduler(
@@ -342,14 +309,9 @@ class AnalysisService:
             # daemon or its workers are reaped before anything else runs,
             # then a background sweep keeps recovering while we serve.
             self._jobs.queue.reap_expired()
-            interval = (
-                self.config.job_reap_seconds
-                if self.config.job_reap_seconds is not None
-                else self.config.job_lease_seconds / 2
-            )
             self._job_reaper = threading.Thread(
                 target=self._reap_loop,
-                args=(interval,),
+                args=(self.config.job_lease_seconds / 2,),
                 name="repro-service-job-reaper",
                 daemon=True,
             )
@@ -391,14 +353,12 @@ class AnalysisService:
             # their own connections and keep running.
             self._jobs.queue.close()
         if self._store is not None:
-            with self._state_lock:
-                state = self._auditor.state.copy()
-                seq = self._mutation_seq
+            fingerprint, seq, state = self._copy_state()
             self._store.save(
                 state,
                 SnapshotMeta(
                     mutation_seq=seq,
-                    fingerprint=state.fingerprint(),
+                    fingerprint=fingerprint,
                     saved_at=time.time(),
                     extra={"reason": drain_reason},
                 ),
@@ -485,9 +445,7 @@ class AnalysisService:
                         status, payload = 400, {"error": str(error)}
                     except ServiceSaturated as error:
                         status, payload = 429, {"error": str(error)}
-                        headers["Retry-After"] = str(
-                            self.config.retry_after_seconds
-                        )
+                        headers["Retry-After"] = str(RETRY_AFTER_SECONDS)
                     except ServiceDraining as error:
                         status, payload = 503, {"error": str(error)}
                         headers["Connection"] = "close"
@@ -762,11 +720,11 @@ class AnalysisService:
         same identity the report cache uses, so two requests for the
         same analysis share one queue row (idempotent enqueue) exactly
         as they would share one cache entry inline.  A duplicate costs
-        an O(1) fingerprint read and one blob probe: the state is copied
-        and encoded only when the queue holds no blob of that content
-        yet.  If a mutation lands between the fingerprint read and that
-        copy, the request reads the new fingerprint and tries again
-        until its deadline.
+        an O(1) fingerprint read and one blob probe, made with the state
+        lock released.  Only when the queue holds no blob of that
+        content is the state copied and its blob written, under the
+        copy's fingerprint: a mutation that lands after the read is
+        simply part of the state the job analyses.
 
         The request's remaining deadline becomes the job's queue-visible
         ``expires_at`` (wall clock — comparable across worker
@@ -776,28 +734,21 @@ class AnalysisService:
         trace, stitching the worker-side fragment into this request's
         trace tree.
         """
-        while True:
-            with self._state_lock:
-                fingerprint = self._auditor.state.fingerprint()
-                seq = self._mutation_seq
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                raise DeadlineExceeded(
-                    "deadline elapsed before analysis began"
-                )
-            try:
-                record, created = self._submit_analyze(
-                    effective,
-                    fingerprint,
-                    seq,
-                    lambda: self._snapshot_if_unchanged(fingerprint),
-                    expires_at=time.time() + remaining,
-                    trace_id=current_recorder().trace_id,
-                )
-            except _StateMoved:
-                self._registry.inc("service.snapshot_retries")
-                continue
-            break
+        fingerprint, seq = self._read_state()
+        remaining = deadline_at - time.monotonic()
+        if remaining <= 0:
+            raise DeadlineExceeded("deadline elapsed before analysis began")
+        if not self._jobs.queue.has_state_blob(fingerprint):
+            with current_recorder().span("service.snapshot") as span:
+                fingerprint, seq, snapshot = self._copy_state()
+                span.annotate(bytes=self._write_blob(fingerprint, snapshot))
+        record, created = self._submit_analyze(
+            effective,
+            fingerprint,
+            seq,
+            expires_at=time.time() + remaining,
+            trace_id=current_recorder().trace_id,
+        )
         self._registry.inc(
             "service.analyze_enqueued" if created else "service.analyze_dedup"
         )
@@ -860,22 +811,19 @@ class AnalysisService:
 
         Returns ``((report, encoded), source, fingerprint,
         mutation_seq)`` with ``source`` one of
-        ``hit``/``miss``/``coalesced``.  The fingerprint read and the
-        cache probe share one hold of the state lock: the read is O(1)
-        and a hit copies nothing.  On a miss the state is copied inside
-        that same hold, so the cache key is guaranteed to describe
-        exactly the copied content — mutations arriving after the lock
-        is released cannot desynchronise the key from the analysed
-        snapshot.  :meth:`_compute` then runs on a cache compute thread.
+        ``hit``/``miss``/``coalesced``.  The fingerprint read is O(1)
+        and a hit copies nothing.  On a miss the state is copied, and
+        the analysis is keyed by the copy's fingerprint, taken in the
+        same lock hold as the copy: mutations arriving after the read
+        cannot desynchronise the key from the analysed snapshot.
+        :meth:`_compute` then runs on a cache compute thread.
         """
-        with self._state_lock:
-            fingerprint = self._auditor.state.fingerprint()
-            seq = self._mutation_seq
-            key = (fingerprint, config_key(config))
-            value = self._cache.get(key)
-            if value is None:
-                with current_recorder().span("service.snapshot"):
-                    snapshot = self._copy_state()
+        fingerprint, seq = self._read_state()
+        ckey = config_key(config)
+        value = self._cache.get((fingerprint, ckey))
+        if value is None:
+            with current_recorder().span("service.snapshot"):
+                fingerprint, seq, snapshot = self._copy_state()
         timeout = None
         if deadline_at is not None:
             timeout = deadline_at - time.monotonic()
@@ -887,34 +835,41 @@ class AnalysisService:
             source = "hit"
         else:
             value, source = self._cache.get_or_compute(
-                key, lambda: self._compute(snapshot, config), timeout
+                (fingerprint, ckey),
+                lambda: self._compute(snapshot, config),
+                timeout,
             )
         self._registry.inc(f"service.analyze_{source}")
         return value, source, fingerprint, seq
 
-    def _copy_state(self) -> RbacState:
-        """Copy the live state for one analysis (caller holds the lock)."""
-        self._registry.inc("service.state_copies")
-        return self._auditor.state.copy()
-
-    def _snapshot_if_unchanged(self, fingerprint: str) -> RbacState:
-        """A copy of the live state, if its content is still ``fingerprint``.
-
-        Raises :class:`_StateMoved` when a mutation landed since the
-        caller read the fingerprint: the copy would not match the job's
-        spec key.
-        """
+    def _read_state(self) -> tuple[str, int]:
+        """The live fingerprint and mutation sequence (O(1), one lock hold)."""
         with self._state_lock:
-            if self._auditor.state.fingerprint() != fingerprint:
-                raise _StateMoved(fingerprint)
-            return self._copy_state()
+            return self._auditor.state.fingerprint(), self._mutation_seq
+
+    def _copy_state(self) -> tuple[str, int, RbacState]:
+        """A copy of the live state with its fingerprint and mutation
+        sequence, all taken in one hold of the state lock."""
+        with self._state_lock:
+            state = self._auditor.state
+            taken = (state.fingerprint(), self._mutation_seq, state.copy())
+        self._registry.inc("service.state_copies")
+        return taken
+
+    def _write_blob(self, fingerprint: str, snapshot: RbacState) -> int:
+        """Store ``snapshot``'s encoding at its address, ``fingerprint``;
+        returns the blob's size in bytes."""
+        from repro.io.statecodec import encode_state
+
+        data = encode_state(snapshot)
+        self._jobs.queue.put_state_blob(fingerprint, data)
+        return len(data)
 
     def _submit_analyze(
         self,
         config: AnalysisConfig,
         fingerprint: str,
         seq: int,
-        snapshot: Callable[[], RbacState],
         *,
         expires_at: float,
         trace_id: str | None = None,
@@ -923,20 +878,10 @@ class AnalysisService:
 
         The one place the job spec is built: the spec key hashes the
         cache key, and the payload is a reference to the state blob at
-        ``fingerprint`` plus the config.  The blob is written first, in
-        its own short transaction, so no row ever names a missing blob —
-        unless one is already stored at that address (a duplicate, or
-        the same content under another config): then ``snapshot()`` is
-        not called and nothing is encoded.
+        ``fingerprint`` plus the config.  Callers store that blob first,
+        in its own short transaction, so no row ever names a missing
+        blob.
         """
-        from repro.io.statecodec import encode_state
-
-        queue = self._jobs.queue
-        if not queue.has_state_blob(fingerprint):
-            with current_recorder().span("service.snapshot") as span:
-                data = encode_state(snapshot())
-                span.annotate(bytes=len(data))
-            queue.put_state_blob(fingerprint, data)
         spec_key = hashlib.sha256(
             f"{fingerprint}|{config_key(config)}".encode("utf-8")
         ).hexdigest()
@@ -982,19 +927,16 @@ class AnalysisService:
                 self._cached_analysis(config)
             )
             return report, fingerprint, seq
-        with self._state_lock:
-            fingerprint = self._auditor.state.fingerprint()
-            seq = self._mutation_seq
-            snapshot = self._copy_state()
-        timeout = self.config.job_refresh_timeout_seconds
+        fingerprint, seq, snapshot = self._copy_state()
+        if not self._jobs.queue.has_state_blob(fingerprint):
+            self._write_blob(fingerprint, snapshot)
         record, created = self._submit_analyze(
             config,
             fingerprint,
             seq,
-            lambda: snapshot,
-            expires_at=time.time() + timeout,
+            expires_at=time.time() + REFRESH_TIMEOUT_SECONDS,
         )
-        result = self._jobs.wait(record.job_id, timeout=timeout)
+        result = self._jobs.wait(record.job_id, timeout=REFRESH_TIMEOUT_SECONDS)
         report = Report.from_payload(result["report"], snapshot)
         if created:  # a job's engine metrics are folded in once
             self._merge_report_metrics(report)

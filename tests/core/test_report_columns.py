@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +305,34 @@ def test_counting_and_writing_build_no_findings(paper_example):
     diff_reports(report, report)
     assert report.parts._findings is None
     assert len(report.findings) == len(report.parts) == 7
+
+
+#: SHA-256 of ``to_text(max_findings=shown)`` with its timing line
+#: masked, computed when ``to_text`` built every finding to show some.
+TEXT_GOLDEN = {
+    ("paper", 20): (
+        "c71db2e180817c4936cce9327d0f5fc9c5f3e85e2102f880cdf5f7d7333a4dd7"
+    ),
+    (0, 20): "cf74f36fdac8286cbdd5278bd3fb865d953913b7247bb0d5e8b98b5b1a75bb9d",
+    (0, 3000): (  # every finding, bucket rows included
+        "1cfc0f91b90b7148ccec5661d01b86cdc29ae27031be3ea613e6472422bec994"
+    ),
+}
+
+
+@pytest.mark.parametrize("case, shown", list(TEXT_GOLDEN), ids=str)
+def test_to_text_builds_only_the_shown_findings(case, shown, paper_example):
+    state = (
+        paper_example
+        if case == "paper"
+        else generate_org(OrgProfile.small(divisor=100, seed=case)).state
+    )
+    report = analyze(state)
+    text = report.to_text(max_findings=shown)
+    assert report.parts._findings is None
+    masked = re.sub(r"(?m)^analysis time: .*$", "analysis time: -", text)
+    digest = hashlib.sha256(masked.encode()).hexdigest()
+    assert digest == TEXT_GOLDEN[(case, shown)]
 
 
 class TestRecordsStayRecords:

@@ -183,7 +183,7 @@ class TestQueue:
         finally:
             service.close()
 
-    def test_mutation_between_fingerprint_and_payload_is_retried(
+    def test_mutation_during_the_blob_probe_is_analysed(
         self, tmp_path, monkeypatch
     ):
         service = make_service(tmp_path)
@@ -206,14 +206,71 @@ class TestQueue:
                 queue, "has_state_blob", probe_after_a_mutation
             )
             doc = analyze(service)
+            # The job analyses the state the copy took, mutation included.
             assert doc["created"] is True
             assert doc["fingerprint"] == service.state.recompute_fingerprint()
             assert doc["fingerprint"] != injected[0]
+            assert doc["mutation_seq"] == service.mutation_seq
             assert blob_count(service) == 1
-            assert counters(service)["service.snapshot_retries"] == 1
             stats = service.jobs.queue.stats()
             assert sum(stats["states"].values()) == 1
             assert_job_matches_its_key(service, doc["job_id"])
+        finally:
+            service.close()
+
+    def test_blob_probe_runs_with_the_state_lock_free(
+        self, tmp_path, monkeypatch
+    ):
+        service = make_service(tmp_path)
+        try:
+            queue = service.jobs.queue
+            real_probe = queue.has_state_blob
+            free = []
+
+            def probe(address):
+                # The state lock is reentrant, so only another thread can
+                # tell whether this one holds it.
+                def try_lock():
+                    if service._state_lock.acquire(blocking=False):
+                        service._state_lock.release()
+                        free.append(True)
+                    else:
+                        free.append(False)
+
+                other = threading.Thread(target=try_lock)
+                other.start()
+                other.join(timeout=10)
+                return real_probe(address)
+
+            monkeypatch.setattr(queue, "has_state_blob", probe)
+            assert analyze(service)["created"] is True
+            assert analyze(service)["created"] is False
+            assert free == [True, True]
+        finally:
+            service.close()
+
+    def test_queued_refresh_of_stored_content_encodes_nothing(
+        self, tmp_path, spies
+    ):
+        service = make_service(tmp_path)
+        try:
+            first = analyze(service)
+            assert blob_count(service) == 1
+            queue = service.jobs.queue
+            worker = JobWorker(queue, worker_id="w")
+            worker.run_one(queue.claim("w"))
+            spies.clear()
+            service.scheduler.run_once()
+            stats = service.scheduler.stats()
+            assert (stats["runs"], stats["errors"]) == (1, 0)
+            assert service.scheduler.latest()["fingerprint"] == (
+                first["fingerprint"]
+            )
+            # The refresh copies the state for the report it rebuilds,
+            # but its blob is stored: nothing is encoded or written.
+            assert spies["encode_state"] == 0
+            assert spies["copy"] == 1
+            assert blob_count(service) == 1
         finally:
             service.close()
 

@@ -95,42 +95,18 @@ class TestConfigValidation:
         [
             {"job_lease_seconds": 0},
             {"job_max_attempts": 0},
-            {"job_backoff_seconds": -1},
-            {"job_reap_seconds": 0},
-            {"job_refresh_timeout_seconds": 0},
+            {"job_lease_seconds": -1},
+            {"job_max_attempts": -1},
+            {"jobs_path": ""},
         ],
     )
     def test_job_knobs_validated(self, tmp_path, options):
         with pytest.raises(ConfigurationError):
-            ServiceConfig(
-                execution="queue", jobs_path=tmp_path / "q.sqlite", **options
-            )
-
-    def test_backoff_above_the_queue_cap_names_the_knob(self, tmp_path):
-        # The queue caps its backoff at 60 s and would refuse a larger
-        # base only when the service starts, naming its own parameter.
-        with pytest.raises(ConfigurationError, match="job_backoff_seconds"):
-            ServiceConfig(
-                execution="queue",
-                jobs_path=tmp_path / "q.sqlite",
-                job_backoff_seconds=100,
-            )
-
-    def test_backoff_at_the_queue_cap_starts(self, tmp_path):
-        service = AnalysisService(
-            sample_state(),
-            ServiceConfig(
-                warm_start=False,
-                refresh_mutations=None,
-                execution="queue",
-                jobs_path=tmp_path / "q.sqlite",
-                job_backoff_seconds=60.0,
-            ),
-        )
-        try:
-            assert service.jobs.queue.backoff_seconds == 60.0
-        finally:
-            service.close()
+            ServiceConfig(**{
+                "execution": "queue",
+                "jobs_path": tmp_path / "q.sqlite",
+                **options,
+            })
 
 
 class TestInlineModeGuards:

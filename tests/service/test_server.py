@@ -21,6 +21,7 @@ from repro.core import AnalysisConfig, analyze
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
 from repro.service import AnalysisService, ServiceConfig, ServiceServer
+from repro.service.server import RETRY_AFTER_SECONDS
 from repro.util.jsontext import verbatim_json
 
 json_values = st.recursive(
@@ -73,16 +74,16 @@ class TestServiceConfig:
         [
             {"queue_limit": 0},
             {"deadline_seconds": 0},
-            {"retry_after_seconds": -1},
+            {"deadline_seconds": -1},
             {"deadline_seconds": float("inf")},
             {"deadline_seconds": float("nan")},
             {"deadline_seconds": 1e12},
             {"job_lease_seconds": float("nan")},
             {"job_lease_seconds": float("inf")},
             {"job_lease_seconds": 1e12},
-            {"job_backoff_seconds": float("nan")},
-            {"job_backoff_seconds": float("inf")},
-            {"job_backoff_seconds": 100},
+            {"queue_limit": -1},
+            {"slo_target_seconds": -1.0},
+            {"tracez_capacity": -1},
         ],
     )
     def test_validation(self, options):
@@ -425,9 +426,7 @@ class TestBackpressure:
             status, payload, headers = service.handle("GET", "/v1/counts")
             assert status == 429
             assert "queue is full" in payload["error"]
-            assert headers["Retry-After"] == str(
-                service.config.retry_after_seconds
-            )
+            assert headers["Retry-After"] == str(RETRY_AFTER_SECONDS)
         finally:
             release.set()
             thread.join(timeout=5)

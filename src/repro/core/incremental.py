@@ -8,20 +8,27 @@ is wasteful: one assignment touches exactly one role's row.
 :class:`IncrementalAuditor` maintains the same inefficiency counts as
 :meth:`repro.core.report.Report.counts` under a stream of mutations.
 Each mutation is processed in time proportional to the change (the
-expensive grouping structures never get rebuilt); ``counts()`` itself is
-a sweep over the roles' maintained indexes, never a quadratic regroup:
+expensive grouping structures never get rebuilt), and every count is a
+running tally that the mutation which changes it keeps current, so
+``counts()`` reads eleven integers and never builds a group or sweeps
+the roles:
 
 * types 1-3 (standalone / disconnected / single-assignment) via the
-  roles' set sizes, and the counts of unassigned users and permissions
-  the state keeps current in its mutators (so ``counts()`` never asks a
-  user or permission for its roles);
+  touched role's user and permission set sizes before and after each
+  mutation, plus the counts of unassigned users and permissions the
+  state keeps current in its mutators;
 * type 4 (duplicates) via content buckets: roles grouped by the exact
-  content of their user (permission) set;
+  content of their user (permission) set, with a tally of the roles
+  in buckets of two or more;
 * type 5 (similar) via a dynamic proximity graph over *distinct set
   contents*: when a role's set changes, only the neighbourhood of the
   old and new contents is re-examined — candidate contents are found
   through the member → roles reverse index, mirroring how the paper's
-  co-occurrence algorithm only inspects overlapping pairs.
+  co-occurrence algorithm only inspects overlapping pairs.  The tally
+  is the number of contents with at least one neighbour: each lies in
+  a component of two or more, so it equals the summed component sizes
+  the batch detector counts.  Components are computed only for
+  :meth:`IncrementalAuditor.similar_groups`.
 
 Semantics match the batch engine exactly (the test suite asserts
 ``auditor.counts() == analyze(auditor.state).counts()`` after arbitrary
@@ -44,7 +51,9 @@ class _AxisIndex:
 
     Nodes of the similarity graph are *contents* (frozensets of user or
     permission ids, empty excluded); an edge joins two contents at
-    symmetric-difference size ``<= threshold``.
+    symmetric-difference size ``<= threshold``.  ``n_duplicate`` and
+    ``n_similar`` are the axis's type 4 and type 5 counts, kept current
+    by the bucket and graph updates.
     """
 
     def __init__(self, threshold: int) -> None:
@@ -57,6 +66,10 @@ class _AxisIndex:
         self.member_contents: dict[str, set[frozenset[str]]] = {}
         #: content -> similar contents (distance 1..threshold).
         self.similar: dict[frozenset[str], set[frozenset[str]]] = {}
+        #: roles in non-empty buckets of two or more.
+        self.n_duplicate = 0
+        #: contents with at least one similar content.
+        self.n_similar = 0
 
     # -- bucket/graph maintenance ------------------------------------
     def set_role(self, role_id: str, content: frozenset[str]) -> None:
@@ -78,6 +91,9 @@ class _AxisIndex:
         bucket = self.buckets.get(content)
         if bucket is not None:
             bucket.add(role_id)
+            if content:
+                # 1 -> 2 makes both roles duplicates; k -> k+1 adds one.
+                self.n_duplicate += 2 if len(bucket) == 2 else 1
             return
         self.buckets[content] = {role_id}
         if content:
@@ -86,6 +102,8 @@ class _AxisIndex:
     def _leave_bucket(self, role_id: str, content: frozenset[str]) -> None:
         bucket = self.buckets[content]
         bucket.discard(role_id)
+        if content and bucket:
+            self.n_duplicate -= 2 if len(bucket) == 1 else 1
         if not bucket:
             del self.buckets[content]
             if content:
@@ -100,14 +118,25 @@ class _AxisIndex:
             if 1 <= distance <= self.threshold:
                 neighbors.add(candidate)
         self.similar[content] = neighbors
+        if neighbors:
+            self.n_similar += 1
         for neighbor in neighbors:
-            self.similar[neighbor].add(content)
+            others = self.similar[neighbor]
+            if not others:
+                self.n_similar += 1
+            others.add(content)
         for member in content:
             self.member_contents.setdefault(member, set()).add(content)
 
     def _remove_graph_node(self, content: frozenset[str]) -> None:
-        for neighbor in self.similar.pop(content, set()):
-            self.similar[neighbor].discard(content)
+        neighbors = self.similar.pop(content)
+        if neighbors:
+            self.n_similar -= 1
+        for neighbor in neighbors:
+            others = self.similar[neighbor]
+            others.discard(content)
+            if not others:
+                self.n_similar -= 1
         for member in content:
             remaining = self.member_contents.get(member)
             if remaining is not None:
@@ -180,10 +209,6 @@ class _AxisIndex:
         groups.sort(key=lambda members: members[0])
         return groups
 
-    def n_similar_roles(self) -> int:
-        """Representatives involved in similarity groups (count key)."""
-        return sum(len(component) for component in self.similar_components())
-
 
 class IncrementalAuditor:
     """Maintains inefficiency counts under a stream of RBAC mutations.
@@ -208,11 +233,18 @@ class IncrementalAuditor:
         self._state = state.copy() if state is not None else RbacState()
         self._users = _AxisIndex(self.similarity_threshold)
         self._permissions = _AxisIndex(self.similarity_threshold)
+        # Type 1-3 role tallies, moved by _retally.
+        self._standalone_roles = 0
+        self._roles_without_users = 0
+        self._roles_without_permissions = 0
+        self._single_user_roles = 0
+        self._single_permission_roles = 0
         for role_id in self._state.role_ids():
-            self._users.set_role(role_id, self._state.users_of_role(role_id))
-            self._permissions.set_role(
-                role_id, self._state.permissions_of_role(role_id)
-            )
+            users = self._state.users_of_role(role_id)
+            permissions = self._state.permissions_of_role(role_id)
+            self._users.set_role(role_id, users)
+            self._permissions.set_role(role_id, permissions)
+            self._retally(None, (len(users), len(permissions)))
 
     # ------------------------------------------------------------------
     # State access
@@ -239,45 +271,88 @@ class IncrementalAuditor:
         self._state.add_role(role_id)
         self._users.set_role(role_id, frozenset())
         self._permissions.set_role(role_id, frozenset())
+        self._retally(None, (0, 0))
 
     def remove_user(self, user_id: str) -> None:
         affected = self._state.roles_of_user(user_id)
         self._state.remove_user(user_id)
         for role_id in affected:
-            self._users.set_role(role_id, self._state.users_of_role(role_id))
+            self._set_users(role_id)
 
     def remove_permission(self, permission_id: str) -> None:
         affected = self._state.roles_of_permission(permission_id)
         self._state.remove_permission(permission_id)
         for role_id in affected:
-            self._permissions.set_role(
-                role_id, self._state.permissions_of_role(role_id)
-            )
+            self._set_permissions(role_id)
 
     def remove_role(self, role_id: str) -> None:
         self._state.remove_role(role_id)
+        before = self._sizes(role_id)
         self._users.drop_role(role_id)
         self._permissions.drop_role(role_id)
+        self._retally(before, None)
 
     def assign_user(self, role_id: str, user_id: str) -> None:
         self._state.assign_user(role_id, user_id)
-        self._users.set_role(role_id, self._state.users_of_role(role_id))
+        self._set_users(role_id)
 
     def revoke_user(self, role_id: str, user_id: str) -> None:
         self._state.revoke_user(role_id, user_id)
-        self._users.set_role(role_id, self._state.users_of_role(role_id))
+        self._set_users(role_id)
 
     def assign_permission(self, role_id: str, permission_id: str) -> None:
         self._state.assign_permission(role_id, permission_id)
-        self._permissions.set_role(
-            role_id, self._state.permissions_of_role(role_id)
-        )
+        self._set_permissions(role_id)
 
     def revoke_permission(self, role_id: str, permission_id: str) -> None:
         self._state.revoke_permission(role_id, permission_id)
+        self._set_permissions(role_id)
+
+    # ------------------------------------------------------------------
+    # Index and tally maintenance
+    # ------------------------------------------------------------------
+    def _set_users(self, role_id: str) -> None:
+        before = self._sizes(role_id)
+        self._users.set_role(role_id, self._state.users_of_role(role_id))
+        self._retally(before, self._sizes(role_id))
+
+    def _set_permissions(self, role_id: str) -> None:
+        before = self._sizes(role_id)
         self._permissions.set_role(
             role_id, self._state.permissions_of_role(role_id)
         )
+        self._retally(before, self._sizes(role_id))
+
+    def _sizes(self, role_id: str) -> tuple[int, int]:
+        """A tracked role's ``(users, permissions)`` set sizes."""
+        return (
+            len(self._users.role_content[role_id]),
+            len(self._permissions.role_content[role_id]),
+        )
+
+    def _retally(
+        self,
+        before: tuple[int, int] | None,
+        after: tuple[int, int] | None,
+    ) -> None:
+        """Move one role's type 1-3 tallies from its ``(users,
+        permissions)`` sizes before a change to those after it (``None``
+        on the side where the role does not exist)."""
+        for sizes, sign in ((before, -1), (after, 1)):
+            if sizes is None:
+                continue
+            n_users, n_permissions = sizes
+            if n_users == 0:
+                if n_permissions == 0:
+                    self._standalone_roles += sign
+                else:
+                    self._roles_without_users += sign
+            elif n_permissions == 0:
+                self._roles_without_permissions += sign
+            if n_users == 1:
+                self._single_user_roles += sign
+            if n_permissions == 1:
+                self._single_permission_roles += sign
 
     # ------------------------------------------------------------------
     # Queries
@@ -294,48 +369,19 @@ class IncrementalAuditor:
         return index.similar_groups()
 
     def counts(self) -> dict[str, int]:
-        """Same buckets, keys, and semantics as ``Report.counts()``."""
+        """Same buckets, keys, and semantics as ``Report.counts()``,
+        read from the running tallies in O(1)."""
         state = self._state
-        user_sizes = {
-            role_id: len(self._users.role_content[role_id])
-            for role_id in state.role_ids()
-        }
-        permission_sizes = {
-            role_id: len(self._permissions.role_content[role_id])
-            for role_id in state.role_ids()
-        }
         return {
             "standalone_users": state.n_unassigned_users,
             "standalone_permissions": state.n_unassigned_permissions,
-            "standalone_roles": sum(
-                1
-                for role_id in state.role_ids()
-                if user_sizes[role_id] == 0 and permission_sizes[role_id] == 0
-            ),
-            "roles_without_users": sum(
-                1
-                for role_id in state.role_ids()
-                if user_sizes[role_id] == 0 and permission_sizes[role_id] > 0
-            ),
-            "roles_without_permissions": sum(
-                1
-                for role_id in state.role_ids()
-                if permission_sizes[role_id] == 0 and user_sizes[role_id] > 0
-            ),
-            "single_user_roles": sum(
-                1 for size in user_sizes.values() if size == 1
-            ),
-            "single_permission_roles": sum(
-                1 for size in permission_sizes.values() if size == 1
-            ),
-            "roles_same_users": sum(
-                len(group) for group in self._users.duplicate_groups()
-            ),
-            "roles_same_permissions": sum(
-                len(group) for group in self._permissions.duplicate_groups()
-            ),
-            "roles_similar_users": self._users.n_similar_roles(),
-            "roles_similar_permissions": (
-                self._permissions.n_similar_roles()
-            ),
+            "standalone_roles": self._standalone_roles,
+            "roles_without_users": self._roles_without_users,
+            "roles_without_permissions": self._roles_without_permissions,
+            "single_user_roles": self._single_user_roles,
+            "single_permission_roles": self._single_permission_roles,
+            "roles_same_users": self._users.n_duplicate,
+            "roles_same_permissions": self._permissions.n_duplicate,
+            "roles_similar_users": self._users.n_similar,
+            "roles_similar_permissions": self._permissions.n_similar,
         }

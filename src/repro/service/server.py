@@ -191,9 +191,12 @@ class ServiceConfig:
                 f"deadline_seconds must be in (0, {threading.TIMEOUT_MAX:g}] "
                 f"(got {self.deadline_seconds})"
             )
-        if self.slo_target_seconds is not None and self.slo_target_seconds <= 0:
+        if self.slo_target_seconds is not None and not (
+            0 < self.slo_target_seconds <= threading.TIMEOUT_MAX
+        ):
             raise ConfigurationError(
-                "slo_target_seconds must be > 0 when set "
+                "slo_target_seconds must be in "
+                f"(0, {threading.TIMEOUT_MAX:g}] when set "
                 f"(got {self.slo_target_seconds})"
             )
         if self.tracez_capacity < 1:

@@ -84,6 +84,8 @@ class TestServiceConfig:
             {"queue_limit": -1},
             {"slo_target_seconds": -1.0},
             {"tracez_capacity": -1},
+            {"slo_target_seconds": float("nan")},
+            {"slo_target_seconds": float("inf")},
         ],
     )
     def test_validation(self, options):
@@ -176,6 +178,39 @@ class TestMutationsAndCounts:
             ).counts()
             assert counts_payload["counts"] == expected
         assert service.mutation_seq == applied_total
+
+    def test_counts_after_a_batch_with_removals_match_a_fresh_analysis(self):
+        # /v1/counts reads running tallies; a batch that removes and
+        # re-adds entities must leave them equal to a from-scratch
+        # analysis of a copy of the live state.
+        from repro.datagen import OrgProfile, generate_org
+
+        state = generate_org(OrgProfile.small(divisor=500, seed=3)).state
+        service = AnalysisService(
+            state, ServiceConfig(warm_start=False, refresh_mutations=None)
+        )
+        role, other = state.role_ids()[:2]
+        user = next(iter(state.users_of_role(other)), state.user_ids()[0])
+        permission = state.permission_ids()[0]
+        batch = [
+            {"op": "remove_user", "id": user},
+            {"op": "remove_permission", "id": permission},
+            {"op": "remove_role", "id": role},
+            {"op": "add_role", "id": role},
+            {"op": "add_user", "id": user},
+            {"op": "assign_user", "role": role, "user": user},
+            {"op": "assign_user", "role": other, "user": user},
+            {"op": "add_permission", "id": permission},
+            {"op": "assign_permission", "role": role, "permission": permission},
+        ]
+        status, payload, _ = post_mutations(service, batch)
+        assert status == 200 and payload["applied"] == len(batch)
+        status, counts_payload, _ = service.handle("GET", "/v1/counts")
+        assert status == 200
+        expected = analyze(
+            service.state.copy(), service.config.analysis
+        ).counts()
+        assert counts_payload["counts"] == expected
 
     def test_rejected_batch_is_atomic(self):
         service = make_service()

@@ -4,15 +4,24 @@ Run against a live ``repro serve`` of ``--dataset`` (the first two) or
 in-process (the third)::
 
     PYTHONPATH=src python -m repro generate org /tmp/org.json --scale-divisor 200 --seed 7
-    PYTHONPATH=src python -m repro serve /tmp/org.json --port 8035 &
+    PYTHONPATH=src python -m repro serve /tmp/org.json --port 8035 \
+        --snapshot /tmp/snap.json --refresh-mutations 4 &
     PYTHONPATH=src python scripts/ci/service_smoke.py counts-parity
     PYTHONPATH=src python scripts/ci/service_smoke.py cache-hit
     PYTHONPATH=src python scripts/ci/service_smoke.py backpressure
 
 ``counts-parity`` applies three mutations, so ``cache-hit`` expects the
 dataset plus those three; run them in this order against a fresh
-service.  Each check prints one line and exits non-zero when an
-assertion fails.
+service.  After SIGTERM has drained that service, the last two check
+its snapshot and a warm restart from it::
+
+    PYTHONPATH=src python scripts/ci/service_smoke.py snapshot
+    PYTHONPATH=src python -m repro serve --port 8036 \
+        --snapshot /tmp/snap.json --no-warm &
+    PYTHONPATH=src python scripts/ci/service_smoke.py warm-restart \
+        --url http://127.0.0.1:8036
+
+Each check prints one line and exits non-zero when an assertion fails.
 """
 
 from __future__ import annotations
@@ -120,10 +129,30 @@ def backpressure(args):
     print("backpressure ok: 429 with intact in-flight result")
 
 
+def snapshot(args):
+    """The drained service's snapshot holds the three mutations."""
+    from repro.service import SnapshotStore
+
+    state, meta = SnapshotStore(args.snapshot).load()
+    assert meta.mutation_seq == 3, meta
+    assert state.has_user("ci-user") and state.has_role("ci-role")
+    print("snapshot ok: seq", meta.mutation_seq)
+
+
+def warm_restart(args):
+    """A service started from the snapshot says so on /healthz."""
+    health = call(args.url, "/healthz")
+    assert health["restored_from_snapshot"] is True, health
+    assert health["mutation_seq"] == 3, health
+    print("warm restart ok:", health["dataset"])
+
+
 CHECKS = {
     "counts-parity": counts_parity,
     "cache-hit": cache_hit,
     "backpressure": backpressure,
+    "snapshot": snapshot,
+    "warm-restart": warm_restart,
 }
 
 
@@ -132,6 +161,7 @@ def main(argv=None):
     parser.add_argument("check", choices=sorted(CHECKS))
     parser.add_argument("--url", default="http://127.0.0.1:8035")
     parser.add_argument("--dataset", default="/tmp/org.json")
+    parser.add_argument("--snapshot", default="/tmp/snap.json")
     args = parser.parse_args(argv)
     CHECKS[args.check](args)
 

@@ -640,9 +640,10 @@ def _save_dataset(state: RbacState, path_text: str, as_csv: bool) -> None:
 def _build_obs_sinks(args: argparse.Namespace):
     """Sink wiring for the shared ``--log-level``/``--trace-out`` flags.
 
-    One helper behind both ``analyze`` and ``serve`` so the two commands
-    cannot drift: returns ``(sinks, trace_sink)`` where ``trace_sink``
-    is the closeable :class:`~repro.obs.JsonlTraceSink` (or ``None``).
+    One helper behind ``analyze``, ``serve`` and every ``work`` process
+    so the commands cannot drift: returns ``(sinks, trace_sink)`` where
+    ``trace_sink`` is the closeable :class:`~repro.obs.JsonlTraceSink`
+    (or ``None``).
     """
     from repro.obs import JsonlTraceSink, LoggingSink
 
@@ -1035,98 +1036,59 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _work_process_main(queue_path: str, index: int, options: dict) -> None:
-    """Entry point of one spawned ``repro work`` child process.
+def _work_main(args: argparse.Namespace) -> dict[str, int]:
+    """The body of every ``repro work`` process: one worker loop.
 
-    Installs its own SIGTERM/SIGINT handlers (signal → stop event → the
-    worker finishes or releases its current job, then exits) and runs
-    one worker loop to completion.
+    Builds the ``--log-level``/``--trace-out`` sinks, wires SIGTERM and
+    SIGINT to the stop event (the worker finishes or releases its
+    current job, then exits) and runs the loop to completion.  With
+    ``--workers 1`` it runs in the CLI's process; otherwise each
+    spawned child runs it.
     """
     import signal
     import threading
 
-    from repro.jobs import default_worker_id, run_worker
-    from repro.obs import JsonlTraceSink
+    from repro.jobs import run_worker
 
+    sinks, trace_sink = _build_obs_sinks(args)
     stop = threading.Event()
 
     def _request_stop(signum, frame):  # noqa: ARG001 (signal signature)
         stop.set()
 
-    signal.signal(signal.SIGTERM, _request_stop)
-    signal.signal(signal.SIGINT, _request_stop)
-    sinks = []
-    trace_sink = None
-    trace_out = options.get("trace_out")
-    if trace_out:
-        # One trace file per worker process — concurrent appends from
-        # several processes would interleave mid-record.
-        trace_sink = JsonlTraceSink(f"{trace_out}.{index}")
-        sinks.append(trace_sink)
+    previous_term = signal.signal(signal.SIGTERM, _request_stop)
+    previous_int = signal.signal(signal.SIGINT, _request_stop)
     try:
-        run_worker(
-            queue_path,
-            worker_id=default_worker_id(),
-            lease_seconds=options["lease"],
-            max_attempts=options["max_attempts"],
-            poll_seconds=options["poll"],
-            max_jobs=options.get("max_jobs"),
-            idle_exit_seconds=options.get("idle_exit"),
+        return run_worker(
+            args.queue,
+            lease_seconds=args.lease,
+            max_attempts=args.max_attempts,
+            poll_seconds=args.poll,
+            max_jobs=args.max_jobs,
+            idle_exit_seconds=args.idle_exit,
             stop_event=stop,
             sinks=sinks,
         )
     finally:
+        signal.signal(signal.SIGTERM, previous_term)
+        signal.signal(signal.SIGINT, previous_int)
         if trace_sink is not None:
             trace_sink.close()
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
     import signal
-    import threading
 
     if args.workers < 1:
         print(f"error: --workers must be >= 1 (got {args.workers})",
               file=sys.stderr)
         return 2
-    options = dict(
-        lease=args.lease,
-        max_attempts=args.max_attempts,
-        poll=args.poll,
-        max_jobs=args.max_jobs,
-        idle_exit=args.idle_exit,
-        trace_out=args.trace_out,
-    )
     if args.workers == 1:
-        from repro.jobs import default_worker_id, run_worker
+        from repro.jobs import default_worker_id
 
-        sinks, trace_sink = _build_obs_sinks(args)
-        stop = threading.Event()
-
-        def _request_stop(signum, frame):  # noqa: ARG001
-            stop.set()
-
-        previous_term = signal.signal(signal.SIGTERM, _request_stop)
-        previous_int = signal.signal(signal.SIGINT, _request_stop)
-        worker_id = default_worker_id()
-        print(f"worker {worker_id} attached to {args.queue}")
+        print(f"worker {default_worker_id()} attached to {args.queue}")
         sys.stdout.flush()
-        try:
-            stats = run_worker(
-                args.queue,
-                worker_id=worker_id,
-                lease_seconds=args.lease,
-                max_attempts=args.max_attempts,
-                poll_seconds=args.poll,
-                max_jobs=args.max_jobs,
-                idle_exit_seconds=args.idle_exit,
-                stop_event=stop,
-                sinks=sinks,
-            )
-        finally:
-            signal.signal(signal.SIGTERM, previous_term)
-            signal.signal(signal.SIGINT, previous_int)
-            if trace_sink is not None:
-                trace_sink.close()
+        stats = _work_main(args)
         print(f"worker done: {stats['done']} completed, "
               f"{stats['failed']} failed")
         return 0
@@ -1134,14 +1096,20 @@ def _cmd_work(args: argparse.Namespace) -> int:
     import multiprocessing
 
     context = multiprocessing.get_context("spawn")
-    children = [
-        context.Process(
-            target=_work_process_main,
-            args=(args.queue, index, options),
-            name=f"repro-work-{index}",
+    children = []
+    for index in range(args.workers):
+        child_args = argparse.Namespace(**vars(args))
+        if args.trace_out:
+            # One trace file per worker process — concurrent appends from
+            # several processes would interleave mid-record.
+            child_args.trace_out = f"{args.trace_out}.{index}"
+        children.append(
+            context.Process(
+                target=_work_main,
+                args=(child_args,),
+                name=f"repro-work-{index}",
+            )
         )
-        for index in range(args.workers)
-    ]
     for child in children:
         child.start()
     print(

@@ -66,6 +66,9 @@ class _AxisIndex:
         self.member_contents: dict[str, set[frozenset[str]]] = {}
         #: content -> similar contents (distance 1..threshold).
         self.similar: dict[frozenset[str], set[frozenset[str]]] = {}
+        #: size -> non-empty contents of that size, for sizes below the
+        #: threshold: the only contents a zero-overlap pass can match.
+        self.small: dict[int, set[frozenset[str]]] = {}
         #: roles in non-empty buckets of two or more.
         self.n_duplicate = 0
         #: contents with at least one similar content.
@@ -127,6 +130,8 @@ class _AxisIndex:
             others.add(content)
         for member in content:
             self.member_contents.setdefault(member, set()).add(content)
+        if len(content) < self.threshold:
+            self.small.setdefault(len(content), set()).add(content)
 
     def _remove_graph_node(self, content: frozenset[str]) -> None:
         neighbors = self.similar.pop(content)
@@ -143,6 +148,11 @@ class _AxisIndex:
                 remaining.discard(content)
                 if not remaining:
                     del self.member_contents[member]
+        if len(content) < self.threshold:
+            same_size = self.small[len(content)]
+            same_size.discard(content)
+            if not same_size:
+                del self.small[len(content)]
 
     def _candidates(
         self, content: frozenset[str]
@@ -150,8 +160,9 @@ class _AxisIndex:
         """Contents that could be within ``threshold`` of ``content``.
 
         Two sets within symmetric-difference ``k`` either share a member
-        (found through the reverse index) or are both of size ``<= k``
-        (zero overlap: distance = |A| + |B|).  The same case split the
+        (found through the reverse index) or are disjoint with
+        ``|A| + |B| <= k`` (found through :attr:`small`, so the pass
+        never walks the buckets).  The same case split the
         co-occurrence algorithm makes.
         """
         seen: set[frozenset[str]] = set()
@@ -160,15 +171,10 @@ class _AxisIndex:
                 if candidate not in seen:
                     seen.add(candidate)
                     yield candidate
-        if len(content) < self.threshold:
-            # zero-overlap partners need |other| <= threshold - |content|
-            for candidate, _roles in self.buckets.items():
-                if (
-                    candidate
-                    and candidate not in seen
-                    and len(candidate) + len(content) <= self.threshold
-                    and not (candidate & content)
-                ):
+        # zero-overlap partners need |other| <= threshold - |content|
+        for size in range(1, self.threshold - len(content) + 1):
+            for candidate in self.small.get(size, ()):
+                if candidate not in seen and not (candidate & content):
                     seen.add(candidate)
                     yield candidate
 

@@ -7,15 +7,15 @@ for the state machine and ``docs/USAGE.md`` §5 for running workers.
 
 * :class:`JobQueue` — the ``task_runs`` table and every state
   transition (enqueue / claim / heartbeat / complete / fail / release /
-  reap), plus durable job-plane counters and histograms.
+  reap), plus durable job-plane counters and histograms.  It is also
+  the producer API ``repro.service`` drives in its ``--execution
+  queue`` mode: enqueue idempotently, then :meth:`JobQueue.wait` polls
+  the file for the result.
 * :class:`JobWorker` / :func:`run_worker` — the consumer loop the
   ``repro work`` CLI runs: claim, heartbeat in the background, execute,
   report, survive SIGTERM cleanly.
-* :class:`JobClient` — the producer API ``repro.service`` uses for its
-  ``--execution queue`` mode: enqueue idempotently, poll, wait.
 """
 
-from repro.jobs.client import JobClient, JobFailed, JobWaitTimeout
 from repro.jobs.queue import (
     JOB_STATES,
     JobError,
@@ -27,12 +27,9 @@ from repro.jobs.worker import JobWorker, default_worker_id, run_worker
 
 __all__ = [
     "JOB_STATES",
-    "JobClient",
     "JobError",
-    "JobFailed",
     "JobQueue",
     "JobRecord",
-    "JobWaitTimeout",
     "JobWorker",
     "default_worker_id",
     "run_worker",

@@ -68,6 +68,7 @@ from repro.obs.metrics import Histogram
 
 __all__ = [
     "BACKOFF_CAP_SECONDS",
+    "BACKOFF_SECONDS",
     "JOB_STATES",
     "JobError",
     "JobRecord",
@@ -75,9 +76,14 @@ __all__ = [
     "spec_key_of",
 ]
 
-#: The longest requeue delay (seconds) exponential backoff grows to, and
-#: so the largest ``backoff_seconds`` base a queue accepts by default.
+#: Requeue delay (seconds) after a lease expiry or retryable failure:
+#: ``BACKOFF_SECONDS * 2**(attempts-1)``, capped at
+#: ``BACKOFF_CAP_SECONDS``.
+BACKOFF_SECONDS = 0.5
 BACKOFF_CAP_SECONDS = 60.0
+
+#: How often (seconds) :meth:`JobQueue.wait` re-reads a job's row.
+WAIT_POLL_SECONDS = 0.05
 
 #: Every state a ``task_runs`` row can be in.  ``queued`` and ``leased``
 #: are live; ``done``, ``failed`` and ``lost`` are terminal (``lost`` =
@@ -208,9 +214,6 @@ class JobQueue:
         How long a claim remains valid without a heartbeat.
     max_attempts:
         Claims a job may consume before the reaper dead-letters it.
-    backoff_seconds / backoff_cap_seconds:
-        Requeue delay after a lease expiry or retryable failure:
-        ``backoff * 2**(attempts-1)`` capped at the cap.
     """
 
     def __init__(
@@ -219,8 +222,6 @@ class JobQueue:
         *,
         lease_seconds: float = 15.0,
         max_attempts: int = 3,
-        backoff_seconds: float = 0.5,
-        backoff_cap_seconds: float = BACKOFF_CAP_SECONDS,
         time_source: Callable[[], float] = time.time,
     ) -> None:
         # Chained so that nan fails too (sqlite stores a nan expiry as
@@ -235,19 +236,9 @@ class JobQueue:
             raise ConfigurationError(
                 f"max_attempts must be >= 1 (got {max_attempts})"
             )
-        if not (
-            0 <= backoff_seconds <= backoff_cap_seconds <= threading.TIMEOUT_MAX
-        ):
-            raise ConfigurationError(
-                "backoff must satisfy 0 <= backoff_seconds <= "
-                f"backoff_cap_seconds <= {threading.TIMEOUT_MAX:g} "
-                f"(got {backoff_seconds}, {backoff_cap_seconds})"
-            )
         self.path = Path(path)
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
-        self.backoff_seconds = float(backoff_seconds)
-        self.backoff_cap_seconds = float(backoff_cap_seconds)
         self._time = time_source
         self._local = threading.local()
         self._connections: list[sqlite3.Connection] = []
@@ -395,10 +386,10 @@ class JobQueue:
             (name, json.dumps(histogram.to_dict())),
         )
 
-    def _backoff(self, attempts: int) -> float:
+    @staticmethod
+    def _backoff(attempts: int) -> float:
         return min(
-            self.backoff_cap_seconds,
-            self.backoff_seconds * (2 ** max(attempts - 1, 0)),
+            BACKOFF_CAP_SECONDS, BACKOFF_SECONDS * 2 ** max(attempts - 1, 0)
         )
 
     @staticmethod
@@ -428,7 +419,6 @@ class JobQueue:
         spec_key: str | None = None,
         trace_id: str | None = None,
         expires_at: float | None = None,
-        max_attempts: int | None = None,
     ) -> tuple[JobRecord, bool]:
         """Insert (or adopt) a job; returns ``(record, created)``.
 
@@ -439,15 +429,10 @@ class JobQueue:
         fresh deadline.  ``expires_at`` is the queue-visible wall-clock
         deadline: claimers skip the job once it passes, and the reaper
         fails it.  The payload is encoded before the write transaction
-        opens.
+        opens.  The job's attempt budget is the queue's ``max_attempts``.
         """
-        if max_attempts is not None and max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1 (got {max_attempts})"
-            )
         spec_hash = spec_key or spec_key_of(kind, payload)
         encoded = json.dumps(payload, sort_keys=True)
-        budget = max_attempts if max_attempts is not None else self.max_attempts
         conn = self._connection()
         with self._transaction(conn):
             row = conn.execute(
@@ -458,7 +443,7 @@ class JobQueue:
                 self._bump(conn, "jobs.deduplicated")
                 return self._record_of(row), False
             self._write_queued(
-                conn, row, spec_hash, kind, budget, encoded,
+                conn, row, spec_hash, kind, self.max_attempts, encoded,
                 trace_id, expires_at,
             )
             row = conn.execute(
@@ -818,6 +803,38 @@ class JobQueue:
         return self._record_of(
             row, with_payload=include_payload, with_result=include_result
         )
+
+    def wait(
+        self, job_id: str, timeout: float | None = None
+    ) -> dict[str, Any]:
+        """Block until ``job_id`` is terminal; return its parsed result.
+
+        Polls the row every :data:`WAIT_POLL_SECONDS`.  There is no push
+        channel, by design: anything that can read the queue file can
+        wait on it, including a process restarted in between.  Raises
+        :class:`JobError` at once for an unknown id, when the job ends
+        ``failed`` or ``lost`` (naming the state and the recorded
+        error), and when ``timeout`` elapses first.  A timeout leaves
+        the job as it is: only this caller gave up.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            record = self.get(job_id, include_result=True)
+            if record is None:
+                raise JobError(f"unknown job: {job_id!r}")
+            if record.state == "done":
+                return record.result or {}
+            if record.terminal:
+                raise JobError(
+                    f"job {job_id} ended {record.state}: "
+                    f"{record.error or 'no error recorded'}"
+                )
+            if deadline is not None and time.monotonic() >= deadline:
+                raise JobError(
+                    f"job {job_id} not finished after {timeout:.1f}s "
+                    f"(state: {record.state})"
+                )
+            time.sleep(WAIT_POLL_SECONDS)
 
     def counts_by_state(self) -> dict[str, int]:
         counts = {state: 0 for state in JOB_STATES}

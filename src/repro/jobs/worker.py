@@ -62,14 +62,13 @@ __all__ = ["JobWorker", "default_worker_id", "run_worker"]
 HEARTBEAT_FRACTION = 1 / 3
 
 
-def default_worker_id(index: int | None = None) -> str:
-    """``host:pid`` (plus an index for multi-worker processes).
+def default_worker_id() -> str:
+    """``host:pid``, one id per worker process.
 
     The pid is recoverable by splitting on ``:`` — the crash-recovery
     smoke test parses it out of ``leased_by`` to SIGKILL the holder.
     """
-    base = f"{socket.gethostname()}:{os.getpid()}"
-    return base if index is None else f"{base}:{index}"
+    return f"{socket.gethostname()}:{os.getpid()}"
 
 
 class _HeartbeatThread(threading.Thread):

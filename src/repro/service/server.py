@@ -66,7 +66,7 @@ from repro.core.incremental import IncrementalAuditor
 from repro.core.report import Report
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError, ReproError
-from repro.jobs import JobClient, JobQueue, JobRecord
+from repro.jobs import JobQueue, JobRecord
 from repro.obs import (
     GC_COLLECTIONS,
     GC_PAUSE,
@@ -153,7 +153,8 @@ class ServiceConfig:
         reaped on warm start.
     job_lease_seconds / job_max_attempts:
         Lease duration and retry budget of enqueued jobs (see
-        :class:`repro.jobs.JobQueue`, whose backoff the service keeps).
+        :class:`repro.jobs.JobQueue`; the requeue backoff is the queue's
+        fixed ``BACKOFF_SECONDS`` doubling up to ``BACKOFF_CAP_SECONDS``).
         The service's background reaper sweeps every half lease.
     analysis:
         Default :class:`AnalysisConfig` for ``POST /v1/analyze`` and the
@@ -282,16 +283,15 @@ class AnalysisService:
         #: *producer* plus reaper: execution happens in worker processes
         #: attached separately via ``repro work``; the sqlite file is
         #: the only shared artifact, so it survives daemon restarts.
-        self._jobs: JobClient | None = None
+        self._jobs: JobQueue | None = None
         self._job_reaper: threading.Thread | None = None
         self._job_reaper_stop = threading.Event()
         if self.config.execution == "queue":
-            queue = JobQueue(
+            self._jobs = JobQueue(
                 self.config.jobs_path,
                 lease_seconds=self.config.job_lease_seconds,
                 max_attempts=self.config.job_max_attempts,
             )
-            self._jobs = JobClient(queue)
         self._scheduler = RefreshScheduler(
             self._refresh_runner,
             refresh_mutations=self.config.refresh_mutations,
@@ -311,7 +311,7 @@ class AnalysisService:
             # Warm-restart recovery: leases held by a previous (dead)
             # daemon or its workers are reaped before anything else runs,
             # then a background sweep keeps recovering while we serve.
-            self._jobs.queue.reap_expired()
+            self._jobs.reap_expired()
             self._job_reaper = threading.Thread(
                 target=self._reap_loop,
                 args=(self.config.job_lease_seconds / 2,),
@@ -329,7 +329,7 @@ class AnalysisService:
 
     def _reap_loop(self, interval: float) -> None:
         while not self._job_reaper_stop.wait(interval):
-            self._jobs.queue.reap_expired()
+            self._jobs.reap_expired()
 
     @property
     def is_draining(self) -> bool:
@@ -354,7 +354,7 @@ class AnalysisService:
             # Close connections only — the queue *file* outlives the
             # daemon (that is the durability contract); workers hold
             # their own connections and keep running.
-            self._jobs.queue.close()
+            self._jobs.close()
         if self._store is not None:
             fingerprint, seq, state = self._copy_state()
             self._store.save(
@@ -377,8 +377,8 @@ class AnalysisService:
         return self._cache
 
     @property
-    def jobs(self) -> JobClient | None:
-        """The job client (``None`` unless ``execution="queue"``)."""
+    def jobs(self) -> JobQueue | None:
+        """The job queue (``None`` unless ``execution="queue"``)."""
         return self._jobs
 
     @property
@@ -595,7 +595,7 @@ class AnalysisService:
             )
         uptime = time.monotonic() - self._started_monotonic
         job_stats = (
-            self._jobs.queue.stats() if self._jobs is not None else None
+            self._jobs.stats() if self._jobs is not None else None
         )
         if exposition == "prometheus":
             extra_counters: dict[str, int | float] = {}
@@ -741,7 +741,7 @@ class AnalysisService:
         remaining = deadline_at - time.monotonic()
         if remaining <= 0:
             raise DeadlineExceeded("deadline elapsed before analysis began")
-        if not self._jobs.queue.has_state_blob(fingerprint):
+        if not self._jobs.has_state_blob(fingerprint):
             with current_recorder().span("service.snapshot") as span:
                 fingerprint, seq, snapshot = self._copy_state()
                 span.annotate(bytes=self._write_blob(fingerprint, snapshot))
@@ -768,7 +768,7 @@ class AnalysisService:
             {},
         )
 
-    def _require_jobs(self) -> JobClient:
+    def _require_jobs(self) -> JobQueue:
         if self._jobs is None:
             raise ProtocolError(
                 'job endpoints require execution "queue" '
@@ -779,7 +779,7 @@ class AnalysisService:
     def _handle_jobs_overview(
         self,
     ) -> tuple[int, dict[str, Any], dict[str, str]]:
-        return 200, self._require_jobs().queue.stats(), {}
+        return 200, self._require_jobs().stats(), {}
 
     def _handle_job_status(
         self, job_id: str
@@ -793,8 +793,7 @@ class AnalysisService:
         stored it with ``sort_keys=True``, so parsing and encoding it
         again would only reproduce the same bytes.
         """
-        client = self._require_jobs()
-        record = client.queue.get(job_id, include_result=True)
+        record = self._require_jobs().get(job_id, include_result=True)
         if record is None:
             return 404, {"error": f"no such job: {job_id}"}, {}
         encoded: dict[str, bytes] = {}
@@ -865,7 +864,7 @@ class AnalysisService:
         from repro.io.statecodec import encode_state
 
         data = encode_state(snapshot)
-        self._jobs.queue.put_state_blob(fingerprint, data)
+        self._jobs.put_state_blob(fingerprint, data)
         return len(data)
 
     def _submit_analyze(
@@ -931,7 +930,7 @@ class AnalysisService:
             )
             return report, fingerprint, seq
         fingerprint, seq, snapshot = self._copy_state()
-        if not self._jobs.queue.has_state_blob(fingerprint):
+        if not self._jobs.has_state_blob(fingerprint):
             self._write_blob(fingerprint, snapshot)
         record, created = self._submit_analyze(
             config,

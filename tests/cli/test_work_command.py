@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli.main import main
 from repro.jobs import JobQueue
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -109,3 +115,30 @@ class TestMultiWorker:
         queue = JobQueue(queue_path)
         assert queue.counts_by_state()["done"] == 8
         queue.close()
+
+    def test_log_level_reaches_every_worker_process(self, tmp_path):
+        path = tmp_path / "one.sqlite"
+        queue = JobQueue(path)
+        record, _ = queue.enqueue("sleep", {"seconds": 0})
+        queue.close()
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "work", str(path),
+                "--workers", "2", "--poll", "0.05",
+                "--log-level", "info", "--idle-exit", "1",
+            ],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "all workers exited" in done.stdout
+        # The child that ran the job logged its span through the
+        # stdlib logging the CLI configured in that process.
+        span_lines = [
+            line for line in done.stderr.splitlines()
+            if "span jobs.run " in line
+        ]
+        assert len(span_lines) == 1, done.stderr
+        assert record.job_id in span_lines[0]

@@ -167,3 +167,35 @@ class TestCountsIsConstantTime:
         for name in ("role_ids", "users_of_role", "permissions_of_role"):
             monkeypatch.setattr(RbacState, name, sweep)
         assert auditor.counts() == expected
+
+
+class _NoIteration(dict):
+    """A bucket map whose iteration fails the test."""
+
+    def _sweep(self, *_args, **_kwargs):
+        raise AssertionError("the mutation walked every bucket")
+
+    __iter__ = items = keys = values = _sweep
+
+
+class TestSmallContentMutationIsLocal:
+    def test_mutation_below_the_threshold_walks_no_bucket(self):
+        from repro.datagen import OrgProfile, generate_org
+
+        auditor = IncrementalAuditor(
+            generate_org(OrgProfile.small(divisor=500, seed=5)).state,
+            similarity_threshold=2,
+        )
+        user = auditor.state.user_ids()[0]
+        permission = auditor.state.permission_ids()[0]
+        auditor.add_role("guard")
+        for index in (auditor._users, auditor._permissions):
+            index.buckets = _NoIteration(index.buckets)
+        # Each content the role passes through has one member, below
+        # the threshold, so each needs the zero-overlap pass.
+        auditor.assign_user("guard", user)
+        auditor.assign_permission("guard", permission)
+        assert auditor.counts() == batch_counts(auditor)
+        auditor.revoke_user("guard", user)
+        auditor.revoke_permission("guard", permission)
+        assert auditor.counts() == batch_counts(auditor)

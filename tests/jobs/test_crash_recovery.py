@@ -33,6 +33,7 @@ from repro.core.engine import AnalysisConfig, analyze
 from repro.core.state import RbacState
 from repro.io.statecodec import encode_state
 from repro.jobs import JobQueue, JobWorker
+from repro.jobs.queue import BACKOFF_CAP_SECONDS
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -155,7 +156,7 @@ class TestRetryParity:
         # Attempt 2 runs for real and must reproduce the inline bytes.
         worker = JobWorker(queue, worker_id="w-live")
         retried = queue.claim(
-            "w-live", now=dead.lease_expires_at + queue.backoff_cap_seconds + 1
+            "w-live", now=dead.lease_expires_at + BACKOFF_CAP_SECONDS + 1
         )
         assert retried.attempts == 2
         assert worker.run_one(retried)
@@ -172,7 +173,7 @@ class TestNoDoubleComplete:
         first = queue.claim("w-slow", now=t0)
         queue.reap_expired(now=first.lease_expires_at + 1)
         second = queue.claim(
-            "w-fast", now=first.lease_expires_at + queue.backoff_cap_seconds + 1
+            "w-fast", now=first.lease_expires_at + BACKOFF_CAP_SECONDS + 1
         )
         assert second is not None
         assert queue.complete(record.job_id, "w-fast", {"winner": "w-fast"})
@@ -187,9 +188,7 @@ class TestNoDoubleComplete:
     def test_concurrent_claimers_with_reaper_complete_each_job_once(
         self, tmp_path
     ):
-        queue = JobQueue(
-            tmp_path / "jobs.sqlite", lease_seconds=30.0, backoff_seconds=0.0
-        )
+        queue = JobQueue(tmp_path / "jobs.sqlite", lease_seconds=30.0)
         n_jobs = 12
         for n in range(n_jobs):
             queue.enqueue("sleep", {"n": n})

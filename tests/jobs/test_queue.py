@@ -11,6 +11,7 @@ import pytest
 import repro.jobs.queue as queue_module
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.jobs import JobError, JobQueue, spec_key_of
+from repro.jobs.queue import BACKOFF_CAP_SECONDS, BACKOFF_SECONDS
 
 
 @pytest.fixture
@@ -19,8 +20,6 @@ def queue(tmp_path):
         tmp_path / "jobs.sqlite",
         lease_seconds=10.0,
         max_attempts=3,
-        backoff_seconds=1.0,
-        backoff_cap_seconds=8.0,
     )
     yield q
     q.close()
@@ -36,23 +35,11 @@ class TestValidation:
             {"lease_seconds": float("inf")},
             {"lease_seconds": 1e12},
             {"max_attempts": 0},
-            {"backoff_seconds": -0.1},
-            {"backoff_seconds": 5.0, "backoff_cap_seconds": 1.0},
-            {"backoff_seconds": float("nan")},
-            {"backoff_seconds": float("inf"), "backoff_cap_seconds": float("inf")},
-            {"backoff_seconds": 1e12, "backoff_cap_seconds": 1e12},
-            {"backoff_cap_seconds": float("nan")},
-            {"backoff_cap_seconds": float("inf")},
-            {"backoff_cap_seconds": 1e12},
         ],
     )
     def test_bad_options(self, tmp_path, options):
         with pytest.raises(ConfigurationError):
             JobQueue(tmp_path / "q.sqlite", **options)
-
-    def test_bad_enqueue_max_attempts(self, queue):
-        with pytest.raises(ConfigurationError):
-            queue.enqueue("sleep", {}, max_attempts=0)
 
     def test_schema_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "q.sqlite"
@@ -161,10 +148,12 @@ class TestClaim:
     def test_backoff_gate_respected(self, queue):
         record, _ = queue.enqueue("sleep", {})
         claimed = queue.claim("w1", now=100.0)
-        queue.reap_expired(now=claimed.lease_expires_at + 0.1)
+        reaped_at = claimed.lease_expires_at + 0.1
+        queue.reap_expired(now=reaped_at)
         requeued = queue.get(record.job_id)
         assert requeued.state == "queued"
-        # attempts=1 -> backoff = 1.0s after the reap time
+        # attempts=1 -> one BACKOFF_SECONDS after the reap time
+        assert requeued.not_before == reaped_at + BACKOFF_SECONDS
         assert queue.claim("w2", now=requeued.not_before - 0.01) is None
         assert queue.claim("w2", now=requeued.not_before) is not None
 
@@ -201,18 +190,22 @@ class TestLeaseGuards:
 
     def test_retryable_failure_requeues_with_backoff(self, queue):
         record, _ = queue.enqueue("sleep", {})
-        claimed = queue.claim("w1")
-        assert queue.fail(claimed.job_id, "w1", "flaky", retryable=True)
+        claimed = queue.claim("w1", now=100.0)
+        assert queue.fail(
+            claimed.job_id, "w1", "flaky", retryable=True, now=101.0
+        )
         after = queue.get(record.job_id)
         assert after.state == "queued"
         assert after.error == "flaky"
-        assert after.not_before > 0
+        assert after.not_before == 101.0 + BACKOFF_SECONDS
 
-    def test_retryable_failure_deadletters_on_last_attempt(self, queue):
-        record, _ = queue.enqueue("sleep", {}, max_attempts=1)
+    def test_retryable_failure_deadletters_on_last_attempt(self, tmp_path):
+        queue = JobQueue(tmp_path / "once.sqlite", max_attempts=1)
+        record, _ = queue.enqueue("sleep", {})
         claimed = queue.claim("w1")
         queue.fail(claimed.job_id, "w1", "flaky", retryable=True)
         assert queue.get(record.job_id).state == "failed"
+        queue.close()
 
     def test_release_refunds_the_attempt(self, queue):
         record, _ = queue.enqueue("sleep", {})
@@ -236,21 +229,41 @@ class TestReap:
         assert second == {"requeued": [], "dead_lettered": [], "expired": []}
         assert queue.counters()["jobs.lease_expired"] == 1
 
-    def test_dead_letter_after_max_attempts(self, queue):
-        record, _ = queue.enqueue("sleep", {}, max_attempts=2)
+    def test_dead_letter_after_max_attempts(self, tmp_path):
+        queue = JobQueue(tmp_path / "twice.sqlite", max_attempts=2)
+        record, _ = queue.enqueue("sleep", {})
         now = 100.0
         for _ in range(2):
             claimed = queue.claim("w1", now=now)
             assert claimed is not None
             queue.reap_expired(now=claimed.lease_expires_at + 1)
             # Jump past the retry backoff so the next claim is eligible.
-            now = claimed.lease_expires_at + queue.backoff_cap_seconds + 1
+            now = claimed.lease_expires_at + BACKOFF_CAP_SECONDS + 1
         final = queue.get(record.job_id)
         assert final.state == "lost"
         assert "lease expired" in final.error
         assert queue.counters()["jobs.dead_lettered"] == 1
         # Terminal: not claimable anymore.
         assert queue.claim("w1", now=now + 100) is None
+        queue.close()
+
+    def test_backoff_doubles_up_to_the_cap(self, tmp_path):
+        queue = JobQueue(tmp_path / "many.sqlite", max_attempts=9)
+        record, _ = queue.enqueue("sleep", {})
+        now = 100.0
+        delays = []
+        for _ in range(8):
+            claimed = queue.claim("w1", now=now)
+            reaped_at = claimed.lease_expires_at + 1
+            assert queue.reap_expired(now=reaped_at)["requeued"]
+            now = queue.get(record.job_id).not_before
+            delays.append(now - reaped_at)
+        assert delays == [
+            min(BACKOFF_CAP_SECONDS, BACKOFF_SECONDS * 2 ** attempt)
+            for attempt in range(8)
+        ]
+        assert delays[-1] == BACKOFF_CAP_SECONDS
+        queue.close()
 
     def test_live_lease_untouched(self, queue):
         queue.enqueue("sleep", {})
@@ -390,3 +403,4 @@ class TestStateBlobs:
         # The next enqueue of that state can store it afresh.
         assert queue.put_state_blob("a", b"original")
         assert queue.state_blob("a") == b"original"
+

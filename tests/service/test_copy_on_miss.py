@@ -153,7 +153,7 @@ class TestQueue:
             assert second["created"] is False
             assert second["job_id"] == first["job_id"]
             assert spies == Counter()
-            stats = service.jobs.queue.stats()
+            stats = service.jobs.stats()
             assert stats["counters"]["jobs.deduplicated"] == 1
             metrics = counters(service)
             assert metrics["service.analyze_dedup"] == 1
@@ -188,7 +188,7 @@ class TestQueue:
     ):
         service = make_service(tmp_path)
         try:
-            queue = service.jobs.queue
+            queue = service.jobs
             real_probe = queue.has_state_blob
             injected = []
 
@@ -212,7 +212,7 @@ class TestQueue:
             assert doc["fingerprint"] != injected[0]
             assert doc["mutation_seq"] == service.mutation_seq
             assert blob_count(service) == 1
-            stats = service.jobs.queue.stats()
+            stats = service.jobs.stats()
             assert sum(stats["states"].values()) == 1
             assert_job_matches_its_key(service, doc["job_id"])
         finally:
@@ -223,7 +223,7 @@ class TestQueue:
     ):
         service = make_service(tmp_path)
         try:
-            queue = service.jobs.queue
+            queue = service.jobs
             real_probe = queue.has_state_blob
             free = []
 
@@ -256,7 +256,7 @@ class TestQueue:
         try:
             first = analyze(service)
             assert blob_count(service) == 1
-            queue = service.jobs.queue
+            queue = service.jobs
             worker = JobWorker(queue, worker_id="w")
             worker.run_one(queue.claim("w"))
             spies.clear()
@@ -291,7 +291,7 @@ class TestQueue:
         monkeypatch.setattr(JobQueue, "_write_queued", write_queued)
         service = make_service(tmp_path)
         try:
-            queue = service.jobs.queue
+            queue = service.jobs
             first = analyze(service)  # a fresh enqueue
             other = json.dumps({"similarity_threshold": 2}).encode()
             status, second, _ = service.handle("POST", "/v1/analyze", other)
@@ -351,16 +351,16 @@ class TestQueue:
 
 
 def blob_count(service: AnalysisService) -> int:
-    return service.jobs.queue._connection().execute(
+    return service.jobs._connection().execute(
         "SELECT COUNT(*) FROM state_blobs"
     ).fetchone()[0]
 
 
 def assert_job_matches_its_key(service: AnalysisService, job_id: str) -> None:
     """The job's state blob has the fingerprint its spec key names."""
-    record = service.jobs.queue.get(job_id, include_payload=True)
+    record = service.jobs.get(job_id, include_payload=True)
     payload = record.payload
-    state = decode_state(service.jobs.queue.state_blob(payload["state_ref"]))
+    state = decode_state(service.jobs.state_blob(payload["state_ref"]))
     assert state.recompute_fingerprint() == payload["fingerprint"]
     spec_key = hashlib.sha256(
         f"{payload['fingerprint']}|{config_key(service.config.analysis)}"

@@ -67,7 +67,7 @@ def drain_one_job(service: AnalysisService, timeout: float = 60.0) -> None:
 
     def target() -> None:
         run_worker(
-            str(service.jobs.queue.path),
+            str(service.jobs.path),
             worker_id="test-worker",
             max_jobs=1,
             poll_seconds=0.01,
@@ -159,7 +159,7 @@ class TestQueuedAnalyze:
         assert status == 202
         assert second["job_id"] == first["job_id"]
         assert second["created"] is False
-        stats = queue_service.jobs.queue.stats()
+        stats = queue_service.jobs.stats()
         assert stats["states"]["queued"] == 1
         assert stats["counters"]["jobs.deduplicated"] == 1
 
@@ -175,14 +175,14 @@ class TestQueuedAnalyze:
         _, payload, _ = queue_service.handle(
             "POST", "/v1/analyze", trace_id_header=trace_id
         )
-        record = queue_service.jobs.queue.get(payload["job_id"])
+        record = queue_service.jobs.get(payload["job_id"])
         assert record.trace_id == trace_id
 
     def test_deadline_becomes_queue_visible_expiry(self, queue_service):
         _, payload, _ = queue_service.handle(
             "POST", "/v1/analyze", deadline_header="5"
         )
-        record = queue_service.jobs.queue.get(payload["job_id"])
+        record = queue_service.jobs.get(payload["job_id"])
         assert record.expires_at is not None
         assert record.expires_at <= time.time() + 5.5
 
@@ -195,14 +195,14 @@ class TestQueuedAnalyze:
         )
         assert status == 400, payload
         assert "X-Deadline" in payload["error"]
-        states = queue_service.jobs.queue.counts_by_state()
+        states = queue_service.jobs.counts_by_state()
         assert sum(states.values()) == 0
 
 
 class TestStateBlobs:
     def test_payload_names_the_blob_and_carries_no_state(self, queue_service):
         _, submitted, _ = queue_service.handle("POST", "/v1/analyze")
-        queue = queue_service.jobs.queue
+        queue = queue_service.jobs
         record = queue.get(submitted["job_id"], include_payload=True)
         assert "state" not in record.payload
         assert record.payload["state_ref"] == submitted["fingerprint"]
@@ -227,7 +227,7 @@ class TestStateBlobs:
         )
         try:
             _, submitted, _ = service.handle("POST", "/v1/analyze")
-            blob = service.jobs.queue.state_blob(submitted["fingerprint"])
+            blob = service.jobs.state_blob(submitted["fingerprint"])
         finally:
             service.close()
         snapshots = [
@@ -311,7 +311,7 @@ class TestQueuedRefresh:
             ).counts()
             counters = service.handle("GET", "/metricz")[1]["counters"]
             assert counters["service.analyses_queued"] == 1
-            jobs = service.jobs.queue.stats()["counters"]
+            jobs = service.jobs.stats()["counters"]
             assert jobs["jobs.enqueued"] == 1
 
             # Unchanged content: the refresh is answered by the done row.
@@ -319,7 +319,7 @@ class TestQueuedRefresh:
             status, latest, _ = service.handle("GET", "/v1/reports/latest")
             assert status == 200
             assert latest["seq"] == 3
-            jobs = service.jobs.queue.stats()["counters"]
+            jobs = service.jobs.stats()["counters"]
             assert jobs["jobs.enqueued"] == 1
         finally:
             stop.set()
@@ -375,8 +375,8 @@ class TestWarmRestartRecovery:
         )
         try:
             service.start()
-            revived = service.jobs.queue.get(record.job_id)
+            revived = service.jobs.get(record.job_id)
             assert revived.state == "queued"
-            assert service.jobs.queue.counters()["jobs.lease_expired"] == 1
+            assert service.jobs.counters()["jobs.lease_expired"] == 1
         finally:
             service.close()

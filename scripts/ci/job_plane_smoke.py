@@ -15,11 +15,22 @@ workers attached, in this order::
 
 ``crash-recovery`` SIGKILLs the worker process that leases its job.
 After both daemons are stopped, ``plant-stale-lease`` leaves a lease
-whose holder is long gone; a fresh daemon on the same queue file must
-have requeued it, which ``stale-lease-requeued --url <its url>``
-checks.  ``bench-schema`` checks a quick ``scripts/bench_jobs.py`` run
-and the checked-in ``BENCH_jobs.json``.  Each check prints one line
-and exits non-zero when an assertion fails.
+whose holder is long gone; a fresh daemon on the same queue file, with
+no worker attached, must have requeued it, which
+``stale-lease-requeued --url <its url>`` checks::
+
+    PYTHONPATH=src python scripts/ci/job_plane_smoke.py plant-stale-lease
+    PYTHONPATH=src python -m repro serve /tmp/org.json --port 8039 \\
+        --execution queue --jobs /tmp/jobs.sqlite --job-lease 2 \\
+        --no-warm --refresh-mutations 2 &
+    PYTHONPATH=src python scripts/ci/job_plane_smoke.py stale-lease-requeued --url http://127.0.0.1:8039
+    PYTHONPATH=src python scripts/ci/job_plane_smoke.py refresh-without-workers --url http://127.0.0.1:8039
+
+``refresh-without-workers`` then checks that the same daemon's
+scheduler refresh publishes a report without a worker and without
+enqueueing a job.  ``bench-schema`` checks a quick
+``scripts/bench_jobs.py`` run and the checked-in ``BENCH_jobs.json``.
+Each check prints one line and exits non-zero when an assertion fails.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import os
 import signal
 import sqlite3
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -145,6 +157,32 @@ def stale_lease_requeued(args):
     print("warm-restart reap ok: stale lease requeued")
 
 
+def refresh_without_workers(args):
+    """Two mutations trigger a refresh (``--refresh-mutations 2``) that
+    publishes a report with no worker attached and enqueues no job."""
+    enqueued = call(args.url, "/v1/jobs")[1]["counters"].get("jobs.enqueued", 0)
+    body = json.dumps({"mutations": [
+        {"op": "add_user", "id": "ci-refresh-user"},
+        {"op": "add_role", "id": "ci-refresh-role"},
+    ]}).encode()
+    status, applied = call(args.url, "/v1/mutations", "POST", body)
+    assert status == 200 and applied["applied"] == 2, applied
+    deadline = time.monotonic() + 60
+    while True:
+        try:
+            latest = call(args.url, "/v1/reports/latest")[1]
+            break
+        except urllib.error.HTTPError as error:
+            assert error.code == 404, error  # nothing published yet
+        assert time.monotonic() < deadline, "no report published"
+        time.sleep(0.2)
+    assert latest["mutation_seq"] == applied["mutation_seq"], (latest, applied)
+    after = call(args.url, "/v1/jobs")[1]["counters"].get("jobs.enqueued", 0)
+    assert after == enqueued, (enqueued, after)
+    print("refresh without workers ok: published seq", latest["seq"],
+          "and enqueued nothing")
+
+
 def bench_schema(args):
     """The quick jobs benchmark and the checked-in artifact share one
     schema, and the artifact shows the expected trends."""
@@ -180,6 +218,7 @@ CHECKS = {
     "crash-recovery": crash_recovery,
     "plant-stale-lease": plant_stale_lease,
     "stale-lease-requeued": stale_lease_requeued,
+    "refresh-without-workers": refresh_without_workers,
     "bench-schema": bench_schema,
 }
 

@@ -9,8 +9,8 @@ for the state machine and ``docs/USAGE.md`` §5 for running workers.
   transition (enqueue / claim / heartbeat / complete / fail / release /
   reap), plus durable job-plane counters and histograms.  It is also
   the producer API ``repro.service`` drives in its ``--execution
-  queue`` mode: enqueue idempotently, then :meth:`JobQueue.wait` polls
-  the file for the result.
+  queue`` mode: enqueue idempotently, and read a job's status and
+  result with :meth:`JobQueue.get`.
 * :class:`JobWorker` / :func:`run_worker` — the consumer loop the
   ``repro work`` CLI runs: claim, heartbeat in the background, execute,
   report, survive SIGTERM cleanly.

@@ -82,9 +82,6 @@ __all__ = [
 BACKOFF_SECONDS = 0.5
 BACKOFF_CAP_SECONDS = 60.0
 
-#: How often (seconds) :meth:`JobQueue.wait` re-reads a job's row.
-WAIT_POLL_SECONDS = 0.05
-
 #: Every state a ``task_runs`` row can be in.  ``queued`` and ``leased``
 #: are live; ``done``, ``failed`` and ``lost`` are terminal (``lost`` =
 #: dead-lettered after exhausting its lease-expiry retries).
@@ -803,38 +800,6 @@ class JobQueue:
         return self._record_of(
             row, with_payload=include_payload, with_result=include_result
         )
-
-    def wait(
-        self, job_id: str, timeout: float | None = None
-    ) -> dict[str, Any]:
-        """Block until ``job_id`` is terminal; return its parsed result.
-
-        Polls the row every :data:`WAIT_POLL_SECONDS`.  There is no push
-        channel, by design: anything that can read the queue file can
-        wait on it, including a process restarted in between.  Raises
-        :class:`JobError` at once for an unknown id, when the job ends
-        ``failed`` or ``lost`` (naming the state and the recorded
-        error), and when ``timeout`` elapses first.  A timeout leaves
-        the job as it is: only this caller gave up.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            record = self.get(job_id, include_result=True)
-            if record is None:
-                raise JobError(f"unknown job: {job_id!r}")
-            if record.state == "done":
-                return record.result or {}
-            if record.terminal:
-                raise JobError(
-                    f"job {job_id} ended {record.state}: "
-                    f"{record.error or 'no error recorded'}"
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                raise JobError(
-                    f"job {job_id} not finished after {timeout:.1f}s "
-                    f"(state: {record.state})"
-                )
-            time.sleep(WAIT_POLL_SECONDS)
 
     def counts_by_state(self) -> dict[str, int]:
         counts = {state: 0 for state in JOB_STATES}

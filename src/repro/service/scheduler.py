@@ -56,12 +56,11 @@ class RefreshScheduler:
         self._stopping = False
         self._pending = 0
         self._last_run = time.monotonic()
-        # Published results (guarded by _cond's lock).
+        # Published results (guarded by _cond's lock): the diff baseline
+        # and the latest payload, built once when it is published.
         self._seq = 0
         self._latest_report: Report | None = None
-        self._latest_fingerprint = ""
-        self._latest_mutation_seq = 0
-        self._latest_diff: ReportDiff | None = None
+        self._latest: dict[str, Any] | None = None
         self.runs = 0
         self.errors = 0
 
@@ -107,11 +106,12 @@ class RefreshScheduler:
 
     def prime(self, report: Report, fingerprint: str, mutation_seq: int) -> None:
         """Install an opening report as the baseline (no diff yet)."""
+        payload = self._payload(report, fingerprint, mutation_seq, diff=None)
         with self._cond:
-            self._publish(report, fingerprint, mutation_seq, diff=None)
+            self._publish(report, payload)
 
     def run_once(self) -> None:
-        """Run one refresh synchronously (used by tests and drain)."""
+        """Run one refresh synchronously, on the calling thread."""
         self._refresh()
 
     # ------------------------------------------------------------------
@@ -120,19 +120,11 @@ class RefreshScheduler:
     def latest(self) -> dict[str, Any] | None:
         """The latest published report + diff as a JSON-ready payload."""
         with self._cond:
-            if self._latest_report is None:
+            if self._latest is None:
                 return None
             return {
                 "seq": self._seq,
-                "mutation_seq": self._latest_mutation_seq,
-                "fingerprint": self._latest_fingerprint,
-                "counts": self._latest_report.counts(),
-                "n_findings": len(self._latest_report.parts),
-                "diff": (
-                    self._latest_diff.to_dict()
-                    if self._latest_diff is not None
-                    else None
-                ),
+                **self._latest,
                 "pending_mutations": self._pending,
             }
 
@@ -149,18 +141,27 @@ class RefreshScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _publish(
-        self,
+    @staticmethod
+    def _payload(
         report: Report,
         fingerprint: str,
         mutation_seq: int,
         diff: ReportDiff | None,
-    ) -> None:
+    ) -> dict[str, Any]:
+        """The published part of ``latest()``; built without the lock."""
+        return {
+            "mutation_seq": mutation_seq,
+            "fingerprint": fingerprint,
+            "counts": report.counts(),
+            "n_findings": len(report.parts),
+            "diff": diff.to_dict() if diff is not None else None,
+        }
+
+    def _publish(self, report: Report, payload: dict[str, Any]) -> None:
+        """Install a report and its payload (call with the lock held)."""
         self._seq += 1
         self._latest_report = report
-        self._latest_fingerprint = fingerprint
-        self._latest_mutation_seq = mutation_seq
-        self._latest_diff = diff
+        self._latest = payload
 
     def _refresh(self) -> None:
         with self._cond:
@@ -174,9 +175,10 @@ class RefreshScheduler:
                 self.errors += 1
             return
         diff = diff_reports(previous, report) if previous is not None else None
+        payload = self._payload(report, fingerprint, mutation_seq, diff)
         with self._cond:
             self.runs += 1
-            self._publish(report, fingerprint, mutation_seq, diff)
+            self._publish(report, payload)
 
     def _due(self, now: float) -> bool:
         """Whether a refresh should run now (call with the lock held)."""

@@ -98,9 +98,6 @@ __all__ = ["ServiceConfig", "AnalysisService", "ServiceServer"]
 
 #: Value of the ``Retry-After`` header on 429 responses.
 RETRY_AFTER_SECONDS = 1
-#: How long a queued scheduler refresh waits for its job before giving
-#: up the cycle.
-REFRESH_TIMEOUT_SECONDS = 300.0
 
 
 @dataclass(frozen=True)
@@ -116,9 +113,10 @@ class ServiceConfig:
         Default per-request deadline; clients override per request with
         the ``X-Deadline`` header.
     cache_capacity:
-        Encoded reports kept in the LRU report cache.  Only inline
-        analyses (and the warm start) fill it; in queue mode the job
-        table is the result store.
+        Encoded reports kept in the LRU report cache.  Inline
+        analyses, the warm start and the scheduler's refreshes fill it
+        (the refreshes in both execution modes); a queued ``POST
+        /v1/analyze`` does not, its result store is the job table.
     refresh_mutations / refresh_seconds:
         Background full-analysis triggers (``None`` disables a trigger;
         both ``None`` disables the scheduler).
@@ -320,10 +318,7 @@ class AnalysisService:
             )
             self._job_reaper.start()
         if self.config.warm_start:
-            # Warm start computes inline even in queue mode: at startup
-            # no worker may be attached yet, and the warm analysis exists
-            # to heat this process's matrices and cache.
-            report, fingerprint, seq = self._refresh_runner(inline=True)
+            report, fingerprint, seq = self._refresh_runner()
             self._scheduler.prime(report, fingerprint, seq)
         self._scheduler.start()
 
@@ -910,39 +905,21 @@ class AnalysisService:
         self._registry.inc("service.analyses")
         return report, report.encode()
 
-    def _refresh_runner(self, inline: bool = False) -> tuple[Report, str, int]:
-        """Scheduler hook: analyse the current state with the defaults.
+    def _refresh_runner(self) -> tuple[Report, str, int]:
+        """Scheduler hook and warm start: analyse the current state with
+        the defaults.
 
-        Inline (and for the warm start, ``inline=True``, in both modes)
-        the refresh is a cached analysis, the same as a ``/v1/analyze``
-        for the same content.  In queue mode it is *enqueued* like any
-        client analysis and awaited: the scheduler thread tolerates the
-        latency, the work lands on the worker fleet, and the job table
-        is the result store — a refresh of content already analysed is
-        answered by its ``done`` row.  :meth:`Report.from_payload`
-        reattaches this process's snapshot, so the scheduler's diff gets
-        a live report indistinguishable from an inline one.
+        In both execution modes this is a cached analysis in this
+        process, the same as an inline ``/v1/analyze`` for the same
+        content: a refresh of content already analysed is a cache hit,
+        and a new report stays in the cache.  It needs no worker, so it
+        cannot stall drain.  At paper scale the analysis plus its encode
+        costs this process less CPU than parsing and rebuilding a worker's
+        result would.
         """
-        config = self.config.analysis
-        if self._jobs is None or inline:
-            (report, _encoded), _source, fingerprint, seq = (
-                self._cached_analysis(config)
-            )
-            return report, fingerprint, seq
-        fingerprint, seq, snapshot = self._copy_state()
-        if not self._jobs.has_state_blob(fingerprint):
-            self._write_blob(fingerprint, snapshot)
-        record, created = self._submit_analyze(
-            config,
-            fingerprint,
-            seq,
-            expires_at=time.time() + REFRESH_TIMEOUT_SECONDS,
+        (report, _encoded), _source, fingerprint, seq = self._cached_analysis(
+            self.config.analysis
         )
-        result = self._jobs.wait(record.job_id, timeout=REFRESH_TIMEOUT_SECONDS)
-        report = Report.from_payload(result["report"], snapshot)
-        if created:  # a job's engine metrics are folded in once
-            self._merge_report_metrics(report)
-        self._registry.inc("service.analyses_queued")
         return report, fingerprint, seq
 
     # ------------------------------------------------------------------

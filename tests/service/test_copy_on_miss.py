@@ -249,31 +249,6 @@ class TestQueue:
         finally:
             service.close()
 
-    def test_queued_refresh_of_stored_content_encodes_nothing(
-        self, tmp_path, spies
-    ):
-        service = make_service(tmp_path)
-        try:
-            first = analyze(service)
-            assert blob_count(service) == 1
-            queue = service.jobs
-            worker = JobWorker(queue, worker_id="w")
-            worker.run_one(queue.claim("w"))
-            spies.clear()
-            service.scheduler.run_once()
-            stats = service.scheduler.stats()
-            assert (stats["runs"], stats["errors"]) == (1, 0)
-            assert service.scheduler.latest()["fingerprint"] == (
-                first["fingerprint"]
-            )
-            # The refresh copies the state for the report it rebuilds,
-            # but its blob is stored: nothing is encoded or written.
-            assert spies["encode_state"] == 0
-            assert spies["copy"] == 1
-            assert blob_count(service) == 1
-        finally:
-            service.close()
-
     def test_analyze_row_is_never_inserted_before_its_blob(
         self, tmp_path, monkeypatch
     ):

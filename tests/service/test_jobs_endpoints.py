@@ -277,17 +277,36 @@ class TestVerbatimResult:
         assert body == expected
 
 
-class TestQueuedRefresh:
-    """The scheduler's refresh in queue mode runs on the worker fleet."""
+ONE_MUTATION = json.dumps({"mutations": [
+    {"op": "assign_user", "role": "r3", "user": "u4"},
+]}).encode()
 
-    def test_refresh_publishes_a_diff_and_reuses_the_done_job(self, tmp_path):
+
+class TestRefreshInQueueMode:
+    """The scheduler's refresh analyses in the service process in queue
+    mode too: it enqueues nothing and needs no worker."""
+
+    def refreshed(self, config: ServiceConfig) -> tuple[dict, dict, dict]:
+        """The latest payload after the warm start, one mutation and one
+        refresh, with the service and job counters."""
+        service = AnalysisService(sample_state(), config)
+        try:
+            service.start()  # the warm start publishes seq 1
+            assert service.handle("POST", "/v1/mutations", ONE_MUTATION)[0] == 200
+            service.scheduler.run_once()
+            status, latest, _ = service.handle("GET", "/v1/reports/latest")
+            assert status == 200
+            assert latest["seq"] == 2
+            counters = service.handle("GET", "/metricz")[1]["counters"]
+            jobs = service.jobs.stats()["counters"] if service.jobs else {}
+            return latest, counters, jobs
+        finally:
+            service.close()
+
+    def test_publishes_what_inline_mode_does(self, tmp_path):
+        inline, _, _ = self.refreshed(ServiceConfig(refresh_mutations=None))
         path = tmp_path / "jobs.sqlite"
-        service = AnalysisService(
-            sample_state(),
-            ServiceConfig(
-                refresh_mutations=None, execution="queue", jobs_path=path
-            ),
-        )
+        # Even with a worker attached, the refresh does not enqueue.
         worker_queue = JobQueue(path)
         stop = threading.Event()
         worker = JobWorker(
@@ -296,37 +315,52 @@ class TestQueuedRefresh:
         thread = threading.Thread(target=worker.run)
         thread.start()
         try:
-            service.start()  # the warm start computes inline: seq 1
-            body = json.dumps({"mutations": [
-                {"op": "assign_user", "role": "r3", "user": "u4"},
-            ]}).encode()
-            assert service.handle("POST", "/v1/mutations", body)[0] == 200
-            service.scheduler.run_once()
-            status, latest, _ = service.handle("GET", "/v1/reports/latest")
-            assert status == 200
-            assert latest["seq"] == 2
-            assert latest["diff"] is not None
-            assert latest["counts"] == analyze(
-                service.state.copy(), AnalysisConfig()
-            ).counts()
-            counters = service.handle("GET", "/metricz")[1]["counters"]
-            assert counters["service.analyses_queued"] == 1
-            jobs = service.jobs.stats()["counters"]
-            assert jobs["jobs.enqueued"] == 1
-
-            # Unchanged content: the refresh is answered by the done row.
-            service.scheduler.run_once()
-            status, latest, _ = service.handle("GET", "/v1/reports/latest")
-            assert status == 200
-            assert latest["seq"] == 3
-            jobs = service.jobs.stats()["counters"]
-            assert jobs["jobs.enqueued"] == 1
+            queued, counters, jobs = self.refreshed(
+                ServiceConfig(
+                    refresh_mutations=None, execution="queue", jobs_path=path
+                )
+            )
         finally:
             stop.set()
             thread.join(timeout=30)
             worker_queue.close()
-            service.close()
         assert not thread.is_alive()
+        assert queued["diff"] is not None
+        assert queued["diff"] == inline["diff"]
+        assert queued["counts"] == inline["counts"]
+        assert queued["fingerprint"] == inline["fingerprint"]
+        assert jobs.get("jobs.enqueued", 0) == 0
+        # Warm start and refresh: two cache misses, two analyses.
+        assert counters["service.analyze_miss"] == 2
+        assert counters["service.analyses"] == 2
+
+
+class TestDrainWithoutWorkers:
+    def test_close_during_a_refresh_is_prompt(self, tmp_path):
+        before = set(threading.enumerate())
+        service = AnalysisService(
+            sample_state(),
+            ServiceConfig(
+                refresh_mutations=1,
+                execution="queue",
+                jobs_path=tmp_path / "jobs.sqlite",
+            ),
+        )
+        service.start()
+        (scheduler_thread,) = [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.name == "repro-service-scheduler"
+        ]
+        assert service.handle("POST", "/v1/mutations", ONE_MUTATION)[0] == 200
+        # The mutation triggered a refresh: wait until it has begun.
+        deadline = time.monotonic() + 10
+        while service.scheduler.stats()["pending_mutations"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        started = time.monotonic()
+        service.close()
+        assert time.monotonic() - started < 5.0
+        assert not scheduler_thread.is_alive()
 
 
 class TestJobEndpoints:

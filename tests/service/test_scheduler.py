@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.core import AnalysisConfig, analyze
+from repro.core.reportdiff import ReportDiff
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
 from repro.service.scheduler import RefreshScheduler
@@ -93,6 +94,26 @@ class TestPublication:
         runner.state = tiny_state(extra_role=True)
         scheduler.run_once()
         assert scheduler.latest()["diff"] is not None
+
+    def test_latest_payload_is_built_once_at_publication(self, monkeypatch):
+        # latest() is read under the lock notify_mutations also takes, so
+        # the diff's dicts are built when the report is published, not
+        # per read.
+        calls = []
+        to_dict = ReportDiff.to_dict
+        monkeypatch.setattr(
+            ReportDiff, "to_dict", lambda diff: calls.append(1) or to_dict(diff)
+        )
+        runner = RecordingRunner()
+        scheduler = RefreshScheduler(runner, refresh_mutations=10)
+        scheduler.run_once()
+        runner.state = tiny_state(extra_role=True)
+        scheduler.run_once()
+        published = len(calls)
+        first, second = scheduler.latest(), scheduler.latest()
+        assert len(calls) == published
+        assert first == second
+        assert first["diff"]["new"]
 
     def test_runner_errors_are_counted_not_fatal(self):
         runner = RecordingRunner()

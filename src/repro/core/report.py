@@ -241,14 +241,21 @@ class Report:
     def encode(self) -> bytes:
         """``json.dumps(self.to_dict(), sort_keys=True)`` in UTF-8.
 
-        The findings are written straight from the bucket columns, one
-        JSON text per finding (only records go through
-        :meth:`Finding.to_dict`), and go into the payload's text as
-        they are.
+        Each finding's JSON text comes from :meth:`Findings.texts`: for
+        plain ids it is written from a row template, with no dict built
+        and no ``json.dumps`` called.  The summary members around them
+        are the only values dumped.  The texts and the summary join
+        into the whole report in one pass, which is encoded once.
         """
-        texts = self._in_review_order(self.parts.texts())
-        findings = ("[%s]" % ", ".join(texts)).encode("utf-8")
-        return verbatim_json(self._summary(), {"findings": findings})
+        rows = self._in_review_order(self.parts.texts())
+        # JSON text never holds a raw NUL, so one marks the findings' place.
+        around = verbatim_json(self._summary(), {"findings": b"\0"})
+        head, tail = around.decode("utf-8").split("\0")
+        if not rows:
+            return f"{head}[]{tail}".encode("utf-8")
+        rows[0] = f"{head}[{rows[0]}"
+        rows[-1] = f"{rows[-1]}]{tail}"
+        return ", ".join(rows).encode("utf-8")
 
     def _summary(self) -> dict[str, Any]:
         """Every member of :meth:`to_dict` but the findings."""

@@ -16,10 +16,11 @@ and the shadowed-role extension) stay :class:`Finding` records.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -252,6 +253,32 @@ def sort_findings(findings: Sequence[Finding]) -> list[Finding]:
     return ordered
 
 
+#: Printable ASCII but ``"``, ``'`` and ``\``: text that JSON writes as
+#: it stands and that ``repr`` only wraps in single quotes.
+_PLAIN = re.compile(r"[ !#-&(-\[\]-~]*")
+
+
+def _plain(texts: Iterable[str]) -> bool:
+    """Whether ``texts`` are all strings, and plain (:data:`_PLAIN`)."""
+    try:
+        joined = "".join(texts)
+    except TypeError:  # not a string
+        return False
+    return _PLAIN.fullmatch(joined) is not None
+
+
+def _literal(value: str) -> str:
+    """``value`` as JSON text, ready to stand in a ``%`` template."""
+    return json.dumps(value).replace("%", "%%")
+
+
+def _object_text(members: Mapping[str, str]) -> str:
+    """A JSON object from its members' texts, keys sorted."""
+    return "{%s}" % ", ".join(
+        f"{_literal(key)}: {members[key]}" for key in sorted(members)
+    )
+
+
 @dataclass(frozen=True)
 class BucketSpec:
     """One bucket of single-entity findings, ``(type, entity_kind, axis)``,
@@ -332,21 +359,47 @@ class BucketSpec:
         """One finding as ``json.dumps(record, sort_keys=True)`` writes it,
         with ``%`` slots for the detail (when there is one), the quoted
         entity id and the quoted message, in that order."""
+        return self._row_text("%d", "[%s]", "%s")
+
+    @cached_property
+    def plain_text(self) -> list[str] | None:
+        """:attr:`text` for a row whose id is plain (:func:`_plain`), with
+        the id and the message inside the JSON literal, cut at the
+        slots left: the id twice or, with a detail, the detail, the id
+        twice and the detail.  ``None`` when the message template's own
+        text is not plain or holds other slots."""
+        pieces = re.split(r"(\{0!r\}|\{1\})", self.template)
+        literals = pieces[0::2]
+        slots = ["{0!r}", "{1}"] if self.detail else ["{0!r}"]
+        if (
+            pieces[1::2] != slots
+            or not _plain(literals)
+            or re.search(r"[{}]", "".join(literals))
+        ):
+            return None
+        # JSON text never holds a raw NUL, so NULs mark the slots.
+        message = "".join(pieces).replace("{0!r}", "'\0'")
+        message = message.replace("{1}", "\0")
+        return self._row_text("\0", '["\0"]', f'"{message}"').split("\0")
+
+    def _row_text(self, detail: str, entity_ids: str, message: str) -> str:
+        """The sorted-key JSON object of a row, with the given texts for
+        its detail count and ``entity_ids`` and ``message`` members."""
         members = {
             "details": (
-                "{%s: %%d}" % json.dumps(self.detail) if self.detail else "{}"
+                "{%s: %s}" % (json.dumps(self.detail), detail)
+                if self.detail
+                else "{}"
             ),
-            "entity_ids": "[%s]",
+            "entity_ids": entity_ids,
             "entity_kind": json.dumps(self.entity_kind.value),
-            "message": "%s",
+            "message": message,
             "severity": json.dumps(self.severity.value),
             "type": json.dumps(self.type.value),
         }
         if self.axis is not None:
             members["axis"] = json.dumps(self.axis.value)
-        return "{%s}" % ", ".join(
-            f"{json.dumps(key)}: {members[key]}" for key in sorted(members)
-        )
+        return _object_text(members)
 
 
 STANDALONE_USERS = BucketSpec(
@@ -456,11 +509,103 @@ class Bucket:
 
     def texts(self) -> list[str]:
         """Each row's JSON text, as ``json.dumps(record, sort_keys=True)``
-        writes it (:attr:`BucketSpec.text`)."""
+        writes it: :attr:`BucketSpec.plain_text` joined with the row's
+        values (one f-string) when every id is plain, else
+        :attr:`BucketSpec.text` with the id and message quoted by the
+        JSON module's string encoder."""
+        pieces = self.spec.plain_text
+        if pieces is not None and _plain(self.ids):
+            if self.details is None:
+                a, b, c = pieces
+                return [f"{a}{i}{b}{i}{c}" for i in self.ids]
+            a, b, c, d, e = pieces
+            return [
+                f"{a}{n:d}{b}{i}{c}{i}{d}{n:d}{e}"
+                for i, n in zip(self.ids, self.details)
+            ]
         columns = self._columns()
         messages = map(self.spec.template.format, *columns)
         slots = columns[1:] + [map(_quote, self.ids), map(_quote, messages)]
         return list(map(self.spec.text.__mod__, zip(*slots)))
+
+
+def _record_text(finding: Finding) -> str:
+    """``json.dumps(finding.to_dict(), sort_keys=True)``.
+
+    A record whose entity and group role ids are plain (:func:`_plain`)
+    and whose details and ``max_differences`` are ints is one ``%`` of
+    its shape's template, with the message quoted by the JSON module's
+    string encoder; any other is dumped from its dict.
+    """
+    group = finding.group
+    details = finding.details
+    numbers = list(details.values())
+    role_ids: tuple[str, ...] = ()
+    if group is not None:
+        numbers.append(group.max_differences)
+        role_ids = group.role_ids
+    ids = finding.entity_ids
+    if (
+        all(type(n) is int for n in numbers)
+        and type(finding.message) is str
+        and _plain(ids + role_ids)
+    ):
+        template = _record_template(
+            finding.type,
+            finding.entity_kind,
+            finding.severity,
+            finding.axis,
+            group.axis if group is not None else None,
+            tuple(details),
+        )
+        if template is not None:
+            text, keys = template
+            slots = [details[key] for key in keys]
+            slots.append('", "'.join(ids))
+            if group is not None:
+                slots += (group.max_differences, '", "'.join(role_ids))
+            slots.append(_quote(finding.message))
+            return text % tuple(slots)
+    return json.dumps(finding.to_dict(), sort_keys=True)
+
+
+@cache
+def _record_template(
+    type_: InefficiencyType,
+    entity_kind: EntityKind,
+    severity: Severity,
+    axis: Axis | None,
+    group_axis: Axis | None,
+    keys: tuple[Any, ...],
+) -> tuple[str, tuple[str, ...]] | None:
+    """The ``%`` template of a record of one shape, with plain ids, and
+    its details keys in slot order (built once per shape); ``None``
+    unless every key is a string.  Slots: each detail (``%d``), the
+    joined entity ids, the group's ``max_differences`` and joined role
+    ids (when it has a group) and the quoted message."""
+    if not all(type(key) is str for key in keys):
+        return None
+    keys = tuple(sorted(keys))
+    details = ", ".join(f"{_literal(key)}: %d" for key in keys)
+    members = {
+        "details": "{%s}" % details,
+        "entity_ids": '["%s"]',
+        "entity_kind": _literal(entity_kind.value),
+        "message": "%s",
+        "severity": _literal(severity.value),
+        "type": _literal(type_.value),
+    }
+    if axis is not None:
+        members["axis"] = _literal(axis.value)
+    if group_axis is not None:
+        members["group"] = _object_text(
+            {
+                "axis": _literal(group_axis.value),
+                "max_differences": "%d",
+                "role_ids": '["%s"]',
+            }
+        )
+    return _object_text(members), keys
 
 
 class Findings(Sequence[Finding]):
@@ -560,10 +705,8 @@ class Findings(Sequence[Finding]):
 
     def texts(self) -> list[str]:
         """Every finding's ``json.dumps(to_dict(), sort_keys=True)``, in
-        detection order."""
-        return self._rows(
-            Bucket.texts, lambda f: json.dumps(f.to_dict(), sort_keys=True)
-        )
+        detection order (:meth:`Bucket.texts`, :func:`_record_text`)."""
+        return self._rows(Bucket.texts, _record_text)
 
     def _rows(self, of_bucket: Callable, of_record: Callable) -> list:
         """One row per finding, in detection order: ``of_bucket(bucket)``

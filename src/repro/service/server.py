@@ -899,11 +899,19 @@ class AnalysisService:
         self, snapshot: RbacState, config: AnalysisConfig
     ) -> tuple[Report, bytes]:
         """One full analysis and its encoded report; runs on a cache
-        compute thread, the report cache's only producer."""
+        compute thread, the report cache's only producer.  The encode's
+        wall time and size go to ``service.encode_seconds`` and
+        ``service.report_bytes``: no recorder runs on this thread."""
         report = analyze(snapshot, config)
         self._merge_report_metrics(report)
         self._registry.inc("service.analyses")
-        return report, report.encode()
+        started = time.perf_counter()
+        encoded = report.encode()
+        self._registry.observe(
+            "service.encode_seconds", time.perf_counter() - started
+        )
+        self._registry.inc("service.report_bytes", len(encoded))
+        return report, encoded
 
     def _refresh_runner(self) -> tuple[Report, str, int]:
         """Scheduler hook and warm start: analyse the current state with

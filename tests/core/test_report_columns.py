@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AnalysisConfig, analyze
+from repro.core import AnalysisConfig, analyze, taxonomy
 from repro.core.detectors import AnalysisContext
 from repro.core.entities import EntityKind
 from repro.core.report import Report
@@ -36,13 +36,17 @@ from repro.core.taxonomy import (
     DEFAULT_SEVERITY,
     ROLES_WITHOUT_PERMISSIONS,
     ROLES_WITHOUT_USERS,
+    SINGLE_PERMISSION_ROLES,
     SINGLE_USER_ROLES,
+    STANDALONE_PERMISSIONS,
+    STANDALONE_ROLES,
     STANDALONE_USERS,
     Axis,
     Bucket,
     Finding,
     Findings,
     InefficiencyType,
+    RoleGroup,
     sort_findings,
 )
 from repro.datagen import OrgProfile, generate_org
@@ -398,26 +402,136 @@ class TestRecordsStayRecords:
         ).encode()
 
 
-entity_ids = st.text(min_size=1, max_size=12)
+#: Every character a plain id may hold: printable ASCII but the three
+#: JSON or ``repr`` would write otherwise.
+PLAIN_ALPHABET = "".join(
+    chr(code) for code in range(0x20, 0x7F) if chr(code) not in "\"'\\"
+)
+plain_ids = st.text(alphabet=PLAIN_ALPHABET, min_size=1, max_size=12)
+#: Arbitrary ids, and ids one character away from plain.
+any_ids = st.one_of(
+    st.text(min_size=1, max_size=12),
+    st.sampled_from(AWKWARD + ["\x7f", "\x1f", "a'b", 'a"b', "a\\b"]),
+)
+mixed_ids = st.one_of(plain_ids, any_ids)
+#: A column of plain ids (written from the row template) or of plain
+#: and other ids mixed (written by the fallback).
+id_columns = st.one_of(
+    st.lists(plain_ids, min_size=1, max_size=8),
+    st.lists(mixed_ids, min_size=1, max_size=8),
+)
+ALL_SPECS = [
+    STANDALONE_USERS,
+    STANDALONE_PERMISSIONS,
+    STANDALONE_ROLES,
+    ROLES_WITHOUT_USERS,
+    ROLES_WITHOUT_PERMISSIONS,
+    SINGLE_USER_ROLES,
+    SINGLE_PERMISSION_ROLES,
+]
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    rows=st.lists(
-        st.tuples(entity_ids, st.integers(0, 10**12)), min_size=1, max_size=8
+@given(ids=id_columns, data=st.data())
+def test_bucket_rows_are_the_findings_they_stand_for(ids, data):
+    counts = data.draw(
+        st.lists(
+            st.integers(0, 10**12), min_size=len(ids), max_size=len(ids)
+        )
     )
-)
-def test_bucket_rows_are_the_findings_they_stand_for(rows):
-    ids = [entity_id for entity_id, _ in rows]
-    counts = [count for _, count in rows]
-    for bucket in (
-        Bucket(SINGLE_USER_ROLES, ids),
-        Bucket(ROLES_WITHOUT_USERS, ids, counts),
-        Bucket(ROLES_WITHOUT_PERMISSIONS, ids, counts),
-    ):
+    for spec in ALL_SPECS:
+        bucket = Bucket(spec, ids, counts if spec.detail else None)
         findings = bucket.findings()
         assert bucket.dicts() == [f.to_dict() for f in findings]
         assert bucket.texts() == [
             json.dumps(f.to_dict(), sort_keys=True) for f in findings
         ]
         assert Findings.from_dicts(bucket.dicts()).parts[0].ids == ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mixed_ids)
+def test_plain_is_printable_ascii_without_quotes_or_backslash(text):
+    expected = all(" " <= c <= "~" and c not in "\"'\\" for c in text)
+    assert taxonomy._plain([text]) is expected
+    if expected:
+        assert json.dumps(text) == '"%s"' % text
+        assert repr(text) == "'%s'" % text
+
+
+def group_record(kind, role_ids, axis, k, detail_value):
+    """A type 4 or 5 finding, worded as its detector words it."""
+    size = len(role_ids)
+    shown = ", ".join(role_ids[:5]) + ("…" if size > 5 else "")
+    if kind is InefficiencyType.DUPLICATE_ROLES:
+        message = f"{size} roles share the same {detail_value} " \
+            f"{axis.value}: {shown}"
+        details = {"group_size": size, "shared_count": detail_value,
+                   "redundant_roles": size - 1}
+        k = 0
+    else:
+        message = f"{size} roles have {axis.value} differing by at " \
+            f"most {k}: {shown}"
+        details = {"group_size": size, "max_differences": k,
+                   "represented_roles": detail_value}
+    return Finding(
+        type=kind,
+        entity_kind=EntityKind.ROLE,
+        entity_ids=tuple(role_ids),
+        severity=DEFAULT_SEVERITY[kind],
+        message=message,
+        axis=axis,
+        group=RoleGroup(role_ids=tuple(role_ids), axis=axis,
+                        max_differences=k),
+        details=details,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(
+        [InefficiencyType.DUPLICATE_ROLES, InefficiencyType.SIMILAR_ROLES]
+    ),
+    role_ids=st.one_of(
+        st.lists(plain_ids, min_size=2, max_size=8),
+        st.lists(mixed_ids, min_size=2, max_size=8),
+    ),
+    axis=st.sampled_from(list(Axis)),
+    k=st.integers(0, 5),
+    detail_value=st.one_of(st.integers(0, 10**12), st.booleans()),
+)
+def test_group_records_are_written_as_their_dicts(
+    kind, role_ids, axis, k, detail_value
+):
+    finding = group_record(kind, role_ids, axis, k, detail_value)
+    assert Findings([[finding]]).texts() == [
+        json.dumps(finding.to_dict(), sort_keys=True)
+    ]
+
+
+@pytest.mark.parametrize("case", ["paper", 0], ids=str)
+def test_encode_dumps_the_summary_and_no_finding(
+    case, paper_example, monkeypatch
+):
+    state = (
+        paper_example
+        if case == "paper"
+        else generate_org(OrgProfile.small(divisor=100, seed=case)).state
+    )
+    report = analyze(state)
+    expected = report.encode()  # builds the row templates it needs
+    dumped = []
+    real_dumps = json.dumps
+
+    def spy(value, *args, **kwargs):
+        dumped.append(value)
+        return real_dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    assert report.encode() == expected
+    summary = report._summary()
+    # One dump per summary member and one per key, the findings' too,
+    # however many findings there are.
+    assert len(dumped) <= 2 * len(summary) + 1
+    members = [*summary, "findings", *summary.values()]
+    assert all(value in members for value in dumped)

@@ -126,6 +126,21 @@ class TestInline:
         assert metrics["service.analyze_hit"] == 3
         assert metrics["service.state_copies"] == 2
 
+    def test_each_miss_reports_its_encode_time_and_bytes(self):
+        service = make_service()
+        sizes = []
+        for step in range(2):
+            doc = analyze(service)
+            analyze(service)  # a hit encodes nothing
+            sizes.append(len(json.dumps(doc["report"], sort_keys=True)))
+            mutate(service, [{"op": "assign_user", "role": "r3",
+                              "user": f"u{step}"}])
+        metricz = service.handle("GET", "/metricz")[1]
+        assert metricz["counters"]["service.report_bytes"] == sum(sizes)
+        encode = metricz["histograms"]["service.encode_seconds"]
+        assert encode["count"] == 2
+        assert encode["sum"] > 0
+
     def test_miss_traces_a_snapshot_span_and_a_hit_does_not(self):
         service = make_service()
         analyze(service)

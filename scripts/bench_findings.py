@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Benchmark the findings layers at paper scale: detection and the report.
 
-Generates ``OrgProfile.paper_scale()`` once, analyses it once to warm
-up, then ``--repeat`` times records, per run:
+Generates ``OrgProfile.paper_scale()`` once (recording ``generate_s``
+and ``state_sha256``, the SHA-256 of its ``encode_state`` blob),
+analyses it once to warm up, then ``--repeat`` times records, per run:
 
 * each detector's time and ``analyze()``'s, with its full (gen-2) GC
   collections and their pauses (``Report.metrics["gc"]``);
@@ -15,7 +16,8 @@ its run-specific members (``timings_seconds``, ``total_seconds``,
 ``metrics``).  Each run is written under ``--label`` into ``--out``
 (``BENCH_findings.json`` at the repo root), next to the runs of other
 labels; once both ``parent`` and ``change`` are there the script
-prints the ratios and fails unless their digests are equal.
+prints the ratios and fails unless their report digests and their
+state digests are equal.
 
 Usage, with a second checkout of the parent commit at ``PARENT``::
 
@@ -111,15 +113,18 @@ def summarise(runs: list[dict]) -> dict:
 
 def compare(results: dict) -> bool:
     parent, change = results["parent"], results["change"]
-    for key in ("analyze_s", *(f"{step}_s" for step in STEPS)):
+    for key in ("generate_s", "analyze_s", *(f"{step}_s" for step in STEPS)):
         print(f"  {key:16} {parent[key]:8.3f} -> {change[key]:8.3f} s "
               f"({change[key] / parent[key]:.2f}x)")
     for name, seconds in change["detector_s"].items():
         before = parent["detector_s"].get(name)
         if before:
             print(f"  {name:24} {before:8.3f} -> {seconds:8.3f} s")
-    same = parent["report_sha256"] == change["report_sha256"]
-    print(f"  report sha256 {'equal' if same else 'DIFFERS'}")
+    same = True
+    for digest in ("report_sha256", "state_sha256"):
+        equal = parent[digest] == change[digest]
+        print(f"  {digest} {'equal' if equal else 'DIFFERS'}")
+        same = same and equal
     return same
 
 
@@ -129,6 +134,7 @@ def main() -> int:
     from repro.core.engine import analyze
     from repro.core.report import Report
     from repro.datagen import OrgProfile, generate_org
+    from repro.io.statecodec import encode_state
 
     profile = (
         OrgProfile.small(divisor=10) if args.quick else OrgProfile.paper_scale()
@@ -143,6 +149,8 @@ def main() -> int:
             f"{key} {runs[-1][key]:.3f}s" for key in ("analyze", *STEPS)
         ))
     summary = summarise(runs)
+    summary["generate_s"] = generate_s
+    summary["state_sha256"] = hashlib.sha256(encode_state(state)).hexdigest()
     summary["environment"] = {
         "python": platform.python_version(),
         "cpus": len(os.sched_getaffinity(0)),

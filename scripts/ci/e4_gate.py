@@ -2,9 +2,12 @@
 measured exactly.
 
 Generates the paper's own workload (``OrgProfile.paper_scale()``: 90k
-users, 350k permissions, 50k roles) once, analyses it serially and with
-the blocked scan fanned out over two workers, and requires every row of
-the table to match the planted count.  The serial report's ``encode()``
+users, 350k permissions, 50k roles) once and requires its fingerprint
+and the SHA-256 of its ``encode_state`` blob (id order, metadata and
+edges included) to equal pinned values, so generator drift at full
+scale fails.  Then it analyses the state serially and with the blocked
+scan fanned out over two workers, and requires every row of the table
+to match the planted count.  The serial report's ``encode()``
 must be the sorted-key dump of its ``to_dict()``; the digest of that
 report without its run-specific members is printed.  Then the state
 round-trips through the JSON document (the snapshot format; the job
@@ -25,15 +28,32 @@ import time
 from repro.core.engine import AnalysisConfig, analyze
 from repro.datagen import OrgProfile, generate_org
 from repro.io.jsonio import state_from_dict, state_to_dict
+from repro.io.statecodec import encode_state
 
 #: Report members that differ from run to run.
 RUN_SPECIFIC = ("timings_seconds", "total_seconds", "metrics")
+#: ``OrgProfile.paper_scale()``'s state: its fingerprint and the SHA-256
+#: of its ``encode_state`` blob.
+PAPER_SCALE_FINGERPRINT = (
+    "4809c37c2a215d900671fcbd1cafcbfe8f5235ec96b851896c0fbb1f3fc3cf6d"
+)
+PAPER_SCALE_STATE_SHA256 = (
+    "788b49058b7069b1d6d4d87d114cb048b843a7fa90fa5e9d643d3945b741663d"
+)
 
 
 def main() -> None:
     start = time.perf_counter()
     org = generate_org(OrgProfile.paper_scale())
     print(f"generate_org: {time.perf_counter() - start:.1f}s")
+    assert org.state.fingerprint() == PAPER_SCALE_FINGERPRINT, (
+        "paper-scale fingerprint differs from the pinned one"
+    )
+    state_sha256 = hashlib.sha256(encode_state(org.state)).hexdigest()
+    assert state_sha256 == PAPER_SCALE_STATE_SHA256, (
+        "paper-scale encode_state blob differs from the pinned one"
+    )
+    print("generated state ok: pinned fingerprint and state blob")
     expected = org.expected_counts()
     configs = {
         "serial": AnalysisConfig(),

@@ -13,6 +13,9 @@ callers that ask for them (``findings``, ``of_type``, the renderers).
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.entities import EntityKind
@@ -127,63 +130,7 @@ class Report:
         number of groups, matching how the paper reports "8,000 roles
         sharing the same users".
         """
-        standalone = InefficiencyType.STANDALONE_NODE
-        disconnected = InefficiencyType.DISCONNECTED_ROLE
-        single = InefficiencyType.SINGLE_ASSIGNMENT_ROLE
-        duplicate = InefficiencyType.DUPLICATE_ROLES
-        similar = InefficiencyType.SIMILAR_ROLES
-        return {
-            "standalone_users": self._count(standalone, EntityKind.USER),
-            "standalone_permissions": self._count(
-                standalone, EntityKind.PERMISSION
-            ),
-            "standalone_roles": self._count(standalone, EntityKind.ROLE),
-            "roles_without_users": self._count(disconnected, axis=Axis.USERS),
-            "roles_without_permissions": self._count(
-                disconnected, axis=Axis.PERMISSIONS
-            ),
-            "single_user_roles": self._count(single, axis=Axis.USERS),
-            "single_permission_roles": self._count(
-                single, axis=Axis.PERMISSIONS
-            ),
-            "roles_same_users": self._roles_in_groups(duplicate, Axis.USERS),
-            "roles_same_permissions": self._roles_in_groups(
-                duplicate, Axis.PERMISSIONS
-            ),
-            "roles_similar_users": self._roles_in_groups(similar, Axis.USERS),
-            "roles_similar_permissions": self._roles_in_groups(
-                similar, Axis.PERMISSIONS
-            ),
-        }
-
-    def _count(
-        self,
-        kind: InefficiencyType,
-        entity_kind: EntityKind | None = None,
-        axis: Axis | None = None,
-    ) -> int:
-        """Findings of ``kind``, of ``entity_kind`` and on ``axis`` where
-        given: a length per bucket plus one step per record."""
-
-        def wanted(f: Any) -> bool:  # a BucketSpec or a Finding
-            return (
-                f.type is kind
-                and entity_kind in (None, f.entity_kind)
-                and axis in (None, f.axis)
-            )
-
-        return sum(
-            len(bucket) for bucket in self.parts.buckets() if wanted(bucket.spec)
-        ) + sum(map(wanted, self.parts.records()))
-
-    def _roles_in_groups(self, kind: InefficiencyType, axis: Axis) -> int:
-        """Total roles involved across the group findings of ``kind`` on
-        ``axis`` (groups are always records)."""
-        return sum(
-            len(f.entity_ids)
-            for f in self.parts.records()
-            if f.type is kind and f.axis is axis
-        )
+        return _Tally(self.parts).counts()
 
     def extension_counts(self) -> dict[str, int]:
         """Counts for extension detectors (outside the paper's table).
@@ -191,7 +138,11 @@ class Report:
         Keys appear regardless of whether the extension detectors ran,
         so dashboards can rely on the shape; values are 0 when disabled.
         """
-        return {"shadowed_roles": self._count(InefficiencyType.SHADOWED_ROLE)}
+        return {
+            "shadowed_roles": _Tally(self.parts).findings(
+                InefficiencyType.SHADOWED_ROLE
+            )
+        }
 
     def consolidation_potential(self) -> dict[str, Any]:
         """How many roles consolidation of type-4 groups could remove.
@@ -200,25 +151,7 @@ class Report:
         ``group size - 1`` roles; the paper's headline is that this alone
         is ~10% of all roles in the real dataset.
         """
-        removable = {Axis.USERS: 0, Axis.PERMISSIONS: 0}
-        for f in self.parts.records():
-            if (
-                f.type is InefficiencyType.DUPLICATE_ROLES
-                and f.group is not None
-                and f.axis in removable
-            ):
-                removable[f.axis] += f.group.redundant_count
-        removable_users = removable[Axis.USERS]
-        removable_permissions = removable[Axis.PERMISSIONS]
-        n_roles = self.state.n_roles
-        total = removable_users + removable_permissions
-        return {
-            "removable_via_same_users": removable_users,
-            "removable_via_same_permissions": removable_permissions,
-            "removable_total_upper_bound": total,
-            "total_roles": n_roles,
-            "fraction_of_roles": (total / n_roles) if n_roles else 0.0,
-        }
+        return _Tally(self.parts).consolidation(self.state.n_roles)
 
     # ------------------------------------------------------------------
     # Rendering
@@ -259,6 +192,7 @@ class Report:
 
     def _summary(self) -> dict[str, Any]:
         """Every member of :meth:`to_dict` but the findings."""
+        tally = _Tally(self.parts)
         return {
             "dataset": {
                 "users": self.state.n_users,
@@ -268,8 +202,8 @@ class Report:
                 "permission_assignments": self.state.n_permission_assignments,
             },
             "config": self.config_dict(),
-            "counts": self.counts(),
-            "consolidation": self.consolidation_potential(),
+            "counts": tally.counts(),
+            "consolidation": tally.consolidation(self.state.n_roles),
             "timings_seconds": dict(self.timings),
             "total_seconds": self.total_seconds,
             "metrics": dict(self.metrics),
@@ -423,3 +357,93 @@ class Report:
             f"total_seconds={self.total_seconds:.3f})"
         )
 
+
+_RECORD_KEY = attrgetter("type", "entity_kind", "axis")
+_ENTITY_IDS = attrgetter("entity_ids")
+
+
+class _Tally:
+    """Every count of a report from one pass over its parts: findings
+    per ``(type, entity kind, axis)``, roles per ``(type, axis)`` of the
+    records and removable roles per axis."""
+
+    def __init__(self, parts: Findings) -> None:
+        findings: Counter[tuple] = Counter()
+        roles: Counter[tuple] = Counter()
+        removable = {Axis.USERS: 0, Axis.PERMISSIONS: 0}
+        for bucket in parts.buckets():
+            spec = bucket.spec
+            findings[spec.type, spec.entity_kind, spec.axis] += len(bucket)
+        # Records come in runs of one detector's findings: one key (and
+        # one hash of its enum members) per run, not per record.
+        for key, run in groupby(parts.records(), _RECORD_KEY):
+            run = list(run)
+            kind, _, axis = key
+            findings[key] += len(run)
+            roles[kind, axis] += sum(map(len, map(_ENTITY_IDS, run)))
+            if kind is InefficiencyType.DUPLICATE_ROLES and axis in removable:
+                removable[axis] += sum(
+                    f.group.redundant_count for f in run if f.group is not None
+                )
+        self._findings = findings
+        self._roles = roles
+        self._removable = removable
+
+    def findings(
+        self,
+        kind: InefficiencyType,
+        entity_kind: EntityKind | None = None,
+        axis: Axis | None = None,
+    ) -> int:
+        """Findings of ``kind``, of ``entity_kind`` and on ``axis`` where
+        given."""
+        return sum(
+            count
+            for (type_, kind_of, axis_of), count in self._findings.items()
+            if type_ is kind
+            and entity_kind in (None, kind_of)
+            and axis in (None, axis_of)
+        )
+
+    def counts(self) -> dict[str, int]:
+        """:meth:`Report.counts`."""
+        standalone = InefficiencyType.STANDALONE_NODE
+        disconnected = InefficiencyType.DISCONNECTED_ROLE
+        single = InefficiencyType.SINGLE_ASSIGNMENT_ROLE
+        duplicate = InefficiencyType.DUPLICATE_ROLES
+        similar = InefficiencyType.SIMILAR_ROLES
+        roles = self._roles
+        return {
+            "standalone_users": self.findings(standalone, EntityKind.USER),
+            "standalone_permissions": self.findings(
+                standalone, EntityKind.PERMISSION
+            ),
+            "standalone_roles": self.findings(standalone, EntityKind.ROLE),
+            "roles_without_users": self.findings(
+                disconnected, axis=Axis.USERS
+            ),
+            "roles_without_permissions": self.findings(
+                disconnected, axis=Axis.PERMISSIONS
+            ),
+            "single_user_roles": self.findings(single, axis=Axis.USERS),
+            "single_permission_roles": self.findings(
+                single, axis=Axis.PERMISSIONS
+            ),
+            "roles_same_users": roles[duplicate, Axis.USERS],
+            "roles_same_permissions": roles[duplicate, Axis.PERMISSIONS],
+            "roles_similar_users": roles[similar, Axis.USERS],
+            "roles_similar_permissions": roles[similar, Axis.PERMISSIONS],
+        }
+
+    def consolidation(self, n_roles: int) -> dict[str, Any]:
+        """:meth:`Report.consolidation_potential` for ``n_roles`` roles."""
+        removable_users = self._removable[Axis.USERS]
+        removable_permissions = self._removable[Axis.PERMISSIONS]
+        total = removable_users + removable_permissions
+        return {
+            "removable_via_same_users": removable_users,
+            "removable_via_same_permissions": removable_permissions,
+            "removable_total_upper_bound": total,
+            "total_roles": n_roles,
+            "fraction_of_roles": (total / n_roles) if n_roles else 0.0,
+        }

@@ -12,7 +12,8 @@ Layout.  The state stores what the two assignment matrices (RUAM, RPAM)
 need and little else:
 
 * per entity kind, an id table: a dict from id to *slot* (an int handed
-  out in insertion order) and a dict from slot back to id.  Iterating
+  out in insertion order) and a dict from slot back to id, sharing one
+  int object per slot with each other and the edge dicts.  Iterating
   the first yields the live ids in insertion order; a removed id drops
   out and a re-added one moves to the end, so ``*_ids()`` order is that
   of an insertion-ordered dict.  Slots of removed ids are reclaimed by
@@ -189,7 +190,11 @@ class _Ids:
                 raise TypeError(
                     f"{self.kind} id must be a string, got {kind.__name__}"
                 )
-        index = dict(zip(ids, range(len(ids))))
+        # One int per slot, shared by both tables (and by the edge dict
+        # keys, see ``_Axis.load_edges``), as the per-item mutators share
+        # the slot they hand out.
+        slots = list(range(len(ids)))
+        index = dict(zip(ids, slots))
         if "" in index:
             raise ValueError(f"{self.kind} id must be a non-empty string")
         if len(index) != len(ids):
@@ -199,7 +204,7 @@ class _Ids:
                     raise DuplicateEntityError(self.kind, entity_id)
                 seen.add(entity_id)
         self.index = index
-        self.ids = dict(enumerate(ids))
+        self.ids = dict(zip(slots, ids))
         self.n_slots = len(ids)
 
     def entity(self, cls: type, entity_id: str) -> Entity:
@@ -227,12 +232,13 @@ class _Ids:
     def compact(self) -> list[int]:
         """Renumber the live slots densely; returns old slot -> new slot
         (``-1`` for a dead one)."""
+        slots = list(range(len(self.ids)))
         remap = [-1] * self.n_slots
-        for new, old in enumerate(self.ids):
+        for new, old in zip(slots, self.ids):
             remap[old] = new
-        self.index = dict(zip(self.index, range(len(self.index))))
-        self.ids = dict(enumerate(self.index))
-        self.n_slots = len(self.ids)
+        self.index = dict(zip(self.index, slots))
+        self.ids = dict(zip(slots, self.index))
+        self.n_slots = len(slots)
         return remap
 
 
@@ -289,7 +295,8 @@ class _Axis(_Ids):
 
     def load_edges(self, edges: tuple[Any, Any], n_roles: int) -> None:
         """Set every role's members from ``(role index, member index)``
-        arrays, with vectorised referential checks."""
+        arrays, with vectorised referential checks (on a table just
+        filled by :meth:`load`)."""
         kind = self.kind
         try:
             role_values, member_values = edges
@@ -323,7 +330,9 @@ class _Axis(_Ids):
         roles = keys // width
         members = keys - roles * width
         bounds = np.searchsorted(roles, np.arange(n_roles + 1)).tolist()
-        flat = members.tolist()
+        # Keyed by the id tables' own slot ints, not a new int per edge.
+        slots = np.fromiter(self.ids, dtype=object, count=n_members)
+        flat = slots[members].tolist()
         self.edges = [
             dict.fromkeys(flat[bounds[role]:bounds[role + 1]])
             for role in range(n_roles)
@@ -587,6 +596,13 @@ class RbacState:
         and :class:`ValidationError` for edge arrays that are not 1-d
         integer arrays of equal length or hold an index out of range,
         and for metadata of an unknown kind.
+
+        The state is laid out as one built by the mutators, down to one
+        Python int per slot shared by the id tables and every edge dict
+        key, so it retains no more memory.  This is the one bulk
+        constructor: :func:`~repro.datagen.generate_org`,
+        ``statecodec.decode_state`` and ``jsonio.state_from_dict`` all
+        build through it.
         """
         state = cls()
         tables = {
@@ -603,7 +619,8 @@ class RbacState:
                 raise ValidationError(f"unknown entity kind: {kind!r}")
             table = tables[kind]
             for entity_id, (name, attributes) in entries.items():
-                table.slot(entity_id)
+                # Keyed by the table's own id string, as ``add`` keys it.
+                entity_id = table.ids[table.slot(entity_id)]
                 # Checked and copied as the entity constructors do.
                 attributes = dict(attributes or {})
                 if name or attributes:

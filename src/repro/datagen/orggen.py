@@ -25,15 +25,23 @@ Construction guarantees (verified by the test suite):
 Planted duplicate/similar groups are pairs — the conservative reading the
 paper itself uses for its "reduce roles by ~10%" estimate ("even if each
 cluster contains only two roles").
+
+Every role's user and permission sets are dealt first; the state is then
+built in one :meth:`~repro.core.state.RbacState.from_arrays` call from
+the id lists, each axis's sets as ``(role index, member index)`` arrays
+and the role categories as role metadata (``attributes["category"]``),
+with no per-item mutator call.  The RNG draws alone fix the content and
+the id order: the test suite pins both the fingerprint and the
+``encode_state`` blob of generated organisations.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
-from repro.core.entities import Permission, Role, User
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
 
@@ -332,11 +340,9 @@ def generate_org(profile: OrgProfile) -> GeneratedOrg:
     user_width = max(5, len(str(profile.n_users)))
     role_width = max(5, len(str(profile.n_roles)))
     permission_width = max(6, len(str(profile.n_permissions)))
-    user_ids = [f"u{i:0{user_width}d}" for i in range(profile.n_users)]
-    role_ids = [f"r{i:0{role_width}d}" for i in range(profile.n_roles)]
-    permission_ids = [
-        f"p{i:0{permission_width}d}" for i in range(profile.n_permissions)
-    ]
+    user_ids = _numbered_ids("u", user_width, profile.n_users)
+    role_ids = _numbered_ids("r", role_width, profile.n_roles)
+    permission_ids = _numbered_ids("p", permission_width, profile.n_permissions)
 
     # Standalone entities: reserved, never assigned.
     usable_users = user_ids[: profile.n_users - planted.standalone_users]
@@ -348,6 +354,44 @@ def generate_org(profile: OrgProfile) -> GeneratedOrg:
             "profile leaves no usable users or permissions"
         )
 
+    role_users, role_permissions, role_category = _deal_roles(
+        profile, blocks, rng, role_ids, usable_users, usable_permissions
+    )
+    user_edges = _edge_arrays(role_ids, role_users, user_ids)
+    permission_edges = _edge_arrays(role_ids, role_permissions, permission_ids)
+    # The dealt sets go before the state is built, so the two are never
+    # held at once.
+    del role_users, role_permissions
+
+    state = RbacState.from_arrays(
+        user_ids,
+        role_ids,
+        permission_ids,
+        user_edges,
+        permission_edges,
+        {
+            "role": {
+                role_id: ("", {"category": role_category[role_id]})
+                for role_id in role_ids
+            }
+        },
+    )
+    return GeneratedOrg(profile=profile, state=state, expected=planted)
+
+
+def _deal_roles(
+    profile: OrgProfile,
+    blocks: dict[str, int],
+    rng: np.random.Generator,
+    role_ids: list[str],
+    usable_users: list[str],
+    usable_permissions: list[str],
+) -> tuple[
+    dict[str, frozenset[str]], dict[str, frozenset[str]], dict[str, str]
+]:
+    """Deal every role its user set, permission set and category, block
+    by block; returns ``(role_users, role_permissions, role_category)``."""
+    planted = profile.planted
     user_pool = _Pool(usable_users, rng)
     permission_pool = _Pool(usable_permissions, rng)
 
@@ -478,23 +522,30 @@ def generate_org(profile: OrgProfile) -> GeneratedOrg:
         "permissions",
     )
 
-    # --- assemble the state ---------------------------------------------------
-    state = RbacState()
-    for user_id in user_ids:
-        state.add_user(User(user_id))
-    for permission_id in permission_ids:
-        state.add_permission(Permission(permission_id))
-    for role_id in role_ids:
-        state.add_role(
-            Role(role_id, attributes={"category": role_category[role_id]})
-        )
-    for role_id in role_ids:
-        for user_id in role_users[role_id]:
-            state.assign_user(role_id, user_id)
-        for permission_id in role_permissions[role_id]:
-            state.assign_permission(role_id, permission_id)
+    return role_users, role_permissions, role_category
 
-    return GeneratedOrg(profile=profile, state=state, expected=planted)
+
+def _numbered_ids(prefix: str, width: int, count: int) -> list[str]:
+    """``prefix`` plus a zero-padded number, for ``0 .. count - 1``."""
+    return list(map(f"{prefix}{{:0{width}d}}".format, range(count)))
+
+
+def _edge_arrays(
+    role_ids: list[str],
+    assignment: dict[str, frozenset[str]],
+    member_ids: list[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each role's dealt set as ``(role index, member index)`` arrays."""
+    index = dict(zip(member_ids, range(len(member_ids))))
+    sets = [assignment[role_id] for role_id in role_ids]
+    lengths = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    roles = np.repeat(np.arange(len(sets), dtype=np.int64), lengths)
+    members = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(sets)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    return roles, members
 
 
 def _fold_leftovers(

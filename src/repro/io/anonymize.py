@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from repro.core.entities import Permission, Role, User
 from repro.core.state import RbacState
 
 
@@ -41,32 +40,26 @@ def anonymize(
         anyone who can enumerate the original id space.
     digest_length:
         Hex characters kept per pseudonym (collisions raise
-        ``DuplicateEntityError`` on insert; raise the length if that
-        happens on very large datasets).
+        ``DuplicateEntityError``; raise the length if that happens on
+        very large datasets).
+
+    Each id is aliased once and the clone is built in one
+    :meth:`RbacState.from_arrays` call, ids in the source's order.
     """
     key_bytes = key.encode("utf-8") if isinstance(key, str) else key
+    arrays = state.to_arrays()
 
-    def user_alias(user_id: str) -> str:
-        return _pseudonym(key_bytes, "user", user_id, digest_length)
+    def aliases(kind: str, ids: list[str]) -> list[str]:
+        return [
+            _pseudonym(key_bytes, kind, entity_id, digest_length)
+            for entity_id in ids
+        ]
 
-    def role_alias(role_id: str) -> str:
-        return _pseudonym(key_bytes, "role", role_id, digest_length)
-
-    def permission_alias(permission_id: str) -> str:
-        return _pseudonym(key_bytes, "permission", permission_id, digest_length)
-
-    clone = RbacState()
-    for user_id in state.user_ids():
-        clone.add_user(User(user_alias(user_id)))
-    for role_id in state.role_ids():
-        clone.add_role(Role(role_alias(role_id)))
-    for permission_id in state.permission_ids():
-        clone.add_permission(Permission(permission_alias(permission_id)))
-    for role_id in state.role_ids():
-        for user_id in state.users_of_role(role_id):
-            clone.assign_user(role_alias(role_id), user_alias(user_id))
-        for permission_id in state.permissions_of_role(role_id):
-            clone.assign_permission(
-                role_alias(role_id), permission_alias(permission_id)
-            )
-    return clone
+    # Aliasing moves no index, so the edge arrays carry over as they are.
+    return RbacState.from_arrays(
+        aliases("user", arrays.user_ids),
+        aliases("role", arrays.role_ids),
+        aliases("permission", arrays.permission_ids),
+        arrays.user_edges,
+        arrays.permission_edges,
+    )

@@ -16,6 +16,7 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.exceptions import (
     UnknownEntityError,
     ValidationError,
 )
+from repro.io.statecodec import decode_state, encode_state
 
 
 def _tracked_objects() -> int:
@@ -52,6 +54,55 @@ class TestGcFootprint:
         # one side writes to them, and untracked either way.
         assert _tracked_objects() - before < 64
         assert clone.fingerprint() == state.fingerprint()
+
+
+def _retained_bytes(build) -> tuple[RbacState, int]:
+    """``build()`` and the bytes it leaves allocated, per ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state = build()
+        gc.collect()
+        return state, tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestBulkMemory:
+    def test_from_arrays_retains_no_more_than_the_mutators(self):
+        """The bulk path shares one int per slot between the id tables
+        and the edge dict keys, as the per-item mutators do; an int per
+        table and per edge would retain ~25% more."""
+        blob = encode_state(
+            generate_org(OrgProfile.small(divisor=100, seed=0)).state
+        )
+
+        def per_item() -> RbacState:
+            # Decoded first, so both paths retain the same id strings.
+            arrays = decode_state(blob).to_arrays()
+            users, roles = arrays.user_ids, arrays.role_ids
+            permissions, meta = arrays.permission_ids, arrays.metadata["role"]
+            return RbacState.build(
+                users,
+                [Role(role_id, *meta[role_id]) for role_id in roles],
+                permissions,
+                [
+                    (roles[role], users[user])
+                    for role, user in zip(*map(list, arrays.user_edges))
+                ],
+                [
+                    (roles[role], permissions[permission])
+                    for role, permission in zip(
+                        *map(list, arrays.permission_edges)
+                    )
+                ],
+            )
+
+        bulk, bulk_bytes = _retained_bytes(lambda: decode_state(blob))
+        mutated, mutated_bytes = _retained_bytes(per_item)
+        assert bulk == mutated
+        assert bulk_bytes <= mutated_bytes * 1.02
 
 
 class TestFromArraysErrors:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import analyze
 from repro.datagen import OrgProfile, PlantedCounts, generate_org
 from repro.exceptions import ConfigurationError
+from repro.io.statecodec import encode_state
 
 
 class TestPlantedCounts:
@@ -157,3 +160,18 @@ class TestGoldenFingerprints:
     def test_generated_state_fingerprint(self, divisor, seed, fingerprint):
         org = generate_org(OrgProfile.small(divisor=divisor, seed=seed))
         assert org.state.fingerprint() == fingerprint
+
+    @pytest.mark.parametrize(
+        "divisor,seed,digest",
+        [
+            (100, 0, "d0e4a8046e0d81d72f36703a8ee406d5b287632865c77f5b5636b7efd5531aff"),
+            (10, 1, "73143480babb999c20c6469c43d7e3c0cf4d83e466ce3842696c7c45b9069593"),
+            (10, 2, "a2eff105e63f0794903e2770c1b077cd31d2dd744ceeb054309293451899d94f"),
+        ],
+    )
+    def test_generated_state_encoding(self, divisor, seed, digest):
+        """The fingerprint ignores insertion order; the state blob does
+        not: it pins each kind's id order, the role metadata and the
+        edges grouped by role."""
+        org = generate_org(OrgProfile.small(divisor=divisor, seed=seed))
+        assert hashlib.sha256(encode_state(org.state)).hexdigest() == digest

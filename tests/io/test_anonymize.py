@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import analyze
+from repro.core.state import RbacState
+from repro.exceptions import DuplicateEntityError
 from repro.io import anonymize
+from repro.io.anonymize import _pseudonym
 
 
 class TestStructurePreservation:
@@ -59,3 +64,42 @@ class TestKeying:
         snapshot = paper_example.copy()
         anonymize(paper_example)
         assert paper_example == snapshot
+
+
+def _per_item_anonymize(state: RbacState, key: bytes) -> RbacState:
+    """The mutator-by-mutator construction ``anonymize`` replaces."""
+
+    def alias(kind: str, entity_id: str) -> str:
+        return _pseudonym(key, kind, entity_id, 16)
+
+    clone = RbacState()
+    for user_id in state.user_ids():
+        clone.add_user(alias("user", user_id))
+    for role_id in state.role_ids():
+        clone.add_role(alias("role", role_id))
+    for permission_id in state.permission_ids():
+        clone.add_permission(alias("permission", permission_id))
+    for role_id in state.role_ids():
+        for user_id in state.users_of_role(role_id):
+            clone.assign_user(alias("role", role_id), alias("user", user_id))
+        for permission_id in state.permissions_of_role(role_id):
+            clone.assign_permission(
+                alias("role", role_id), alias("permission", permission_id)
+            )
+    return clone
+
+
+class TestBulkConstruction:
+    def test_equals_the_per_item_construction(self, small_org_state):
+        anon = anonymize(small_org_state, key="k")
+        expected = _per_item_anonymize(small_org_state, b"k")
+        assert anon == expected
+        assert anon.fingerprint() == expected.fingerprint()
+        assert anon.user_ids() == expected.user_ids()
+        assert anon.role_ids() == expected.role_ids()
+        assert anon.permission_ids() == expected.permission_ids()
+
+    def test_pseudonym_collision_raises(self, small_org_state):
+        # One hex character leaves 16 pseudonyms per kind.
+        with pytest.raises(DuplicateEntityError):
+            anonymize(small_org_state, digest_length=1)

@@ -10,10 +10,14 @@ analyses it once to warm up, then ``--repeat`` times records, per run:
 * ``Report.to_dict``, ``json.dumps(to_dict(), sort_keys=True)``,
   ``Report.encode``, ``json.loads`` + ``Report.from_payload`` of the
   encoded report, and ``Report.counts``;
+* the job plane's state codec: ``encode_state`` of the state,
+  ``decode_state`` of its blob and ``analyze()`` of the decoded state
+  (``analyze_decoded``);
 
 and reports the median of each, with the SHA-256 of the report without
 its run-specific members (``timings_seconds``, ``total_seconds``,
-``metrics``).  Each run is written under ``--label`` into ``--out``
+``metrics``).  After the runs it checks that the decoded state equals
+the generated one, ``recompute_fingerprint()`` included.  Each run is written under ``--label`` into ``--out``
 (``BENCH_findings.json`` at the repo root), next to the runs of other
 labels; once both ``parent`` and ``change`` are there the script
 prints the ratios and fails unless their report digests and their
@@ -31,6 +35,7 @@ run; its numbers are not meant to be quoted).
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -44,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_VERSION = 1
 RUN_SPECIFIC = ("timings_seconds", "total_seconds", "metrics")
 STEPS = ("to_dict", "json_dumps", "encode", "from_payload", "counts")
+CODEC_STEPS = ("encode_state", "decode_state", "analyze_decoded")
 
 
 def parse_args() -> argparse.Namespace:
@@ -90,6 +96,16 @@ def one_run(state, analyze, Report) -> dict:
     return run
 
 
+def codec_run(state, analyze, encode_state, decode_state) -> dict:
+    """The codec steps, timed once the report run's objects are gone."""
+    gc.collect()
+    run = {}
+    blob, run["encode_state"] = clock(lambda: encode_state(state))
+    decoded, run["decode_state"] = clock(lambda: decode_state(blob))
+    _, run["analyze_decoded"] = clock(lambda: analyze(decoded))
+    return run
+
+
 def summarise(runs: list[dict]) -> dict:
     median = statistics.median
     detectors = {
@@ -104,7 +120,10 @@ def summarise(runs: list[dict]) -> dict:
         "detector_s": detectors,
         "gc_collections": median(run["gc_collections"] for run in runs),
         "gc_pause_s": median(run["gc_pause_s"] for run in runs),
-        **{f"{step}_s": median(run[step] for run in runs) for step in STEPS},
+        **{
+            f"{step}_s": median(run[step] for run in runs)
+            for step in STEPS + CODEC_STEPS
+        },
         "findings": runs[0]["findings"],
         "report_bytes": runs[0]["report_bytes"],
         "report_sha256": digests.pop(),
@@ -113,8 +132,12 @@ def summarise(runs: list[dict]) -> dict:
 
 def compare(results: dict) -> bool:
     parent, change = results["parent"], results["change"]
-    for key in ("generate_s", "analyze_s", *(f"{step}_s" for step in STEPS)):
-        print(f"  {key:16} {parent[key]:8.3f} -> {change[key]:8.3f} s "
+    for key in (
+        "generate_s",
+        "analyze_s",
+        *(f"{step}_s" for step in STEPS + CODEC_STEPS),
+    ):
+        print(f"  {key:20} {parent[key]:8.3f} -> {change[key]:8.3f} s "
               f"({change[key] / parent[key]:.2f}x)")
     for name, seconds in change["detector_s"].items():
         before = parent["detector_s"].get(name)
@@ -134,7 +157,7 @@ def main() -> int:
     from repro.core.engine import analyze
     from repro.core.report import Report
     from repro.datagen import OrgProfile, generate_org
-    from repro.io.statecodec import encode_state
+    from repro.io.statecodec import decode_state, encode_state
 
     profile = (
         OrgProfile.small(divisor=10) if args.quick else OrgProfile.paper_scale()
@@ -145,12 +168,20 @@ def main() -> int:
     runs = []
     for n in range(args.repeat):
         runs.append(one_run(state, analyze, Report))
+        runs[-1].update(codec_run(state, analyze, encode_state, decode_state))
         print(f"run {n + 1}: " + ", ".join(
-            f"{key} {runs[-1][key]:.3f}s" for key in ("analyze", *STEPS)
+            f"{key} {runs[-1][key]:.3f}s"
+            for key in ("analyze", *STEPS, *CODEC_STEPS)
         ))
     summary = summarise(runs)
     summary["generate_s"] = generate_s
-    summary["state_sha256"] = hashlib.sha256(encode_state(state)).hexdigest()
+    blob = encode_state(state)
+    summary["state_sha256"] = hashlib.sha256(blob).hexdigest()
+    # Compared through a copy: the comparison builds per-role edge
+    # dicts, which the timed runs above must not find on ``state``.
+    decoded, original = decode_state(blob), state.copy()
+    assert decoded == original, "decode_state(encode_state(state)) != state"
+    assert decoded.recompute_fingerprint() == original.recompute_fingerprint()
     summary["environment"] = {
         "python": platform.python_version(),
         "cpus": len(os.sched_getaffinity(0)),

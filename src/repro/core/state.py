@@ -27,12 +27,23 @@ need and little else:
   roles holding it.  The matrices are numpy slices of the edge dicts.
   :meth:`RbacState.copy` shares the edge dicts copy-on-write: one is
   copied the first time either state mutates it;
+* a bulk-built axis (:meth:`RbacState.from_arrays`: generated, decoded
+  and imported states) keeps its edges as the sorted, deduplicated
+  ``(indptr, member slots)`` arrays it computes, read-only, and builds
+  the edge dicts from them in one pass only when something first needs
+  them: an edge mutation, adding or removing a role, a forward or
+  reverse membership query, :meth:`RbacState.fingerprint` or a
+  compaction.  Until then the matrices, :meth:`RbacState.to_arrays`,
+  the edge counts and :meth:`RbacState.copy` (which shares the arrays)
+  read the arrays, so decoding a state and analysing it builds no
+  per-role dict;
 * per axis, a reverse index (member slot -> role slots) behind
   ``roles_of_user`` / ``roles_of_permission``, the ``effective_*``
   queries and member removal.  The first such query builds it in one
-  vectorised pass; from then on the mutators keep it current, so each
-  reverse query costs O(degree).  A state that is never asked one
-  (decode, copy, analysis) never builds it.
+  vectorised pass, keyed by the role table's own slot ints; from then
+  on the mutators keep it current, so each reverse query costs
+  O(degree).  A state that is never asked one (decode, copy, analysis)
+  never builds it.
 
 Every one of these dicts holds only strings, ints and ``None``.  CPython
 does not track such dicts for garbage collection, so a state is a handful of GC-tracked
@@ -127,7 +138,7 @@ def _content_digest(state: "RbacState") -> int:
                 f"{tag}\x1f{role_ids[role]}\x1f{member_ids[member]}"
                 for member in members
             )
-            for role, members in enumerate(axis.edges)
+            for role, members in enumerate(axis.built())
             if members
         ))
     return total & _MASK
@@ -216,6 +227,16 @@ class _Ids:
         """``(id, name, attributes)`` as :func:`_entity_digest` takes them."""
         return (entity_id, *self.meta.get(entity_id, _PLAIN))
 
+    def slot_objects(self) -> npt.NDArray[np.object_]:
+        """Slot -> the table's own int object for it (``None`` if dead),
+        so that keys taken from it share the tables' ints."""
+        live = np.fromiter(self.ids, dtype=object, count=len(self.ids))
+        if len(live) == self.n_slots:
+            return live
+        objects = np.full(self.n_slots, None, dtype=object)
+        objects[live.astype(np.int64)] = live
+        return objects
+
     def positions(self) -> IndexArray | None:
         """Slot -> position among the live ids; ``None`` if none died."""
         if len(self.ids) == self.n_slots:
@@ -245,7 +266,7 @@ class _Ids:
 class _Axis(_Ids):
     """Users or permissions: their id table plus the role edges to them."""
 
-    __slots__ = ("degree", "n_isolated", "edges", "owned", "holders")
+    __slots__ = ("degree", "n_isolated", "edges", "csr", "owned", "holders")
 
     def __init__(self, kind: str) -> None:
         super().__init__(kind)
@@ -253,8 +274,13 @@ class _Axis(_Ids):
         self.degree: list[int] = []
         #: live members no role holds.
         self.n_isolated = 0
-        #: role slot -> the member slots the role holds (dict keys).
-        self.edges: list[dict[int, None]] = []
+        #: role slot -> the member slots the role holds (dict keys);
+        #: ``None`` until :meth:`built` builds them from ``csr``.
+        self.edges: list[dict[int, None]] | None = []
+        #: A bulk-built axis's ``(indptr, member slots)``, read-only and
+        #: each row ascending, while ``edges`` is ``None``.  No role has
+        #: been added or removed since, so its rows are every role's.
+        self.csr: tuple[IndexArray, IndexArray] | None = None
         #: role slots whose edges this axis may mutate in place
         #: (``None``: all); the others are shared with a copy.
         self.owned: set[int] | None = None
@@ -264,11 +290,13 @@ class _Axis(_Ids):
         self.holders: list[dict[int, None]] | None = None
 
     def copy(self) -> "_Axis":
-        """A copy sharing every role's edges; neither side owns any now."""
+        """A copy sharing every role's edges (or the read-only arrays);
+        neither side owns any now."""
         clone = super().copy()
         clone.degree = self.degree.copy()
         clone.n_isolated = self.n_isolated
-        clone.edges = self.edges.copy()
+        clone.edges = None if self.edges is None else self.edges.copy()
+        clone.csr = self.csr
         clone.owned = set()
         clone.holders = None
         self.owned = set()
@@ -296,7 +324,7 @@ class _Axis(_Ids):
     def load_edges(self, edges: tuple[Any, Any], n_roles: int) -> None:
         """Set every role's members from ``(role index, member index)``
         arrays, with vectorised referential checks (on a table just
-        filled by :meth:`load`)."""
+        filled by :meth:`load`), kept as ``csr`` until :meth:`built`."""
         kind = self.kind
         try:
             role_values, member_values = edges
@@ -329,25 +357,47 @@ class _Axis(_Ids):
         keys = keys[np.diff(keys, prepend=-1) != 0]
         roles = keys // width
         members = keys - roles * width
-        bounds = np.searchsorted(roles, np.arange(n_roles + 1)).tolist()
-        # Keyed by the id tables' own slot ints, not a new int per edge.
-        slots = np.fromiter(self.ids, dtype=object, count=n_members)
-        flat = slots[members].tolist()
-        self.edges = [
-            dict.fromkeys(flat[bounds[role]:bounds[role + 1]])
-            for role in range(n_roles)
-        ]
+        indptr = np.searchsorted(roles, np.arange(n_roles + 1))
+        indptr.flags.writeable = False
+        members.flags.writeable = False
+        self.edges = None
+        self.csr = (indptr, members)
         self.owned = None
         self.holders = None
         degree = np.bincount(members, minlength=n_members)
         self.degree = degree.tolist()
         self.n_isolated = int(np.count_nonzero(degree == 0))
 
+    def built(self) -> list[dict[int, None]]:
+        """The edge dicts, built from ``csr`` in one pass if not yet
+        there; from then on ``csr`` is dropped and the dicts are owned."""
+        edges = self.edges
+        if edges is None:
+            indptr, members = self.csr
+            bounds = indptr.tolist()
+            # Keyed by the id table's own slot ints, not a new int per
+            # edge.
+            flat = self.slot_objects()[members].tolist()
+            edges = self.edges = [
+                dict.fromkeys(flat[bounds[role]:bounds[role + 1]])
+                for role in range(len(bounds) - 1)
+            ]
+            self.csr = None
+            self.owned = None
+        return edges
+
+    def n_edges(self) -> int:
+        csr = self.csr
+        if csr is not None:
+            return len(csr[1])
+        return sum(map(len, self.edges))
+
     # -- edges ------------------------------------------------------------
     def add_role(self) -> None:
-        self.edges.append({})
+        edges = self.built()
+        edges.append({})
         if self.owned is not None:
-            self.owned.add(len(self.edges) - 1)
+            self.owned.add(len(edges) - 1)
 
     def _writable(self, role: int) -> dict[int, None]:
         owned = self.owned
@@ -358,7 +408,7 @@ class _Axis(_Ids):
 
     def link(self, role: int, member: int) -> bool:
         """Add the edge; ``False`` if it was already there."""
-        if member in self.edges[role]:
+        if member in self.built()[role]:
             return False
         self._writable(role)[member] = None
         if self.holders is not None:
@@ -370,7 +420,7 @@ class _Axis(_Ids):
 
     def unlink(self, role: int, member: int) -> bool:
         """Remove the edge; ``False`` if it was not there."""
-        if member not in self.edges[role]:
+        if member not in self.built()[role]:
             return False
         del self._writable(role)[member]
         if self.holders is not None:
@@ -380,10 +430,10 @@ class _Axis(_Ids):
             self.n_isolated += 1
         return True
 
-    def _reverse(self) -> list[dict[int, None]]:
+    def _reverse(self, roles_table: _Ids) -> list[dict[int, None]]:
         """The reverse index, built from the edge dicts if not yet there."""
         if self.holders is None:
-            rows = self.edges
+            rows = self.built()
             lengths = np.fromiter(
                 map(len, rows), dtype=np.int64, count=len(rows)
             )
@@ -393,8 +443,10 @@ class _Axis(_Ids):
                 count=int(lengths.sum()),
             )
             order = np.argsort(members, kind="stable")
+            # Keyed by the role table's own slot ints, as the mutators
+            # key it, not a new int per edge.
             roles = np.repeat(
-                np.arange(len(rows), dtype=np.int64), lengths
+                roles_table.slot_objects(), lengths
             )[order].tolist()
             bounds = np.searchsorted(
                 members[order], np.arange(self.n_slots + 1)
@@ -405,15 +457,15 @@ class _Axis(_Ids):
             ]
         return self.holders
 
-    def roles_holding(self, member: int) -> list[int]:
-        """Role slots holding ``member``."""
+    def roles_holding(self, member: int, roles_table: _Ids) -> list[int]:
+        """Role slots (of ``roles_table``) holding ``member``."""
         if not self.degree[member]:
             return []
-        return list(self._reverse()[member])
+        return list(self._reverse(roles_table)[member])
 
-    def unlink_member(self, member: int) -> list[int]:
+    def unlink_member(self, member: int, roles_table: _Ids) -> list[int]:
         """Remove every edge to ``member``; returns the roles that held it."""
-        roles = self.roles_holding(member)
+        roles = self.roles_holding(member, roles_table)
         for role in roles:
             del self._writable(role)[member]
         if roles:
@@ -424,7 +476,7 @@ class _Axis(_Ids):
 
     def unlink_role(self, role: int) -> Iterable[int]:
         """Remove every edge of ``role`` (being removed); returns them."""
-        members = self.edges[role]
+        members = self.built()[role]
         degree, holders = self.degree, self.holders
         for member in members:
             if holders is not None:
@@ -436,6 +488,7 @@ class _Axis(_Ids):
         return members
 
     def compact(self) -> list[int]:
+        edges = self.built()
         remap = super().compact()
         self.degree = [
             degree for slot, degree in enumerate(self.degree)
@@ -445,7 +498,7 @@ class _Axis(_Ids):
         self.edges = [
             _DEAD if members is _DEAD
             else dict.fromkeys([remap[member] for member in members])
-            for members in self.edges
+            for members in edges
         ]
         self.owned = None
         self.holders = None
@@ -454,7 +507,7 @@ class _Axis(_Ids):
     def compact_roles(self, remap: list[int]) -> None:
         """Follow a compaction of the role table."""
         self.edges = [
-            members for role, members in enumerate(self.edges)
+            members for role, members in enumerate(self.built())
             if remap[role] >= 0
         ]
         if self.owned is not None:
@@ -466,7 +519,19 @@ class _Axis(_Ids):
     def rows(self, roles: Iterable[int]) -> tuple[IndexArray, IndexArray]:
         """``(indptr, indices)`` of the given role slots over the live
         members' positions, each row ascending."""
-        rows = [self.edges[role] for role in roles]
+        # ``csr`` is read first: :meth:`built` sets ``edges`` before it
+        # drops ``csr``, so a reader never finds neither.
+        csr = self.csr
+        if csr is not None:
+            # Still bulk-built: every role is live and ``roles`` is all
+            # of them.  Positions ascend with slots, so rows stay sorted.
+            indptr, indices = csr
+            positions = self.positions()
+            if positions is not None:
+                indices = positions[indices]
+            return indptr, indices
+        edges = self.edges
+        rows = [edges[role] for role in roles]
         lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
@@ -597,9 +662,11 @@ class RbacState:
         integer arrays of equal length or hold an index out of range,
         and for metadata of an unknown kind.
 
-        The state is laid out as one built by the mutators, down to one
+        Each axis keeps its edges as read-only CSR arrays until something
+        needs the per-role edge dicts (see the module docstring); those
+        are then laid out as the mutators lay them out, down to one
         Python int per slot shared by the id tables and every edge dict
-        key, so it retains no more memory.  This is the one bulk
+        key, so the state retains no more memory.  This is the one bulk
         constructor: :func:`~repro.datagen.generate_org`,
         ``statecodec.decode_state`` and ``jsonio.state_from_dict`` all
         build through it.
@@ -717,7 +784,7 @@ class RbacState:
 
     def _remove_member(self, axis: _Axis, tag: str, member_id: str) -> None:
         role_ids = self._roles.ids
-        for role in axis.unlink_member(axis.slot(member_id)):
+        for role in axis.unlink_member(axis.slot(member_id), self._roles):
             self._track(-1, _item_digest, tag, role_ids[role], member_id)
         self._track(-1, _entity_digest, axis.kind, *axis.payload(member_id))
         axis.remove(member_id)
@@ -770,11 +837,11 @@ class RbacState:
 
     @property
     def n_user_assignments(self) -> int:
-        return sum(map(len, self._users.edges))
+        return self._users.n_edges()
 
     @property
     def n_permission_assignments(self) -> int:
-        return sum(map(len, self._permissions.edges))
+        return self._permissions.n_edges()
 
     @property
     def n_unassigned_users(self) -> int:
@@ -830,12 +897,12 @@ class RbacState:
 
     def _members_of(self, axis: _Axis, role_id: str) -> frozenset[str]:
         ids = axis.ids
-        members = axis.edges[self._roles.slot(role_id)]
+        members = axis.built()[self._roles.slot(role_id)]
         return frozenset([ids[member] for member in members])
 
     def _roles_of(self, axis: _Axis, member_id: str) -> frozenset[str]:
         ids = self._roles.ids
-        roles = axis.roles_holding(axis.slot(member_id))
+        roles = axis.roles_holding(axis.slot(member_id), self._roles)
         return frozenset([ids[role] for role in roles])
 
     def effective_permissions(self, user_id: str) -> frozenset[str]:
@@ -859,16 +926,17 @@ class RbacState:
         self, axis: _Axis, member_id: str, other: _Axis
     ) -> frozenset[str]:
         """Ids on ``other`` sharing a role with ``member_id`` on ``axis``."""
-        roles = axis.roles_holding(axis.slot(member_id))
+        roles = axis.roles_holding(axis.slot(member_id), self._roles)
         ids = other.ids
-        reached = set().union(*(other.edges[role] for role in roles))
+        rows = other.built()
+        reached = set().union(*(rows[role] for role in roles))
         return frozenset([ids[member] for member in reached])
 
     def effective_permission_map(self) -> dict[str, frozenset[str]]:
         """``effective_permissions`` for every user, in one pass."""
         granted: dict[int, set[int]] = {}
         for users, permissions in zip(
-            self._users.edges, self._permissions.edges
+            self._users.built(), self._permissions.built()
         ):
             if permissions:
                 for user in users:

@@ -26,6 +26,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.entities import EntityKind
+from repro.util.jsontext import plain as _plain
 
 
 class InefficiencyType(str, Enum):
@@ -251,20 +252,6 @@ def sort_findings(findings: Sequence[Finding]) -> list[Finding]:
     ordered.sort(key=lambda f: f.type.value)
     ordered.sort(key=lambda f: -f.severity.rank)
     return ordered
-
-
-#: Printable ASCII but ``"``, ``'`` and ``\``: text that JSON writes as
-#: it stands and that ``repr`` only wraps in single quotes.
-_PLAIN = re.compile(r"[ !#-&(-\[\]-~]*")
-
-
-def _plain(texts: Iterable[str]) -> bool:
-    """Whether ``texts`` are all strings, and plain (:data:`_PLAIN`)."""
-    try:
-        joined = "".join(texts)
-    except TypeError:  # not a string
-        return False
-    return _PLAIN.fullmatch(joined) is not None
 
 
 def _literal(value: str) -> str:

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.state import RbacState
 from repro.exceptions import DataFormatError, ReproError
+from repro.util.jsontext import plain
 
 __all__ = ["FORMAT_VERSION", "decode_state", "encode_state"]
 
@@ -39,6 +40,17 @@ _MAGIC = b"RBACSTB\x00"
 _PREFIX = struct.Struct("<8sII")
 _EDGE = np.dtype("<i4")
 _AXES = ("user", "permission")
+
+
+def _dumps(value: object) -> str:
+    return json.dumps(value, separators=(",", ":"), default=str)
+
+
+def _id_list(ids: list[str]) -> str:
+    """``_dumps(ids)``, with one join when every id is plain."""
+    if ids and plain(ids):
+        return '["' + '","'.join(ids) + '"]'
+    return _dumps(ids)
 
 
 def encode_state(state: RbacState) -> bytes:
@@ -52,15 +64,19 @@ def encode_state(state: RbacState) -> bytes:
     if max(map(len, ids.values())) > np.iinfo(_EDGE).max:
         raise DataFormatError("state too large for int32 edge indices")
     edges = (arrays.user_edges, arrays.permission_edges)
-    header = json.dumps(
-        {
-            "ids": ids,
-            "metadata": arrays.metadata,
-            "edges": dict(zip(_AXES, (len(roles) for roles, _ in edges))),
-        },
-        separators=(",", ":"),
-        default=str,
-    ).encode("utf-8")
+    # The text ``json.dumps`` writes for the whole header, the id lists
+    # (its bulk) joined directly where they are plain.
+    header = "".join([
+        '{"ids":{',
+        ",".join(
+            f'"{kind}":{_id_list(kind_ids)}' for kind, kind_ids in ids.items()
+        ),
+        '},"metadata":',
+        _dumps(arrays.metadata),
+        ',"edges":',
+        _dumps(dict(zip(_AXES, (len(roles) for roles, _ in edges)))),
+        "}",
+    ]).encode("utf-8")
     return b"".join([
         _PREFIX.pack(_MAGIC, FORMAT_VERSION, len(header)),
         header,

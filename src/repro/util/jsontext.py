@@ -1,9 +1,25 @@
-"""Sorted-key JSON objects with members that are JSON text already."""
+"""JSON text written without the JSON module: sorted-key objects with
+members that are JSON text already, and the test for *plain* strings,
+which JSON writes as they stand."""
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+import re
+from typing import Any, Iterable, Mapping
+
+#: Printable ASCII but ``"``, ``'`` and ``\``: text that JSON writes as
+#: it stands and that ``repr`` only wraps in single quotes.
+PLAIN = re.compile(r"[ !#-&(-\[\]-~]*")
+
+
+def plain(texts: Iterable[str]) -> bool:
+    """Whether ``texts`` are all strings, and plain (:data:`PLAIN`)."""
+    try:
+        joined = "".join(texts)
+    except TypeError:  # not a string
+        return False
+    return PLAIN.fullmatch(joined) is not None
 
 
 def verbatim_json(

@@ -1,12 +1,15 @@
 """Tests of the array-backed state layout.
 
 :class:`RbacState` keeps interned id tables, a sparse name/attribute
-side table and per-role integer edge dicts shared copy-on-write.  These
-tests pin what that layout promises beyond the public mutation
-semantics of ``test_state.py``: a GC footprint of O(roles), the bulk
-``from_arrays``/``to_arrays`` pair and its documented errors, and id
+side table and per-role integer edge dicts shared copy-on-write (a
+bulk-built axis keeps read-only CSR arrays until something needs the
+dicts).  These tests pin what that layout promises beyond the public
+mutation semantics of ``test_state.py``: a GC footprint of O(roles), the
+bulk ``from_arrays``/``to_arrays`` pair and its documented errors, id
 order plus fingerprints identical to a plain dict-backed model under
-random add/remove/re-add churn, copies included.
+random add/remove/re-add churn, copies included, bulk-built states that
+behave as mutator-built ones, and an analysis of a decoded state that
+builds no per-role dict.
 """
 
 from __future__ import annotations
@@ -16,12 +19,17 @@ import gc
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.state as state_module
+from repro.core.engine import AnalysisConfig, analyze
 from repro.core.entities import Permission, Role, User
 from repro.core.matrices import AssignmentMatrix
 from repro.core.state import RbacState
@@ -31,7 +39,10 @@ from repro.exceptions import (
     UnknownEntityError,
     ValidationError,
 )
+from repro.io import statecodec
 from repro.io.statecodec import decode_state, encode_state
+from repro.jobs.queue import JobQueue
+from repro.jobs.worker import JobWorker
 
 
 def _tracked_objects() -> int:
@@ -412,3 +423,255 @@ class TestReverseLookups:
         state.remove_role("r1")
         assert state.roles_of_user("u") == frozenset()
         assert clone.roles_of_user("u") == {"r1", "r2"}
+
+    def test_reverse_index_shares_the_role_tables_slot_ints(self):
+        state = generate_org(OrgProfile.small(divisor=10, seed=2)).state
+        axes = (state._users, state._permissions)
+        for axis in axes:
+            axis.built()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for axis in axes:
+                axis._reverse(state._roles)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        own = {slot: slot for slot in state._roles.ids}
+        containers = 0
+        for axis in axes:
+            containers += sys.getsizeof(axis.holders)
+            for held in axis.holders:
+                containers += sys.getsizeof(held)
+                for role in held:
+                    assert own[role] is role
+        # The lists and dicts and nothing else: a new int per edge
+        # (~37,000 of them) would retain about 1.1 MB more.
+        assert retained <= containers * 1.02
+
+
+# ----------------------------------------------------------------------
+# Bulk-built axes keep their arrays, and behave as built ones
+# ----------------------------------------------------------------------
+KINDS = ("user", "role", "permission")
+
+
+def _unbuilt(state: RbacState) -> bool:
+    return state._users.edges is None and state._permissions.edges is None
+
+
+@st.composite
+def bulk_contents(draw):
+    """Ids per kind, edges as index pairs (repeats allowed), role names."""
+    ids = {
+        kind: draw(st.permutations(
+            [f"{kind[0]}{i}" for i in range(draw(st.integers(0, 6)))]
+        ))
+        for kind in KINDS
+    }
+
+    def edges(kind: str) -> list[tuple[int, int]]:
+        if not ids["role"] or not ids[kind]:
+            return []
+        return draw(st.lists(
+            st.tuples(
+                st.integers(0, len(ids["role"]) - 1),
+                st.integers(0, len(ids[kind]) - 1),
+            ),
+            max_size=24,
+        ))
+
+    named = draw(st.sets(st.sampled_from(ids["role"]))) if ids["role"] else ()
+    metadata = {"role": {
+        role_id: ("Named", {"n": 1}) for role_id in ids["role"]
+        if role_id in named
+    }}
+    return ids, edges("user"), edges("permission"), metadata
+
+
+def _from_arrays(content) -> RbacState:
+    ids, user_edges, permission_edges, metadata = content
+
+    def columns(pairs):
+        return tuple(np.array(column, dtype=np.int64).reshape(-1)
+                     for column in (zip(*pairs) if pairs else ([], [])))
+
+    return RbacState.from_arrays(
+        ids["user"], ids["role"], ids["permission"],
+        columns(user_edges), columns(permission_edges), metadata,
+    )
+
+
+def _from_mutators(content) -> RbacState:
+    ids, user_edges, permission_edges, metadata = content
+    roles = ids["role"]
+    return RbacState.build(
+        ids["user"],
+        [Role(role_id, *metadata["role"].get(role_id, ("", {})))
+         for role_id in roles],
+        ids["permission"],
+        [(roles[role], ids["user"][user]) for role, user in user_edges],
+        [(roles[role], ids["permission"][permission])
+         for role, permission in permission_edges],
+    )
+
+
+QUERIES = (
+    "users_of_role", "permissions_of_role", "roles_of_user",
+    "roles_of_permission", "effective_permissions", "fingerprint",
+)
+MUTATIONS = (
+    "assign_user", "revoke_user", "assign_permission", "revoke_permission",
+    "add_user", "add_role", "add_permission",
+    "remove_user", "remove_role", "remove_permission",
+)
+
+
+def _apply(state: RbacState, op: str, a: int, b: int):
+    """One operation by id (skipped where its ids do not fit); returns
+    what a query returns."""
+    if op == "fingerprint":
+        return state.fingerprint()
+    verb, _, kind = op.partition("_")
+    if op in QUERIES:
+        kind = "user" if op == "effective_permissions" else (
+            kind.removeprefix("of_") if verb == "roles" else "role"
+        )
+        entity_id = f"{kind[0]}{a}"
+        if getattr(state, f"has_{kind}")(entity_id):
+            return getattr(state, op)(entity_id)
+        return None
+    if verb in ("assign", "revoke"):
+        role_id, member_id = f"r{a}", f"{kind[0]}{b}"
+        if state.has_role(role_id) and getattr(state, f"has_{kind}")(member_id):
+            getattr(state, op)(role_id, member_id)
+        return None
+    entity_id = f"{kind[0]}{a}"
+    if getattr(state, f"has_{kind}")(entity_id) == (verb == "remove"):
+        getattr(state, op)(entity_id)
+    return None
+
+
+def _assert_same_arrays(got: RbacState, want: RbacState) -> None:
+    """The comparisons that leave a bulk-built axis unbuilt."""
+    mine, theirs = got.to_arrays(), want.to_arrays()
+    for field in ("user_ids", "role_ids", "permission_ids", "metadata"):
+        assert getattr(mine, field) == getattr(theirs, field)
+    for field in ("user_edges", "permission_edges"):
+        for column, expected in zip(getattr(mine, field), getattr(theirs, field)):
+            np.testing.assert_array_equal(column, expected)
+    for kind in ("user", "permission"):
+        for array, expected in zip(got._edge_rows(kind), want._edge_rows(kind)):
+            np.testing.assert_array_equal(array, expected)
+    assert got.n_user_assignments == want.n_user_assignments
+    assert got.n_permission_assignments == want.n_permission_assignments
+    assert got.n_unassigned_users == want.n_unassigned_users
+    assert got.n_unassigned_permissions == want.n_unassigned_permissions
+    assert encode_state(got) == encode_state(want)
+
+
+def _assert_alike(got: RbacState, want: RbacState) -> None:
+    _assert_same_arrays(got, want)
+    for role_id in want.role_ids():
+        assert got.users_of_role(role_id) == want.users_of_role(role_id)
+        assert got.permissions_of_role(role_id) == want.permissions_of_role(
+            role_id
+        )
+    for user_id in want.user_ids():
+        assert got.roles_of_user(user_id) == want.roles_of_user(user_id)
+    for permission_id in want.permission_ids():
+        assert got.roles_of_permission(permission_id) == (
+            want.roles_of_permission(permission_id)
+        )
+    assert got.fingerprint() == got.recompute_fingerprint()
+    assert got.fingerprint() == want.fingerprint()
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    content=bulk_contents(),
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(QUERIES + MUTATIONS),
+            st.integers(0, 7),
+            st.integers(0, 7),
+        ),
+        max_size=30,
+    ),
+    min_dead=st.sampled_from([2, 64]),
+)
+def test_bulk_built_states_behave_as_mutator_built_ones(
+    content, operations, min_dead
+):
+    # With a low threshold the id tables compact every few removals,
+    # also while an axis still holds only its arrays.
+    with mock.patch.object(state_module, "_COMPACT_MIN_DEAD", min_dead):
+        reference = _from_mutators(content)
+        bulk = _from_arrays(content)
+        assert _unbuilt(bulk)
+        _assert_same_arrays(bulk, reference)
+        assert _unbuilt(bulk)
+        pristine = _from_arrays(content)
+        pristine_copy = pristine.copy()
+        states = {"bulk": bulk, "copy before": bulk.copy()}
+        for op, a, b in operations:
+            expected = _apply(reference, op, a, b)
+            for name, state in states.items():
+                assert _apply(state, op, a, b) == expected, name
+                _assert_same_arrays(state, reference)
+            _apply(pristine_copy, op, a, b)
+            if op in MUTATIONS and "copy after" not in states:
+                states["copy after"] = bulk.copy()
+        for state in states.values():
+            _assert_alike(state, reference)
+        _assert_alike(pristine_copy, reference)
+
+        # Mutating a copy left the original as it was.
+        assert _unbuilt(pristine)
+        _assert_same_arrays(pristine, _from_mutators(content))
+        for axis in (pristine._users, pristine._permissions):
+            for array in axis.csr:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 7
+        _assert_alike(pristine, _from_mutators(content))
+
+
+class TestAnalysisBuildsNoEdgeDict:
+    """The worker path: decode a blob, analyse it, with no per-role dict."""
+
+    def test_generate_decode_and_analyze(self):
+        state = generate_org(OrgProfile.small(divisor=100, seed=0)).state
+        analyze(state)
+        assert _unbuilt(state)
+        decoded = decode_state(encode_state(state))
+        analyze(decoded)
+        assert _unbuilt(decoded) and _unbuilt(state)
+
+    def test_job_worker_handle_analyze(self, tmp_path, monkeypatch):
+        state = generate_org(OrgProfile.small(divisor=100, seed=0)).state
+        queue = JobQueue(tmp_path / "jobs.sqlite", lease_seconds=10.0)
+        try:
+            queue.put_state_blob(state.fingerprint(), encode_state(state))
+            queue.enqueue("analyze", {
+                "state_ref": state.fingerprint(),
+                "config": AnalysisConfig().to_dict(),
+                "fingerprint": state.fingerprint(),
+                "mutation_seq": 0,
+            })
+            decoded: list[RbacState] = []
+
+            def spy(data: bytes) -> RbacState:
+                decoded.append(decode_state(data))
+                return decoded[-1]
+
+            monkeypatch.setattr(statecodec, "decode_state", spy)
+            worker = JobWorker(queue, worker_id="w-guard")
+            result = worker.handle_analyze(queue.claim("w-guard"))
+        finally:
+            queue.close()
+        assert result["report"].to_dict()["n_findings"] > 0
+        assert len(decoded) == 1 and _unbuilt(decoded[0])

@@ -9,6 +9,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.state as state_module
 from repro.core.entities import Permission, Role, User
@@ -208,3 +210,84 @@ class TestFormat:
                 PREFIX.pack(b"RBACSTB\x00", FORMAT_VERSION, len(text))
                 + text + edges
             )
+
+
+def _old_header(state: RbacState) -> bytes:
+    """The header as one ``json.dumps`` of the whole object writes it."""
+    arrays = state.to_arrays()
+    return json.dumps(
+        {
+            "ids": {
+                "user": arrays.user_ids,
+                "role": arrays.role_ids,
+                "permission": arrays.permission_ids,
+            },
+            "metadata": arrays.metadata,
+            "edges": {
+                "user": len(arrays.user_edges[0]),
+                "permission": len(arrays.permission_edges[0]),
+            },
+        },
+        separators=(",", ":"),
+        default=str,
+    ).encode("utf-8")
+
+
+def _header(blob: bytes) -> bytes:
+    _, _, size = PREFIX.unpack_from(blob)
+    return blob[PREFIX.size:PREFIX.size + size]
+
+
+class TestHeaderText:
+    """Plain id lists are joined, not dumped; the bytes stay the same."""
+
+    @pytest.mark.parametrize(
+        "awkward",
+        ['a"b', "a\\b", "a'b", "a\x7fb", "a\x01b", "é", " ", "a b"],
+        ids=["quote", "backslash", "apostrophe", "del", "control",
+             "non-ascii", "space", "inner-space"],
+    )
+    def test_awkward_ids_on_every_kind(self, awkward):
+        for kind in KINDS:
+            ids = {name: [f"{name[0]}1", f"{name[0]}2"] for name in KINDS}
+            ids[kind].insert(1, awkward)
+            state = RbacState.from_arrays(
+                ids["user"], ids["role"], ids["permission"],
+                ([0, 1], [1, 0]), ([1], [1]),
+                {"role": {ids["role"][1]: ("N", {"x": [1, "é"]})}},
+            )
+            blob = encode_state(state)
+            assert _header(blob) == _old_header(state)
+            assert_round_trips(state)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [([], [], []), (["u"], [], []), ([], ["r"], ["p"])],
+        ids=["all-empty", "no-roles", "no-users"],
+    )
+    def test_empty_lists(self, ids):
+        state = RbacState.from_arrays(*ids)
+        assert _header(encode_state(state)) == _old_header(state)
+
+    def test_plain_ids(self):
+        state = churned_state(3)
+        assert _header(encode_state(state)) == _old_header(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ids=st.lists(
+        st.text(
+            alphabet=st.sampled_from(list("ab ~!#&(['\"\\\x7f\x01\x1fé ")),
+            min_size=1,
+            max_size=4,
+        ),
+        unique=True,
+        max_size=6,
+    )
+)
+def test_header_is_the_dumps_of_any_id_list(ids):
+    state = RbacState.from_arrays(ids, ids, ids)
+    blob = encode_state(state)
+    assert _header(blob) == _old_header(state)
+    assert decode_state(blob).user_ids() == ids

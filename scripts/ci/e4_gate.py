@@ -10,9 +10,10 @@ scan fanned out over two workers, and requires every row of the table
 to match the planted count.  The serial report's ``encode()``
 must be the sorted-key dump of its ``to_dict()``; the digest of that
 report without its run-specific members is printed.  Then the state
-round-trips through the JSON document (the snapshot format; the job
-plane ships ``statecodec`` blobs instead) and must keep its fingerprint
-and counts::
+round-trips through a ``SnapshotStore`` file in a temporary directory
+(the service's drain and warm restart) and must come back equal, with
+its fingerprint and counts; the save and load seconds and the file size
+are printed::
 
     PYTHONPATH=src python scripts/ci/e4_gate.py
 
@@ -23,12 +24,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 import time
+from pathlib import Path
 
 from repro.core.engine import AnalysisConfig, analyze
 from repro.datagen import OrgProfile, generate_org
-from repro.io.jsonio import state_from_dict, state_to_dict
 from repro.io.statecodec import encode_state
+from repro.service import SnapshotMeta, SnapshotStore
 
 #: Report members that differ from run to run.
 RUN_SPECIFIC = ("timings_seconds", "total_seconds", "metrics")
@@ -74,17 +77,24 @@ def main() -> None:
         del report
     print("E4 gate ok: every row matches at paper scale")
 
+    with tempfile.TemporaryDirectory() as scratch:
+        store = SnapshotStore(Path(scratch) / "snapshot")
+        meta = SnapshotMeta(fingerprint=org.state.fingerprint())
+        start = time.perf_counter()
+        store.save(org.state, meta)
+        print(f"SnapshotStore.save: {time.perf_counter() - start:.2f}s "
+              f"({store.path.stat().st_size / 1e6:.1f} MB)")
+        start = time.perf_counter()
+        restored, loaded = store.load()
+        print(f"SnapshotStore.load: {time.perf_counter() - start:.2f}s")
+    # What a warm restart reads next.
     start = time.perf_counter()
-    text = json.dumps(state_to_dict(org.state))
-    print(f"state_to_dict + dumps: {time.perf_counter() - start:.1f}s "
-          f"({len(text) / 1e6:.1f} MB)")
-    document = json.loads(text)
-    start = time.perf_counter()
-    restored = state_from_dict(document)
-    print(f"state_from_dict: {time.perf_counter() - start:.2f}s")
-    assert restored.fingerprint() == org.state.fingerprint()
+    fingerprint = restored.fingerprint()
+    print(f"fingerprint after load: {time.perf_counter() - start:.2f}s")
+    assert fingerprint == loaded.fingerprint == org.state.fingerprint()
+    assert restored == org.state
     assert analyze(restored).counts() == expected
-    print("round trip ok: same fingerprint, same counts")
+    print("round trip ok: equal state, same fingerprint, same counts")
 
 
 def check_report_bytes(report) -> None:

@@ -130,13 +130,20 @@ def backpressure(args):
 
 
 def snapshot(args):
-    """The drained service's snapshot holds the three mutations."""
+    """The drained service wrote a version 2 snapshot (a JSON header
+    line, then the state blob) that holds the three mutations under the
+    fingerprint of its content."""
     from repro.service import SnapshotStore
 
+    with open(args.snapshot, "rb") as source:
+        header = json.loads(source.readline())
+    assert header["version"] == 2, header
     state, meta = SnapshotStore(args.snapshot).load()
     assert meta.mutation_seq == 3, meta
     assert state.has_user("ci-user") and state.has_role("ci-role")
-    print("snapshot ok: seq", meta.mutation_seq)
+    assert meta.fingerprint == state.fingerprint(), meta
+    assert meta.fingerprint == state.recompute_fingerprint(), meta
+    print("snapshot ok: version", header["version"], "seq", meta.mutation_seq)
 
 
 def warm_restart(args):

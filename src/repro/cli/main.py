@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--snapshot",
-        metavar="FILE.json",
+        metavar="FILE",
         default=None,
         help="snapshot file: loaded on start when present (warm restart), "
         "written on graceful drain",

@@ -1,7 +1,8 @@
 """Binary, versioned encoding of an RBAC state.
 
 The job plane stores each state it analyses once, as one of these
-blobs (see :mod:`repro.jobs.queue`).  The layout follows the state's
+blobs (see :mod:`repro.jobs.queue`), and the service's snapshot holds
+one after its header line (see :mod:`repro.service.store`).  The layout follows the state's
 bulk form (:meth:`RbacState.to_arrays`); all integers little-endian::
 
     magic        8 bytes    b"RBACSTB\\x00"

@@ -421,32 +421,32 @@ class JobQueue:
 
         Idempotent on the spec hash: an existing ``queued``/``leased``/
         ``done`` row for the same spec is returned as-is (``created``
-        False, ``jobs.deduplicated`` bumped); a ``failed``/``lost`` row
-        is resurrected into ``queued`` with a reset attempt budget and a
-        fresh deadline.  ``expires_at`` is the queue-visible wall-clock
-        deadline: claimers skip the job once it passes, and the reaper
-        fails it.  The payload is encoded before the write transaction
-        opens.  The job's attempt budget is the queue's ``max_attempts``.
+        False), found by a read-only probe that takes no write lock; a
+        ``failed``/``lost`` row is resurrected into ``queued`` with a
+        reset attempt budget and a fresh deadline.  ``expires_at`` is
+        the queue-visible wall-clock deadline: claimers skip the job
+        once it passes, and the reaper fails it.  The payload is encoded
+        before the write transaction opens.  The job's attempt budget is
+        the queue's ``max_attempts``.
         """
         spec_hash = spec_key or spec_key_of(kind, payload)
-        encoded = json.dumps(payload, sort_keys=True)
         conn = self._connection()
+        select = f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?"
+        row = conn.execute(select, (spec_hash,)).fetchone()
+        if row is not None and row["state"] not in ("failed", "lost"):
+            return self._record_of(row), False
+        encoded = json.dumps(payload, sort_keys=True)
         with self._transaction(conn):
-            row = conn.execute(
-                f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
-                (spec_hash,),
-            ).fetchone()
+            # Checked again: another producer may have written the row
+            # since the probe.
+            row = conn.execute(select, (spec_hash,)).fetchone()
             if row is not None and row["state"] not in ("failed", "lost"):
-                self._bump(conn, "jobs.deduplicated")
                 return self._record_of(row), False
             self._write_queued(
                 conn, row, spec_hash, kind, self.max_attempts, encoded,
                 trace_id, expires_at,
             )
-            row = conn.execute(
-                f"SELECT {_COLUMN_SQL} FROM task_runs WHERE job_id = ?",
-                (spec_hash,),
-            ).fetchone()
+            row = conn.execute(select, (spec_hash,)).fetchone()
         return self._record_of(row), True
 
     def _write_queued(

@@ -20,7 +20,7 @@ Start one from the CLI with ``repro serve`` or in-process::
 
     from repro.service import AnalysisService, ServiceConfig, ServiceServer
 
-    service = AnalysisService(state, ServiceConfig(snapshot_path="snap.json"))
+    service = AnalysisService(state, ServiceConfig(snapshot_path="snap.bin"))
     server = ServiceServer(service, port=0)
     server.start()                      # background thread
     ...                                 # POST /v1/mutations, GET /v1/counts

@@ -7,10 +7,17 @@ sequence number, content fingerprint, wall-clock stamp) — and a warm
 restart reloads it, so a drain/restart cycle is invisible to clients
 apart from the gap in availability.
 
+A snapshot is one JSON header line (format marker, version, metadata)
+followed by the state's :mod:`repro.io.statecodec` blob, the encoding
+the job plane stores too.  Version 1 files, one JSON document holding
+the state in :mod:`repro.io.jsonio` form, still load.
+
 Writes are atomic (temp file in the target directory + ``os.replace``),
 so a crash mid-write leaves the previous snapshot intact; loads verify
-the stored fingerprint against a full recompute over the rebuilt
-state's content, so silent corruption is detected instead of served.
+the stored fingerprint against the loaded state's own, computed by one
+full pass over its content, so silent corruption is detected instead of
+served.  The loaded state keeps that verified digest, so a warm restart
+does not hash the content again.
 """
 
 from __future__ import annotations
@@ -24,12 +31,13 @@ from typing import Any
 
 from repro.core.state import RbacState
 from repro.exceptions import DataFormatError
-from repro.io.jsonio import state_from_dict, state_to_dict
+from repro.io.jsonio import state_from_dict
+from repro.io.statecodec import decode_state, encode_state
 
 __all__ = ["SnapshotMeta", "SnapshotStore", "SNAPSHOT_FORMAT", "SNAPSHOT_VERSION"]
 
 SNAPSHOT_FORMAT = "repro-rbac-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass
@@ -41,7 +49,8 @@ class SnapshotMeta:
     #: sequence reset).
     mutation_seq: int = 0
     #: ``RbacState.fingerprint()`` at save time; verified on load
-    #: against :meth:`RbacState.recompute_fingerprint`.
+    #: against the loaded state's fingerprint, a full pass over its
+    #: content (nothing has computed it before).
     fingerprint: str = ""
     #: Wall-clock save time (``time.time()``), informational only.
     saved_at: float = 0.0
@@ -82,19 +91,19 @@ class SnapshotStore:
 
     def save(self, state: RbacState, meta: SnapshotMeta) -> None:
         """Write a snapshot atomically (all-or-previous, never partial)."""
-        document = {
+        header = json.dumps({
             "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
             "meta": meta.to_dict(),
-            "state": state_to_dict(state),
-        }
+            "version": SNAPSHOT_VERSION,
+        }, sort_keys=True)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         handle, temp_name = tempfile.mkstemp(
             prefix=self.path.name + ".", suffix=".tmp", dir=self.path.parent
         )
         try:
-            with os.fdopen(handle, "w", encoding="utf-8") as out:
-                json.dump(document, out, sort_keys=True)
+            with os.fdopen(handle, "wb") as out:
+                out.write(header.encode("utf-8") + b"\n")
+                out.write(encode_state(state))
                 out.flush()
                 os.fsync(out.fileno())
             os.replace(temp_name, self.path)
@@ -107,27 +116,33 @@ class SnapshotStore:
 
     def load(self) -> tuple[RbacState, SnapshotMeta]:
         """Read a snapshot back; verifies format and fingerprint."""
+        with self.path.open("rb") as source:
+            line = source.readline()
+            blob = source.read()
         try:
-            document = json.loads(self.path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
+            header = json.loads(line)
+        except ValueError as error:
             raise DataFormatError(
                 f"corrupt snapshot {self.path}: {error}"
             ) from error
-        if not isinstance(document, dict) or (
-            document.get("format") != SNAPSHOT_FORMAT
+        if not isinstance(header, dict) or (
+            header.get("format") != SNAPSHOT_FORMAT
         ):
             raise DataFormatError(
                 f"{self.path} is not a {SNAPSHOT_FORMAT} file"
             )
-        if document.get("version") != SNAPSHOT_VERSION:
+        version = header.get("version")
+        if version not in (1, SNAPSHOT_VERSION):
             raise DataFormatError(
-                f"unsupported snapshot version: {document.get('version')!r}"
+                f"unsupported snapshot version: {version!r}"
             )
-        state = state_from_dict(document.get("state", {}))
-        meta = SnapshotMeta.from_dict(document.get("meta", {}))
-        if meta.fingerprint and (
-            state.recompute_fingerprint() != meta.fingerprint
-        ):
+        meta = SnapshotMeta.from_dict(header.get("meta", {}))
+        if version == 1:
+            # The line is the whole version 1 document, state included.
+            state = state_from_dict(header.get("state", {}))
+        else:
+            state = decode_state(blob)
+        if meta.fingerprint and state.fingerprint() != meta.fingerprint:
             raise DataFormatError(
                 f"snapshot {self.path} failed its fingerprint check "
                 "(file corrupted or edited since save)"

@@ -67,11 +67,18 @@ class TestEnqueue:
 
     def test_enqueue_is_idempotent(self, queue):
         first, created = queue.enqueue("sleep", {"seconds": 1})
+        conn = queue._connection()
+        changes, statements = conn.total_changes, []
+        conn.set_trace_callback(statements.append)
         again, created_again = queue.enqueue("sleep", {"seconds": 1})
+        conn.set_trace_callback(None)
         assert created and not created_again
         assert first.job_id == again.job_id
+        # A duplicate is a read-only probe: no write lock, no write.
+        assert conn.total_changes == changes
+        assert [s.split()[0] for s in statements] == ["SELECT"]
         assert queue.counts_by_state()["queued"] == 1
-        assert queue.counters()["jobs.deduplicated"] == 1
+        assert "jobs.deduplicated" not in queue.counters()
 
     def test_done_job_not_reenqueued(self, queue):
         record, _ = queue.enqueue("sleep", {"seconds": 1})

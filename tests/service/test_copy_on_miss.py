@@ -168,8 +168,6 @@ class TestQueue:
             assert second["created"] is False
             assert second["job_id"] == first["job_id"]
             assert spies == Counter()
-            stats = service.jobs.stats()
-            assert stats["counters"]["jobs.deduplicated"] == 1
             metrics = counters(service)
             assert metrics["service.analyze_dedup"] == 1
             assert metrics["service.state_copies"] == 1

@@ -159,9 +159,9 @@ class TestQueuedAnalyze:
         assert status == 202
         assert second["job_id"] == first["job_id"]
         assert second["created"] is False
-        stats = queue_service.jobs.stats()
-        assert stats["states"]["queued"] == 1
-        assert stats["counters"]["jobs.deduplicated"] == 1
+        assert queue_service.jobs.stats()["states"]["queued"] == 1
+        _, metricz, _ = queue_service.handle("GET", "/metricz")
+        assert metricz["counters"]["service.analyze_dedup"] == 1
 
     def test_different_config_is_a_different_job(self, queue_service):
         _, first, _ = queue_service.handle("POST", "/v1/analyze")

@@ -17,10 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.state as state_module
 from repro.core import AnalysisConfig, analyze
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
-from repro.service import AnalysisService, ServiceConfig, ServiceServer
+from repro.service import (
+    AnalysisService,
+    ServiceConfig,
+    ServiceServer,
+    SnapshotStore,
+)
 from repro.service.server import RETRY_AFTER_SECONDS
 from repro.util.jsontext import verbatim_json
 
@@ -536,6 +542,36 @@ class TestDrainAndSnapshot:
             restarted.state, restarted.config.analysis
         ).counts()
 
+    def test_warm_restart_hashes_the_content_once(
+        self, tmp_path, monkeypatch
+    ):
+        snapshot = tmp_path / "snap"
+        service = make_service(snapshot_path=snapshot)
+        post_mutations(service, [{"op": "add_user", "id": "persisted"}])
+        service.close()
+        passes = []
+        real = state_module._content_digest
+        monkeypatch.setattr(
+            state_module,
+            "_content_digest",
+            lambda state: passes.append(state) or real(state),
+        )
+        restarted = AnalysisService(
+            config=ServiceConfig(
+                warm_start=True,
+                refresh_mutations=None,
+                snapshot_path=snapshot,
+            )
+        )
+        try:
+            restarted.start()
+            # The load's fingerprint check is the one full pass; the
+            # auditor's copy and the warm analysis reuse its digest.
+            assert len(passes) == 1
+            assert restarted.state.has_user("persisted")
+        finally:
+            restarted.close()
+
     def test_close_without_snapshot_path_is_fine(self):
         service = make_service()
         service.close()
@@ -663,6 +699,7 @@ class TestHTTPBinding:
         finally:
             server.stop(reason="test-shutdown")
         assert snapshot.is_file()
-        meta = json.loads(snapshot.read_text())["meta"]
-        assert meta["extra"]["reason"] == "test-shutdown"
-        assert meta["mutation_seq"] == service.mutation_seq
+        state, meta = SnapshotStore(snapshot).load()
+        assert meta.extra["reason"] == "test-shutdown"
+        assert meta.mutation_seq == service.mutation_seq
+        assert state == service.state

@@ -8,8 +8,7 @@ analyses it once to warm up, then ``--repeat`` times records, per run:
 * each detector's time and ``analyze()``'s, with its full (gen-2) GC
   collections and their pauses (``Report.metrics["gc"]``);
 * ``Report.to_dict``, ``json.dumps(to_dict(), sort_keys=True)``,
-  ``Report.encode``, ``json.loads`` + ``Report.from_payload`` of the
-  encoded report, and ``Report.counts``;
+  ``Report.encode`` and ``Report.counts``;
 * the job plane's state codec: ``encode_state`` of the state,
   ``decode_state`` of its blob and ``analyze()`` of the decoded state
   (``analyze_decoded``);
@@ -48,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_VERSION = 1
 RUN_SPECIFIC = ("timings_seconds", "total_seconds", "metrics")
-STEPS = ("to_dict", "json_dumps", "encode", "from_payload", "counts")
+STEPS = ("to_dict", "json_dumps", "encode", "counts")
 CODEC_STEPS = ("encode_state", "decode_state", "analyze_decoded")
 
 
@@ -69,7 +68,7 @@ def clock(fn):
     return value, time.perf_counter() - start
 
 
-def one_run(state, analyze, Report) -> dict:
+def one_run(state, analyze) -> dict:
     report, analyze_s = clock(lambda: analyze(state))
     gc_stats = report.metrics["gc"]
     run = {
@@ -83,9 +82,6 @@ def one_run(state, analyze, Report) -> dict:
     text, run["json_dumps"] = clock(lambda: json.dumps(payload, sort_keys=True))
     encoded, run["encode"] = clock(report.encode)
     assert encoded == text.encode("utf-8"), "encode() != dumps(to_dict())"
-    _, run["from_payload"] = clock(
-        lambda: Report.from_payload(json.loads(encoded), state)
-    )
     _, run["counts"] = clock(report.counts)
     for key in RUN_SPECIFIC:
         del payload[key]
@@ -155,7 +151,6 @@ def main() -> int:
     args = parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from repro.core.engine import analyze
-    from repro.core.report import Report
     from repro.datagen import OrgProfile, generate_org
     from repro.io.statecodec import decode_state, encode_state
 
@@ -167,7 +162,7 @@ def main() -> int:
     analyze(state)  # warm-up: first analyses run slower
     runs = []
     for n in range(args.repeat):
-        runs.append(one_run(state, analyze, Report))
+        runs.append(one_run(state, analyze))
         runs[-1].update(codec_run(state, analyze, encode_state, decode_state))
         print(f"run {n + 1}: " + ", ".join(
             f"{key} {runs[-1][key]:.3f}s"

@@ -44,7 +44,15 @@ class Report:
         config: "AnalysisConfig | None" = None,
         metrics: dict | None = None,
     ) -> None:
-        self.state = state
+        #: The analysed state's sizes, taken when the report is built, so
+        #: the report stays as it was when the state later changes.
+        self.dataset: dict[str, int] = {
+            "users": state.n_users,
+            "roles": state.n_roles,
+            "permissions": state.n_permissions,
+            "user_assignments": state.n_user_assignments,
+            "permission_assignments": state.n_permission_assignments,
+        }
         if not isinstance(findings, Findings):
             findings = Findings([list(findings)])
         #: The findings, in detection order, as bucket columns and records.
@@ -71,23 +79,20 @@ class Report:
     ) -> "Report":
         """Rebuild a report from its :meth:`to_dict` payload.
 
-        The inverse serialisation used when a report crosses a process
-        boundary as JSON — a queue worker computes and ships the
-        encoded report; the service reattaches its own ``state``
-        (the payload only carries dataset *counts*) and gets live
-        findings back for diffing and rendering.  Derived sections of
-        the payload (``counts``, ``consolidation``, ``n_findings``) are
-        not stored — they are recomputed from the findings, so a
-        reconstructed report re-serialises byte-identically.  A finding
-        a bucket writes as it stands goes back into that bucket's
-        columns (see :meth:`Findings.from_dicts`).
+        Every finding comes back as a :class:`Finding` record
+        (:meth:`Finding.from_dict`), so the rebuilt report counts, diffs
+        and re-serialises byte-identically.  The payload's derived
+        sections (``dataset``, ``counts``, ``consolidation``,
+        ``n_findings``) are not read: the dataset sizes come from
+        ``state``, the rest from the findings.  Nothing in the service
+        uses it; a client reads a job result with ``json.loads``.
         """
         from repro.core.engine import AnalysisConfig
 
         config_payload = payload.get("config")
         return cls(
             state=state,
-            findings=Findings.from_dicts(payload.get("findings", [])),
+            findings=map(Finding.from_dict, payload.get("findings", [])),
             timings=payload.get("timings_seconds", {}),
             total_seconds=payload.get("total_seconds", 0.0),
             config=(
@@ -151,7 +156,7 @@ class Report:
         ``group size - 1`` roles; the paper's headline is that this alone
         is ~10% of all roles in the real dataset.
         """
-        return _Tally(self.parts).consolidation(self.state.n_roles)
+        return _Tally(self.parts).consolidation(self.dataset["roles"])
 
     # ------------------------------------------------------------------
     # Rendering
@@ -194,16 +199,10 @@ class Report:
         """Every member of :meth:`to_dict` but the findings."""
         tally = _Tally(self.parts)
         return {
-            "dataset": {
-                "users": self.state.n_users,
-                "roles": self.state.n_roles,
-                "permissions": self.state.n_permissions,
-                "user_assignments": self.state.n_user_assignments,
-                "permission_assignments": self.state.n_permission_assignments,
-            },
+            "dataset": dict(self.dataset),
             "config": self.config_dict(),
             "counts": tally.counts(),
-            "consolidation": tally.consolidation(self.state.n_roles),
+            "consolidation": tally.consolidation(self.dataset["roles"]),
             "timings_seconds": dict(self.timings),
             "total_seconds": self.total_seconds,
             "metrics": dict(self.metrics),
@@ -215,11 +214,12 @@ class Report:
 
     def to_text(self, max_findings: int = 20) -> str:
         """Human-readable summary (the CLI's default output)."""
+        dataset = self.dataset
         lines = [
             "RBAC inefficiency report",
             "========================",
-            f"dataset: {self.state.n_users} users, {self.state.n_roles} "
-            f"roles, {self.state.n_permissions} permissions",
+            f"dataset: {dataset['users']} users, {dataset['roles']} "
+            f"roles, {dataset['permissions']} permissions",
             f"analysis time: {self.total_seconds:.3f}s",
             "",
             "counts by inefficiency:",
@@ -307,12 +307,13 @@ class Report:
 
     def to_markdown(self) -> str:
         """Markdown rendering with the counts as a table."""
+        dataset = self.dataset
         lines = [
             "# RBAC inefficiency report",
             "",
-            f"- **Users:** {self.state.n_users}",
-            f"- **Roles:** {self.state.n_roles}",
-            f"- **Permissions:** {self.state.n_permissions}",
+            f"- **Users:** {dataset['users']}",
+            f"- **Roles:** {dataset['roles']}",
+            f"- **Permissions:** {dataset['permissions']}",
             f"- **Analysis time:** {self.total_seconds:.3f}s",
             "",
             "| Inefficiency | Count |",

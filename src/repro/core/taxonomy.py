@@ -216,9 +216,8 @@ class Finding:
         """Rebuild a finding from its :meth:`to_dict` payload.
 
         Round-trip inverse (``Finding.from_dict(f.to_dict()) == f``):
-        lets reports cross process boundaries as JSON — the job plane's
-        workers ship serialised reports back to the service, which needs
-        real :class:`Finding` objects again for diffing and rendering.
+        :meth:`Report.from_payload <repro.core.report.Report.from_payload>`
+        rebuilds a serialised report's findings with it.
         """
         group_payload = payload.get("group")
         group = (
@@ -313,23 +312,6 @@ class BucketSpec:
         if axis is not None:
             record["axis"] = axis
         return record
-
-    def read(self, item: Mapping[str, Any]) -> tuple[str, int | None] | None:
-        """The row whose :meth:`record` equals ``item``, if there is one."""
-        ids = item.get("entity_ids")
-        if type(ids) is not list or len(ids) != 1 or type(ids[0]) is not str:
-            return None
-        detail = None
-        if self.detail is not None:
-            details = item.get("details")
-            if type(details) is not dict:
-                return None
-            detail = details.get(self.detail)
-            if type(detail) is not int:
-                return None
-        if item != self.record(ids[0], detail):
-            return None
-        return ids[0], detail
 
     @cached_property
     def _values(self) -> tuple[str, str, str, str | None]:
@@ -433,26 +415,6 @@ SINGLE_PERMISSION_ROLES = BucketSpec(
     Axis.PERMISSIONS,
     "role {0!r} has exactly one permission",
 )
-
-#: Every bucket, by the ``(type, entity_kind, axis)`` values a record
-#: carries (``axis`` is ``None`` where the record has none).
-_BUCKET_OF_KEY: Mapping[tuple[str, str, str | None], BucketSpec] = {
-    (
-        spec.type.value,
-        spec.entity_kind.value,
-        spec.axis.value if spec.axis is not None else None,
-    ): spec
-    for spec in (
-        STANDALONE_USERS,
-        STANDALONE_PERMISSIONS,
-        STANDALONE_ROLES,
-        ROLES_WITHOUT_USERS,
-        ROLES_WITHOUT_PERMISSIONS,
-        SINGLE_USER_ROLES,
-        SINGLE_PERMISSION_ROLES,
-    )
-}
-
 
 class Bucket:
     """The findings of one :class:`BucketSpec`, as columns: the entity
@@ -608,35 +570,6 @@ class Findings(Sequence[Finding]):
         self._findings: list[Finding] | None = None
         for part in parts:
             self.add(part)
-
-    @classmethod
-    def from_dicts(cls, items: Iterable[Mapping[str, Any]]) -> "Findings":
-        """Findings from :meth:`Finding.to_dict` payloads, in their order.
-
-        A payload a bucket would write exactly as it stands joins that
-        bucket; any other is rebuilt with :meth:`Finding.from_dict`.
-        """
-        found = cls()
-        parts = found.parts
-        for item in items:
-            try:
-                spec = _BUCKET_OF_KEY.get(
-                    (item.get("type"), item.get("entity_kind"), item.get("axis"))
-                )
-            except TypeError:  # an unhashable value: no bucket's record
-                spec = None
-            row = spec.read(item) if spec is not None else None
-            if row is None:
-                found.add([Finding.from_dict(item)])
-                continue
-            last = parts[-1] if parts else None
-            if not isinstance(last, Bucket) or last.spec is not spec:
-                last = Bucket(spec, [], [] if spec.detail else None)
-                parts.append(last)
-            last.ids.append(row[0])
-            if last.details is not None:
-                last.details.append(row[1])
-        return found
 
     def add(self, part: Bucket | list[Finding]) -> None:
         """Append a part; an empty one is dropped, and records following

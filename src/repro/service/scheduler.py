@@ -44,9 +44,14 @@ class RefreshScheduler:
                 "refresh_mutations must be >= 1 or None "
                 f"(got {refresh_mutations})"
             )
-        if refresh_seconds is not None and refresh_seconds <= 0:
+        # Chained so that nan fails too; the upper end is the longest
+        # wait a thread can make (inf would overflow it).
+        if refresh_seconds is not None and not (
+            0 < refresh_seconds <= threading.TIMEOUT_MAX
+        ):
             raise ConfigurationError(
-                f"refresh_seconds must be > 0 or None (got {refresh_seconds})"
+                f"refresh_seconds must be in (0, {threading.TIMEOUT_MAX:g}] "
+                f"or None (got {refresh_seconds})"
             )
         self._runner = runner
         self.refresh_mutations = refresh_mutations

@@ -188,3 +188,40 @@ class TestMetricsRendering:
         bare = Report(state=paper_example, findings=[])
         assert "metrics (" not in bare.to_text()
         assert "## Metrics" not in bare.to_markdown()
+
+
+class TestReportIsAValue:
+    def test_report_does_not_drift_when_its_state_changes(self):
+        from repro.datagen import OrgProfile, generate_org
+
+        state = generate_org(OrgProfile.small(divisor=100, seed=1)).state
+        report = analyze(state)
+        encoded = report.encode()
+        text = report.to_text()
+        markdown = report.to_markdown()
+        consolidation = report.consolidation_potential()
+        counts = report.counts()
+        assert json.loads(encoded)["dataset"]["roles"] == 500
+        assert consolidation["total_roles"] == 500
+
+        for i in range(50):
+            state.add_role(f"drift-{i}")
+
+        assert state.n_roles == 550
+        assert report.encode() == encoded
+        assert report.to_text() == text
+        assert report.to_markdown() == markdown
+        assert report.consolidation_potential() == consolidation
+        assert report.counts() == counts
+
+    def test_report_keeps_no_state(self, paper_example):
+        report = analyze(paper_example)
+        assert not hasattr(report, "state")
+        assert report.dataset == {
+            "users": paper_example.n_users,
+            "roles": paper_example.n_roles,
+            "permissions": paper_example.n_permissions,
+            "user_assignments": paper_example.n_user_assignments,
+            "permission_assignments": paper_example.n_permission_assignments,
+        }
+        assert report.to_dict()["dataset"] == report.dataset

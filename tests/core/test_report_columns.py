@@ -145,13 +145,6 @@ def per_finding_types_1_to_3(context: AnalysisContext) -> list[Finding]:
     return found
 
 
-SINGLE_ENTITY_TYPES = {
-    InefficiencyType.STANDALONE_NODE,
-    InefficiencyType.DISCONNECTED_ROLE,
-    InefficiencyType.SINGLE_ASSIGNMENT_ROLE,
-}
-
-
 def per_finding_detection(state: RbacState, config: AnalysisConfig):
     """Every finding in the order the per-finding engine collected them
     (``config`` enables types 1-3, which run first)."""
@@ -275,9 +268,6 @@ class TestChurnedStates:
         assert rebuilt.findings == [
             Finding.from_dict(item) for item in payload["findings"]
         ]
-        assert not any(
-            f.type in SINGLE_ENTITY_TYPES for f in rebuilt.parts.records()
-        ), "every type 1-3 finding goes back into a bucket"
 
     def test_diff_matches_the_per_finding_diff(self, churned, config):
         newer = churned.copy()
@@ -446,7 +436,6 @@ def test_bucket_rows_are_the_findings_they_stand_for(ids, data):
         assert bucket.texts() == [
             json.dumps(f.to_dict(), sort_keys=True) for f in findings
         ]
-        assert Findings.from_dicts(bucket.dicts()).parts[0].ids == ids
 
 
 @settings(max_examples=300, deadline=None)

@@ -53,7 +53,9 @@ class TestHierarchyThenDetection:
             through["roles_same_permissions"]
             >= 0  # sanity: analysis runs
         )
-        assert flat_report.state.n_roles == flattened_report.state.n_roles
+        assert (
+            flat_report.dataset["roles"] == flattened_report.dataset["roles"]
+        )
 
     def test_hierarchy_lint_flags_redundancy(self, org):
         roles = org.role_ids()[:3]

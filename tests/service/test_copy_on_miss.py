@@ -10,10 +10,12 @@ fingerprint pass and ``encode_state``.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import sys
 import threading
+import types
 from collections import Counter
 
 import pytest
@@ -152,6 +154,35 @@ class TestInline:
             if entry["endpoint"] == "POST /v1/analyze"
         )
         assert snapshotted == [False, True]
+
+    def test_cache_entry_reaches_no_state(self):
+        service = make_service()
+        assert analyze(service)["cache"] == "miss"
+        entries = list(service.cache._entries.values())
+        assert len(entries) == 1
+        assert reachable_states(entries) == 0
+
+
+def reachable_states(roots: list) -> int:
+    """The :class:`RbacState` objects reachable from ``roots`` through
+    ``gc.get_referents``; classes, modules and functions are not walked
+    (through their globals they reach everything)."""
+    seen: set[int] = set()
+    stack = list(roots)
+    found = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, RbacState):
+            found += 1
+            continue
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.MethodType)
 
 
 class TestQueue:

@@ -11,6 +11,7 @@ from repro.core import AnalysisConfig, analyze
 from repro.core.reportdiff import ReportDiff
 from repro.core.state import RbacState
 from repro.exceptions import ConfigurationError
+from repro.service import AnalysisService, ServiceConfig
 from repro.service.scheduler import RefreshScheduler
 
 
@@ -50,6 +51,20 @@ class TestConfiguration:
             RefreshScheduler(lambda: None, refresh_mutations=0)
         with pytest.raises(ConfigurationError):
             RefreshScheduler(lambda: None, refresh_seconds=0)
+
+    @pytest.mark.parametrize(
+        "seconds",
+        [float("nan"), float("inf"), threading.TIMEOUT_MAX * 2],
+        ids=["nan", "inf", "past-timeout-max"],
+    )
+    def test_refresh_seconds_beyond_a_thread_wait_is_rejected(self, seconds):
+        # nan made the loop spin; inf overflowed the condition wait.
+        with pytest.raises(ConfigurationError, match="refresh_seconds"):
+            RefreshScheduler(lambda: None, refresh_seconds=seconds)
+        with pytest.raises(ConfigurationError, match="refresh_seconds"):
+            AnalysisService(
+                RbacState(), ServiceConfig(refresh_seconds=seconds)
+            )
 
     def test_disabled_scheduler_never_starts(self):
         scheduler = RefreshScheduler(RecordingRunner())

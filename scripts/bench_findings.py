@@ -16,7 +16,10 @@ analyses it once to warm up, then ``--repeat`` times records, per run:
 and reports the median of each, with the SHA-256 of the report without
 its run-specific members (``timings_seconds``, ``total_seconds``,
 ``metrics``).  After the runs it checks that the decoded state equals
-the generated one, ``recompute_fingerprint()`` included.  Each run is written under ``--label`` into ``--out``
+the generated one, ``recompute_fingerprint()`` included, and that the
+report encodes byte-identically to a report of the same findings held
+as records alone (``Findings([list(report.findings)])``), which checks
+the column writers of every finding type.  Each run is written under ``--label`` into ``--out``
 (``BENCH_findings.json`` at the repo root), next to the runs of other
 labels; once both ``parent`` and ``change`` are there the script
 prints the ratios and fails unless their report digests and their
@@ -151,6 +154,7 @@ def main() -> int:
     args = parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from repro.core.engine import analyze
+    from repro.core.report import Report
     from repro.datagen import OrgProfile, generate_org
     from repro.io.statecodec import decode_state, encode_state
 
@@ -177,6 +181,20 @@ def main() -> int:
     decoded, original = decode_state(blob), state.copy()
     assert decoded == original, "decode_state(encode_state(state)) != state"
     assert decoded.recompute_fingerprint() == original.recompute_fingerprint()
+    del decoded, original
+    report = analyze(state)
+    records = Report(
+        state,
+        list(report.findings),  # held as records alone
+        report.timings,
+        report.total_seconds,
+        report.config,
+        report.metrics,
+    )
+    assert report.encode() == records.encode(), (
+        "the columned report encodes differently from its records"
+    )
+    del report, records
     summary["environment"] = {
         "python": platform.python_version(),
         "cpus": len(os.sched_getaffinity(0)),

@@ -54,14 +54,13 @@ def csr_row_keys(matrix: npt.ArrayLike | sp.spmatrix) -> list[bytes]:
     densifies, so it scales to the real-organisation matrix sizes
     (tens of thousands of roles x hundreds of thousands of permissions).
     """
-    csr = to_csr(matrix).copy()
-    csr.sort_indices()
-    indptr = csr.indptr
-    indices = csr.indices.astype(np.int64)
-    return [
-        indices[indptr[row] : indptr[row + 1]].tobytes()
-        for row in range(csr.shape[0])
-    ]
+    csr = to_csr(matrix)
+    if not csr.has_sorted_indices:
+        csr = csr.sorted_indices()
+    # Each row's key is its slice of one buffer of every row's indices.
+    buffer = csr.indices.astype(np.int64).tobytes()
+    ends = (csr.indptr.astype(np.int64) * 8).tolist()
+    return [buffer[start:end] for start, end in zip(ends, ends[1:])]
 
 
 def row_content_classes(

@@ -1079,10 +1079,15 @@ def _work_main(args: argparse.Namespace) -> dict[str, int]:
 def _cmd_work(args: argparse.Namespace) -> int:
     import signal
 
+    from repro.jobs import JobQueue, JobWorker
+
     if args.workers < 1:
         print(f"error: --workers must be >= 1 (got {args.workers})",
               file=sys.stderr)
         return 2
+    # Before anything is attached, opened or spawned.
+    JobQueue.check_options(args.lease, args.max_attempts)
+    JobWorker.check_options(args.poll, args.max_jobs, args.idle_exit)
     if args.workers == 1:
         from repro.jobs import default_worker_id
 

@@ -64,7 +64,7 @@ class Detector(ABC):
         """Return all findings of this detector's type.
 
         A list of records, or :class:`~repro.core.taxonomy.Findings`
-        whose buckets hold single-entity findings as columns.
+        whose column parts hold single-entity findings or role groups.
         Implementations must be read-only with respect to the state and
         deterministic: equal inputs yield equal findings in equal order.
         """

@@ -7,20 +7,18 @@ detector runs a group finder with ``max_differences = 0`` on each axis.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.detectors.base import AnalysisContext, Detector
-from repro.core.entities import EntityKind
 from repro.core.grouping import GroupFinder, make_group_finder
 from repro.core.matrices import AssignmentMatrix
 from repro.core.taxonomy import (
-    DEFAULT_SEVERITY,
     Axis,
-    Finding,
+    Findings,
+    GroupSpec,
+    Groups,
     InefficiencyType,
-    RoleGroup,
 )
-from repro.obs import current_recorder
+from repro.obs import ARTIFACT_HITS, current_recorder
+from repro.util import flatten_groups
 
 
 class DuplicateRolesDetector(Detector):
@@ -48,14 +46,15 @@ class DuplicateRolesDetector(Detector):
         )
         self._axes = tuple(axes)
 
-    def detect(self, context: AnalysisContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for axis in self._axes:
-            matrix = context.ruam if axis is Axis.USERS else context.rpam
-            findings.extend(
-                self._detect_axis(matrix, context.workspace.axis(axis), axis)
+    def detect(self, context: AnalysisContext) -> Findings:
+        return Findings(
+            self._detect_axis(
+                context.ruam if axis is Axis.USERS else context.rpam,
+                context.workspace.axis(axis),
+                axis,
             )
-        return findings
+            for axis in self._axes
+        )
 
     def warm(self, context: AnalysisContext) -> None:
         """Register the k = 0 scan need on every analysed axis."""
@@ -66,10 +65,7 @@ class DuplicateRolesDetector(Detector):
 
     def _detect_axis(
         self, matrix: AssignmentMatrix, workspace, axis: Axis
-    ) -> list[Finding]:
-        severity = DEFAULT_SEVERITY[InefficiencyType.DUPLICATE_ROLES]
-        noun = axis.value  # "users" / "permissions"
-        findings = []
+    ) -> Groups:
         with current_recorder().span(
             f"axis:{axis.value}", detector=self.name
         ) as span:
@@ -77,42 +73,22 @@ class DuplicateRolesDetector(Detector):
                 index_groups = self._finder.find_groups_in(workspace, 0)
             else:
                 index_groups = []
-            groups = matrix.groups_to_ids(
-                [
-                    np.take(workspace.original, group).tolist()
-                    for group in index_groups
-                ]
+            members, bounds = flatten_groups(index_groups)
+            span.add("duplicates.groups", len(index_groups))
+            span.add("duplicates.roles_grouped", len(members))
+            spec = GroupSpec(InefficiencyType.DUPLICATE_ROLES, axis)
+            if not index_groups:
+                return Groups(spec, [], [0], [])
+            # One read of ``original`` and ``norms`` serves every group.
+            # The memo counts a hit of each per group, as it did when
+            # they were read group by group, so the run's counters (which
+            # the report carries) keep their values.
+            span.add(ARTIFACT_HITS, 2 * len(index_groups) - 2)
+            # Every member of a group has the same row content; the
+            # shared-element count is the first member's norm.
+            return Groups(
+                spec,
+                matrix.row_ids_at(workspace.original[members]),
+                bounds.tolist(),
+                workspace.norms[members[bounds[:-1]]].tolist(),
             )
-            span.add("duplicates.groups", len(groups))
-            span.add(
-                "duplicates.roles_grouped", sum(len(g) for g in groups)
-            )
-        for index_group, role_ids in zip(index_groups, groups):
-            group = RoleGroup(
-                role_ids=tuple(role_ids), axis=axis, max_differences=0
-            )
-            # Every member of the group has the same row content; the
-            # shared-element count is the first member's norm, read from
-            # the workspace instead of re-slicing the CSR per group.
-            shared_count = int(workspace.norms[index_group[0]])
-            findings.append(
-                Finding(
-                    type=InefficiencyType.DUPLICATE_ROLES,
-                    entity_kind=EntityKind.ROLE,
-                    entity_ids=tuple(role_ids),
-                    severity=severity,
-                    message=(
-                        f"{len(role_ids)} roles share the same "
-                        f"{shared_count} {noun}: {', '.join(role_ids[:5])}"
-                        + ("…" if len(role_ids) > 5 else "")
-                    ),
-                    axis=axis,
-                    group=group,
-                    details={
-                        "group_size": len(role_ids),
-                        "shared_count": shared_count,
-                        "redundant_roles": group.redundant_count,
-                    },
-                )
-            )
-        return findings

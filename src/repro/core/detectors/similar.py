@@ -15,18 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.detectors.base import AnalysisContext, Detector
-from repro.core.entities import EntityKind
 from repro.core.grouping import GroupFinder, make_group_finder
 from repro.core.matrices import AssignmentMatrix
 from repro.core.taxonomy import (
-    DEFAULT_SEVERITY,
     Axis,
-    Finding,
+    Findings,
+    GroupSpec,
+    Groups,
     InefficiencyType,
-    RoleGroup,
 )
 from repro.exceptions import ConfigurationError
 from repro.obs import current_recorder
+from repro.util import flatten_groups
 
 
 class SimilarRolesDetector(Detector):
@@ -68,14 +68,15 @@ class SimilarRolesDetector(Detector):
         self._axes = tuple(axes)
         self._collapse_duplicates = collapse_duplicates
 
-    def detect(self, context: AnalysisContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for axis in self._axes:
-            matrix = context.ruam if axis is Axis.USERS else context.rpam
-            findings.extend(
-                self._detect_axis(matrix, context.workspace.axis(axis), axis)
+    def detect(self, context: AnalysisContext) -> Findings:
+        return Findings(
+            self._detect_axis(
+                context.ruam if axis is Axis.USERS else context.rpam,
+                context.workspace.axis(axis),
+                axis,
             )
-        return findings
+            for axis in self._axes
+        )
 
     def warm(self, context: AnalysisContext) -> None:
         """Register the finder's needs on the (collapsed) view per axis."""
@@ -92,12 +93,15 @@ class SimilarRolesDetector(Detector):
 
     def _detect_axis(
         self, matrix: AssignmentMatrix, workspace, axis: Axis
-    ) -> list[Finding]:
+    ) -> Groups:
+        spec = GroupSpec(
+            InefficiencyType.SIMILAR_ROLES, axis, self._max_differences
+        )
         with current_recorder().span(
             f"axis:{axis.value}", detector=self.name
         ) as span:
             if workspace.n_rows == 0:
-                return []
+                return Groups(spec, [], [0], [])
 
             if self._collapse_duplicates:
                 view = workspace.collapsed()
@@ -116,39 +120,12 @@ class SimilarRolesDetector(Detector):
                 view, self._max_differences
             )
             span.add("similar.groups", len(groups))
-
-        severity = DEFAULT_SEVERITY[InefficiencyType.SIMILAR_ROLES]
-        noun = axis.value
-        findings = []
-        for group in groups:
-            role_ids = [
-                matrix.row_id(int(to_original[member])) for member in group
-            ]
-            role_group = RoleGroup(
-                role_ids=tuple(role_ids),
-                axis=axis,
-                max_differences=self._max_differences,
+            members, bounds = flatten_groups(groups)
+            # The roles a group represents: its members' class sizes.
+            represented = np.add.reduceat(class_sizes[members], bounds[:-1])
+            return Groups(
+                spec,
+                matrix.row_ids_at(to_original[members]),
+                bounds.tolist(),
+                represented.tolist(),
             )
-            represented = int(sum(class_sizes[member] for member in group))
-            findings.append(
-                Finding(
-                    type=InefficiencyType.SIMILAR_ROLES,
-                    entity_kind=EntityKind.ROLE,
-                    entity_ids=tuple(role_ids),
-                    severity=severity,
-                    message=(
-                        f"{len(role_ids)} roles have {noun} differing by at "
-                        f"most {self._max_differences}: "
-                        + ", ".join(role_ids[:5])
-                        + ("…" if len(role_ids) > 5 else "")
-                    ),
-                    axis=axis,
-                    group=role_group,
-                    details={
-                        "group_size": len(role_ids),
-                        "max_differences": self._max_differences,
-                        "represented_roles": represented,
-                    },
-                )
-            )
-        return findings

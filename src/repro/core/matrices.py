@@ -165,8 +165,11 @@ class AssignmentMatrix:
 
     def rows_where(self, mask: npt.NDArray[np.bool_]) -> list[str]:
         """Role ids of the rows ``mask`` selects, in row order."""
-        indices = np.flatnonzero(mask).tolist()
-        return list(map(self._row_ids.__getitem__, indices))
+        return self.row_ids_at(np.flatnonzero(mask))
+
+    def row_ids_at(self, indices: npt.NDArray[np.integer]) -> list[str]:
+        """Role ids of the rows at ``indices``, in their order."""
+        return list(map(self._row_ids.__getitem__, indices.tolist()))
 
     # ------------------------------------------------------------------
     # Label mapping helpers
@@ -183,10 +186,6 @@ class AssignmentMatrix:
     @cached_property
     def _row_index_map(self) -> dict[str, int]:
         return {row_id: i for i, row_id in enumerate(self._row_ids)}
-
-    def groups_to_ids(self, groups: Sequence[Sequence[int]]) -> list[list[str]]:
-        """Map index groups from a group finder back to role ids."""
-        return [[self._row_ids[int(i)] for i in group] for group in groups]
 
     def __repr__(self) -> str:
         return f"AssignmentMatrix(shape={self.shape})"

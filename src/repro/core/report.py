@@ -5,7 +5,8 @@ statistics shaped like the paper's §IV-B narrative (one count per
 inefficiency type and axis) and renders to plain text, Markdown, or JSON.
 
 The findings are held as :class:`~repro.core.taxonomy.Findings` parts:
-counts and the JSON writer read the bucket columns, and
+counts and the JSON writer read the columns of the single-entity buckets
+(types 1-3) and of the role groups (types 4-5), and
 :class:`~repro.core.taxonomy.Finding` objects are built only for the
 callers that ask for them (``findings``, ``of_type``, the renderers).
 """
@@ -24,6 +25,7 @@ from repro.core.taxonomy import (
     Axis,
     Finding,
     Findings,
+    Groups,
     InefficiencyType,
 )
 from repro.util.jsontext import verbatim_json
@@ -55,7 +57,7 @@ class Report:
         }
         if not isinstance(findings, Findings):
             findings = Findings([list(findings)])
-        #: The findings, in detection order, as bucket columns and records.
+        #: The findings, in detection order, as column parts and records.
         self.parts = findings
         self.timings: dict[str, float] = dict(timings or {})
         self.total_seconds = total_seconds
@@ -366,15 +368,19 @@ _ENTITY_IDS = attrgetter("entity_ids")
 class _Tally:
     """Every count of a report from one pass over its parts: findings
     per ``(type, entity kind, axis)``, roles per ``(type, axis)`` of the
-    records and removable roles per axis."""
+    role groups and records, and removable roles per axis."""
 
     def __init__(self, parts: Findings) -> None:
         findings: Counter[tuple] = Counter()
         roles: Counter[tuple] = Counter()
         removable = {Axis.USERS: 0, Axis.PERMISSIONS: 0}
-        for bucket in parts.buckets():
-            spec = bucket.spec
-            findings[spec.type, spec.entity_kind, spec.axis] += len(bucket)
+        for part in parts.columns():
+            spec = part.spec
+            findings[spec.type, spec.entity_kind, spec.axis] += len(part)
+            if isinstance(part, Groups):
+                roles[spec.type, spec.axis] += len(part.ids)
+                if spec.type is InefficiencyType.DUPLICATE_ROLES:
+                    removable[spec.axis] += len(part.ids) - len(part)
         # Records come in runs of one detector's findings: one key (and
         # one hash of its enum members) per run, not per record.
         for key, run in groupby(parts.records(), _RECORD_KEY):

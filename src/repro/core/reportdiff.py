@@ -98,7 +98,7 @@ def diff_reports(old: Report, new: Report) -> ReportDiff:
 
     Both reports should come from the same analysis configuration;
     otherwise "new"/"resolved" mostly reflects the configuration change.
-    Keys are read from the bucket columns; only the new and resolved
+    Keys are read from the column parts; only the new and resolved
     findings are built.
     """
     old_by_key = _by_key(old.parts)
@@ -128,17 +128,22 @@ def diff_reports(old: Report, new: Report) -> ReportDiff:
 
 def _by_key(findings: Findings) -> dict[FindingKey, Any]:
     """Each finding's key, to the finding itself (a record) or to its
-    ``(bucket, row)``; of findings with equal keys the last one counts."""
+    ``(part, row)`` in a column part; of findings with equal keys the last
+    one counts."""
     by_key: dict[FindingKey, Any] = {}
     for part in findings.parts:
-        if not isinstance(part, Bucket):
+        if isinstance(part, list):
             by_key.update((finding_key(f), f) for f in part)
             continue
         spec = part.spec
         type_, axis = spec.type.value, spec.axis.value if spec.axis else ""
+        ids = (
+            zip(part.ids)  # one id per row: sorted already
+            if isinstance(part, Bucket)
+            else map(tuple, map(sorted, part.entity_ids()))
+        )
         by_key.update(
-            ((type_, axis, (entity_id,)), (part, row))
-            for row, entity_id in enumerate(part.ids)
+            ((type_, axis, key), (part, row)) for row, key in enumerate(ids)
         )
     return by_key
 
@@ -146,5 +151,5 @@ def _by_key(findings: Findings) -> dict[FindingKey, Any]:
 def _finding(located: Any) -> Finding:
     if isinstance(located, Finding):
         return located
-    bucket, row = located
-    return bucket.finding(row)
+    part, row = located
+    return part.finding(row)

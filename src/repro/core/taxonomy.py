@@ -6,11 +6,14 @@ carry an :class:`Axis` discriminating which side was analysed.  A
 a suggested (never auto-applied) remediation.
 
 A report holds its findings as :class:`Findings`: an ordered list of
-parts.  The single-entity findings of types 1-3 come in a
-:class:`Bucket` per ``(type, entity_kind, axis)`` — a column of entity
-ids and, where the type has one, a column of detail counts — and are
-written to JSON straight from those columns; role groups (types 4-5
-and the shadowed-role extension) stay :class:`Finding` records.
+parts, each written to JSON straight from its columns.  The
+single-entity findings of types 1-3 come in a :class:`Bucket` per
+``(type, entity_kind, axis)``: a column of entity ids and, where the
+type has one, a column of detail counts.  The role groups of types 4-5
+come in a :class:`Groups` per ``(type, axis)``: the member role ids as
+one flat column with group bounds, and one count per group.  Only the
+shadowed-role extension (and a report rebuilt from its payload) keeps
+:class:`Finding` records.
 """
 
 from __future__ import annotations
@@ -447,6 +450,10 @@ class Bucket:
             return [self.ids]
         return [self.ids, self.details]
 
+    def entity_ids(self) -> list[tuple[str]]:
+        """Each row's ``Finding.entity_ids``."""
+        return list(zip(self.ids))
+
     def finding(self, row: int) -> Finding:
         return self.spec.finding(*(column[row] for column in self._columns()))
 
@@ -478,42 +485,226 @@ class Bucket:
         return list(map(self.spec.text.__mod__, zip(*slots)))
 
 
+@dataclass(frozen=True)
+class GroupSpec:
+    """The role groups one detector finds on one axis: duplicate roles
+    (type 4, ``max_differences`` 0) or similar roles (type 5, the
+    threshold k), and the text they carry.
+
+    A group's count is the ``shared_count`` of a duplicate group and
+    the ``represented_roles`` of a similar one.  The message names the
+    axis (its noun) and the first five members.
+    """
+
+    type: InefficiencyType
+    axis: Axis
+    max_differences: int = 0
+
+    @property
+    def entity_kind(self) -> EntityKind:
+        return EntityKind.ROLE
+
+    @property
+    def severity(self) -> Severity:
+        return DEFAULT_SEVERITY[self.type]
+
+    @cached_property
+    def template(self) -> str:
+        """The message, formatted with the group size (``{0}``), its
+        count (``{1}``) and its first members (``{2}``)."""
+        noun = self.axis.value
+        if self.type is InefficiencyType.DUPLICATE_ROLES:
+            return f"{{0}} roles share the same {{1}} {noun}: {{2}}"
+        return (
+            f"{{0}} roles have {noun} differing by at most "
+            f"{self.max_differences}: {{2}}"
+        )
+
+    def message(self, role_ids: Sequence[str], count: int) -> str:
+        shown = ", ".join(role_ids[:5]) + ("…" if len(role_ids) > 5 else "")
+        return self.template.format(len(role_ids), count, shown)
+
+    def details(self, size: int, count: int) -> dict[str, int]:
+        if self.type is InefficiencyType.DUPLICATE_ROLES:
+            return {
+                "group_size": size,
+                "shared_count": count,
+                "redundant_roles": size - 1,
+            }
+        return {
+            "group_size": size,
+            "max_differences": self.max_differences,
+            "represented_roles": count,
+        }
+
+    def finding(self, role_ids: tuple[str, ...], count: int) -> Finding:
+        """The finding of one group."""
+        return Finding(
+            type=self.type,
+            entity_kind=EntityKind.ROLE,
+            entity_ids=role_ids,
+            severity=self.severity,
+            message=self.message(role_ids, count),
+            axis=self.axis,
+            group=RoleGroup(role_ids, self.axis, self.max_differences),
+            details=self.details(len(role_ids), count),
+        )
+
+    def record(self, role_ids: Sequence[str], count: int) -> dict:
+        """``Finding.to_dict()`` of one group, without the finding."""
+        type_, entity_kind, severity, axis = self._values
+        return {
+            "type": type_,
+            "entity_kind": entity_kind,
+            "entity_ids": list(role_ids),
+            "severity": severity,
+            "message": self.message(role_ids, count),
+            "details": self.details(len(role_ids), count),
+            "axis": axis,
+            "group": {
+                "role_ids": list(role_ids),
+                "axis": axis,
+                "max_differences": self.max_differences,
+            },
+        }
+
+    @cached_property
+    def _values(self) -> tuple[str, str, str, str]:
+        """The enum values a record carries, looked up once."""
+        return (
+            self.type.value,
+            EntityKind.ROLE.value,
+            self.severity.value,
+            self.axis.value,
+        )
+
+    @cached_property
+    def plain_text(self) -> list[str]:
+        """One group as ``json.dumps(record, sort_keys=True)`` writes it
+        when its ids are plain (:func:`_plain`), cut at its slots: the
+        size, (the redundant roles of a duplicate group,) the count, the
+        joined ids twice, the size, (the count of a duplicate group,)
+        and the shown ids."""
+        k = self.max_differences
+        # JSON text never holds a raw NUL, so NULs mark the slots.
+        details = dict.fromkeys(self.details(0, 0), "\0")
+        if "max_differences" in details:  # a constant of a similar group
+            details["max_differences"] = str(k)
+        axis = json.dumps(self.axis.value)
+        members = {
+            "axis": axis,
+            "details": _object_text(details),
+            "entity_ids": '["\0"]',
+            "entity_kind": json.dumps(EntityKind.ROLE.value),
+            "group": _object_text(
+                {"axis": axis, "max_differences": str(k), "role_ids": '["\0"]'}
+            ),
+            "message": '"%s"' % self.template.format("\0", "\0", "\0"),
+            "severity": json.dumps(self.severity.value),
+            "type": json.dumps(self.type.value),
+        }
+        return _object_text(members).split("\0")
+
+
+class Groups:
+    """The role groups of one :class:`GroupSpec`, as columns: the member
+    role ids of every group in one flat column, group ``g`` being
+    ``ids[bounds[g]:bounds[g + 1]]``, and the count of each group."""
+
+    __slots__ = ("spec", "ids", "bounds", "counts")
+
+    def __init__(
+        self,
+        spec: GroupSpec,
+        ids: list[str],
+        bounds: list[int],
+        counts: list[int],
+    ) -> None:
+        if len(bounds) != len(counts) + 1 or bounds[-1] != len(ids):
+            raise ValueError("the bounds do not cut the ids into the groups")
+        self.spec = spec
+        self.ids = ids
+        self.bounds = bounds
+        self.counts = counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def entity_ids(self) -> list[tuple[str, ...]]:
+        """Each group's ``Finding.entity_ids``."""
+        ids, bounds = self.ids, self.bounds
+        return [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def finding(self, row: int) -> Finding:
+        members = self.ids[self.bounds[row] : self.bounds[row + 1]]
+        return self.spec.finding(tuple(members), self.counts[row])
+
+    def findings(self) -> list[Finding]:
+        return list(map(self.spec.finding, self.entity_ids(), self.counts))
+
+    def dicts(self) -> list[dict]:
+        return list(map(self.spec.record, self.entity_ids(), self.counts))
+
+    def texts(self) -> list[str]:
+        """Each group's JSON text, as ``json.dumps(record, sort_keys=True)``
+        writes it: :attr:`GroupSpec.plain_text` joined with the group's
+        values (one f-string) when its ids are plain, else the dump of
+        its record."""
+        spec = self.spec
+        pieces = spec.plain_text
+        duplicate = spec.type is InefficiencyType.DUPLICATE_ROLES
+        every_id_plain = _plain(self.ids)
+        rows = []
+        for ids, count in zip(self.entity_ids(), self.counts):
+            if not (every_id_plain or _plain(ids)):
+                record = spec.record(ids, count)
+                rows.append(json.dumps(record, sort_keys=True))
+                continue
+            n = len(ids)
+            joined = '", "'.join(ids)
+            # JSON writes the ellipsis as an escape.
+            shown = ", ".join(ids[:5]) + ("\\u2026" if n > 5 else "")
+            if duplicate:
+                a, b, c, d, e, f, g, h, i = pieces
+                rows.append(
+                    f"{a}{n}{b}{n - 1}{c}{count}{d}{joined}{e}{joined}"
+                    f"{f}{n}{g}{count}{h}{shown}{i}"
+                )
+            else:
+                a, b, c, d, e, f, g = pieces
+                rows.append(
+                    f"{a}{n}{b}{count}{c}{joined}{d}{joined}{e}{n}{f}{shown}{g}"
+                )
+        return rows
+
+
 def _record_text(finding: Finding) -> str:
     """``json.dumps(finding.to_dict(), sort_keys=True)``.
 
-    A record whose entity and group role ids are plain (:func:`_plain`)
-    and whose details and ``max_differences`` are ints is one ``%`` of
-    its shape's template, with the message quoted by the JSON module's
+    A record without a group, whose entity ids are plain
+    (:func:`_plain`) and whose details are ints, is one ``%`` of its
+    shape's template, with the message quoted by the JSON module's
     string encoder; any other is dumped from its dict.
     """
-    group = finding.group
     details = finding.details
-    numbers = list(details.values())
-    role_ids: tuple[str, ...] = ()
-    if group is not None:
-        numbers.append(group.max_differences)
-        role_ids = group.role_ids
     ids = finding.entity_ids
     if (
-        all(type(n) is int for n in numbers)
+        finding.group is None
+        and all(type(n) is int for n in details.values())
         and type(finding.message) is str
-        and _plain(ids + role_ids)
+        and _plain(ids)
     ):
         template = _record_template(
             finding.type,
             finding.entity_kind,
             finding.severity,
             finding.axis,
-            group.axis if group is not None else None,
             tuple(details),
         )
         if template is not None:
             text, keys = template
             slots = [details[key] for key in keys]
-            slots.append('", "'.join(ids))
-            if group is not None:
-                slots += (group.max_differences, '", "'.join(role_ids))
-            slots.append(_quote(finding.message))
+            slots += ('", "'.join(ids), _quote(finding.message))
             return text % tuple(slots)
     return json.dumps(finding.to_dict(), sort_keys=True)
 
@@ -524,14 +715,12 @@ def _record_template(
     entity_kind: EntityKind,
     severity: Severity,
     axis: Axis | None,
-    group_axis: Axis | None,
     keys: tuple[Any, ...],
 ) -> tuple[str, tuple[str, ...]] | None:
-    """The ``%`` template of a record of one shape, with plain ids, and
-    its details keys in slot order (built once per shape); ``None``
-    unless every key is a string.  Slots: each detail (``%d``), the
-    joined entity ids, the group's ``max_differences`` and joined role
-    ids (when it has a group) and the quoted message."""
+    """The ``%`` template of a record of one shape, with plain ids and no
+    group, and its details keys in slot order (built once per shape);
+    ``None`` unless every key is a string.  Slots: each detail
+    (``%d``), the joined entity ids and the quoted message."""
     if not all(type(key) is str for key in keys):
         return None
     keys = tuple(sorted(keys))
@@ -546,40 +735,37 @@ def _record_template(
     }
     if axis is not None:
         members["axis"] = _literal(axis.value)
-    if group_axis is not None:
-        members["group"] = _object_text(
-            {
-                "axis": _literal(group_axis.value),
-                "max_differences": "%d",
-                "role_ids": '["%s"]',
-            }
-        )
     return _object_text(members), keys
+
+
+#: A part of :class:`Findings` held as columns.
+Columns = Bucket | Groups
 
 
 class Findings(Sequence[Finding]):
     """A report's findings in detection order, held as a list of parts.
 
-    A part is a :class:`Bucket` or a list of :class:`Finding` records.
-    Counting and writing read the parts; the findings themselves are
-    built on first use (indexing, iterating, comparing) and kept.
+    A part is a :class:`Bucket`, a :class:`Groups` or a list of
+    :class:`Finding` records.  Counting and writing read the parts; the
+    findings themselves are built on first use (indexing, iterating,
+    comparing) and kept.
     """
 
-    def __init__(self, parts: Iterable[Bucket | list[Finding]] = ()) -> None:
-        self.parts: list[Bucket | list[Finding]] = []
+    def __init__(self, parts: Iterable[Columns | list[Finding]] = ()) -> None:
+        self.parts: list[Columns | list[Finding]] = []
         self._findings: list[Finding] | None = None
         for part in parts:
             self.add(part)
 
-    def add(self, part: Bucket | list[Finding]) -> None:
+    def add(self, part: Columns | list[Finding]) -> None:
         """Append a part; an empty one is dropped, and records following
         records join their list."""
         if not len(part):
             return
         self._findings = None
-        if isinstance(part, Bucket):
+        if isinstance(part, Columns):
             self.parts.append(part)
-        elif self.parts and not isinstance(self.parts[-1], Bucket):
+        elif self.parts and isinstance(self.parts[-1], list):
             self.parts[-1].extend(part)
         else:
             self.parts.append(list(part))
@@ -592,19 +778,20 @@ class Findings(Sequence[Finding]):
         else:
             self.add(list(found))
 
-    def buckets(self) -> Iterator[Bucket]:
-        return (part for part in self.parts if isinstance(part, Bucket))
+    def columns(self) -> Iterator[Columns]:
+        """The parts held as columns, in detection order."""
+        return (part for part in self.parts if not isinstance(part, list))
 
     def records(self) -> Iterator[Finding]:
         """The findings held as records, in detection order."""
         for part in self.parts:
-            if not isinstance(part, Bucket):
+            if isinstance(part, list):
                 yield from part
 
     def materialise(self) -> list[Finding]:
         """Every finding, in detection order (built once)."""
         if self._findings is None:
-            self._findings = self._rows(Bucket.findings, lambda f: f)
+            self._findings = self._rows("findings", lambda f: f)
         return self._findings
 
     def finding(self, index: int) -> Finding:
@@ -612,31 +799,33 @@ class Findings(Sequence[Finding]):
         for part in self.parts:
             if index < len(part):
                 return (
-                    part.finding(index)
-                    if isinstance(part, Bucket)
-                    else part[index]
+                    part[index]
+                    if isinstance(part, list)
+                    else part.finding(index)
                 )
             index -= len(part)
         raise IndexError("finding index out of range")
 
     def dicts(self) -> list[dict]:
         """``Finding.to_dict()`` of every finding, in detection order."""
-        return self._rows(Bucket.dicts, Finding.to_dict)
+        return self._rows("dicts", Finding.to_dict)
 
     def texts(self) -> list[str]:
         """Every finding's ``json.dumps(to_dict(), sort_keys=True)``, in
-        detection order (:meth:`Bucket.texts`, :func:`_record_text`)."""
-        return self._rows(Bucket.texts, _record_text)
+        detection order (:meth:`Bucket.texts`, :meth:`Groups.texts`,
+        :func:`_record_text`)."""
+        return self._rows("texts", _record_text)
 
-    def _rows(self, of_bucket: Callable, of_record: Callable) -> list:
-        """One row per finding, in detection order: ``of_bucket(bucket)``
-        for a bucket's rows, ``of_record(finding)`` for a record's."""
+    def _rows(self, of_columns: str, of_record: Callable) -> list:
+        """One row per finding, in detection order: the rows the
+        ``of_columns`` method of a column part returns, ``of_record``
+        of each record."""
         rows: list = []
         for part in self.parts:
             rows += (
-                of_bucket(part)
-                if isinstance(part, Bucket)
-                else map(of_record, part)
+                map(of_record, part)
+                if isinstance(part, list)
+                else getattr(part, of_columns)()
             )
         return rows
 
@@ -647,12 +836,12 @@ class Findings(Sequence[Finding]):
         ties keep detection order.  Each ``(severity, type)`` group is
         sorted once: a group of buckets only by its ids, as strings,
         concatenated in detection order (which the stable sort keeps for
-        equal ids); a group with records by the id tuples.
+        equal ids); any other group by the id tuples.
         """
         groups: dict[tuple[int, str], list[tuple[int, Any]]] = {}
         start = 0
         for part in self.parts:
-            if isinstance(part, Bucket):
+            if not isinstance(part, list):
                 spec = part.spec
                 key = (-spec.severity.rank, spec.type.value)
                 groups.setdefault(key, []).append((start, part))
@@ -665,7 +854,7 @@ class Findings(Sequence[Finding]):
         order: list[int] = []
         for key in sorted(groups):
             members = groups[key]
-            columns = all(isinstance(member, Bucket) for _, member in members)
+            buckets = all(isinstance(member, Bucket) for _, member in members)
             index: list[int] = []
             ids: list[Any] = []
             for offset, member in members:
@@ -674,7 +863,7 @@ class Findings(Sequence[Finding]):
                     ids.append(member.entity_ids)
                     continue
                 index += range(offset, offset + len(member))
-                ids += member.ids if columns else [(i,) for i in member.ids]
+                ids += member.ids if buckets else member.entity_ids()
             order += map(
                 index.__getitem__, sorted(range(len(ids)), key=ids.__getitem__)
             )

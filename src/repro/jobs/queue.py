@@ -221,6 +221,21 @@ class JobQueue:
         max_attempts: int = 3,
         time_source: Callable[[], float] = time.time,
     ) -> None:
+        self.check_options(lease_seconds, max_attempts)
+        self.path = Path(path)
+        self.lease_seconds = float(lease_seconds)
+        self.max_attempts = int(max_attempts)
+        self._time = time_source
+        self._local = threading.local()
+        self._connections: list[sqlite3.Connection] = []
+        self._connections_lock = threading.Lock()
+        self._closed = False
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._ensure_schema()
+
+    @staticmethod
+    def check_options(lease_seconds: float, max_attempts: int) -> None:
+        """Raise :class:`ConfigurationError` for options the queue rejects."""
         # Chained so that nan fails too (sqlite stores a nan expiry as
         # NULL, which the reaper never matches); a heartbeat waits a
         # third of the lease, and a wait past TIMEOUT_MAX overflows.
@@ -233,16 +248,6 @@ class JobQueue:
             raise ConfigurationError(
                 f"max_attempts must be >= 1 (got {max_attempts})"
             )
-        self.path = Path(path)
-        self.lease_seconds = float(lease_seconds)
-        self.max_attempts = int(max_attempts)
-        self._time = time_source
-        self._local = threading.local()
-        self._connections: list[sqlite3.Connection] = []
-        self._connections_lock = threading.Lock()
-        self._closed = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._ensure_schema()
 
     # ------------------------------------------------------------------
     # Connections + schema

@@ -140,6 +140,36 @@ class JobWorker:
         stop_event: threading.Event | None = None,
         sinks: Any = (),
     ) -> None:
+        self.check_options(poll_seconds, max_jobs, idle_exit_seconds)
+        self.queue = queue
+        self.worker_id = worker_id or default_worker_id()
+        self.handlers = dict(handlers if handlers is not None else DEFAULT_HANDLERS)
+        self.poll_seconds = float(poll_seconds)
+        self.max_jobs = max_jobs
+        self.idle_exit_seconds = idle_exit_seconds
+        self.stop_event = stop_event or threading.Event()
+        self._sinks = sinks
+        self._heartbeat_interval = max(
+            queue.lease_seconds * HEARTBEAT_FRACTION, 0.05
+        )
+        self._last_reap = 0.0
+        #: Per-config-key engine cache: build once, reuse per job shape.
+        self._engines: dict[str, Any] = {}
+        #: The recorder of the job being run (its ``jobs.run`` span is
+        #: open): handlers open child spans on it.
+        self.recorder: Recorder | NullRecorder = NULL_RECORDER
+        self.jobs_done = 0
+        self.jobs_failed = 0
+
+    @staticmethod
+    def check_options(
+        poll_seconds: float,
+        max_jobs: int | None,
+        idle_exit_seconds: float | None,
+    ) -> None:
+        """Raise :class:`ConfigurationError` for options the worker
+        rejects; :func:`run_worker` checks them before it opens the
+        queue."""
         # Chained so that nan (a busy-spinning claim loop) fails too; inf
         # would overflow the idle wait.
         if not 0 < poll_seconds <= threading.TIMEOUT_MAX:
@@ -161,25 +191,6 @@ class JobWorker:
             raise ConfigurationError(
                 f"max_jobs must be >= 1 or None (got {max_jobs})"
             )
-        self.queue = queue
-        self.worker_id = worker_id or default_worker_id()
-        self.handlers = dict(handlers if handlers is not None else DEFAULT_HANDLERS)
-        self.poll_seconds = float(poll_seconds)
-        self.max_jobs = max_jobs
-        self.idle_exit_seconds = idle_exit_seconds
-        self.stop_event = stop_event or threading.Event()
-        self._sinks = sinks
-        self._heartbeat_interval = max(
-            queue.lease_seconds * HEARTBEAT_FRACTION, 0.05
-        )
-        self._last_reap = 0.0
-        #: Per-config-key engine cache: build once, reuse per job shape.
-        self._engines: dict[str, Any] = {}
-        #: The recorder of the job being run (its ``jobs.run`` span is
-        #: open): handlers open child spans on it.
-        self.recorder: Recorder | NullRecorder = NULL_RECORDER
-        self.jobs_done = 0
-        self.jobs_failed = 0
 
     # ------------------------------------------------------------------
     # Loop
@@ -390,7 +401,9 @@ def run_worker(
     sinks: Any = (),
 ) -> dict[str, int]:
     """Open the queue at ``queue_path`` and run one worker loop to
-    completion — the target the ``repro work`` CLI runs per process."""
+    completion — the target the ``repro work`` CLI runs per process.
+    Every option is checked before the queue file is opened (or made)."""
+    JobWorker.check_options(poll_seconds, max_jobs, idle_exit_seconds)
     queue = JobQueue(
         queue_path, lease_seconds=lease_seconds, max_attempts=max_attempts
     )

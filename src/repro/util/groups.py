@@ -15,6 +15,8 @@ also loads ``scipy.sparse.linalg`` and ``scipy.linalg``, which adds about
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import numpy.typing as npt
 
@@ -79,3 +81,19 @@ def groups_of_pairs(
             np.maximum(row_roots, col_roots),
             np.minimum(row_roots, col_roots),
         )
+
+
+def flatten_groups(
+    groups: list[list[int]],
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """``groups`` as one flat array of their members, in order, and the
+    bounds that cut it: group ``g`` is ``members[bounds[g]:bounds[g + 1]]``."""
+    bounds = np.zeros(len(groups) + 1, dtype=np.intp)
+    np.cumsum(
+        np.fromiter(map(len, groups), dtype=np.intp, count=len(groups)),
+        out=bounds[1:],
+    )
+    members = np.fromiter(
+        chain.from_iterable(groups), dtype=np.intp, count=int(bounds[-1])
+    )
+    return members, bounds

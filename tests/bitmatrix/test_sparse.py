@@ -97,6 +97,37 @@ class TestCsrRowKeys:
         keys = csr_row_keys(np.zeros((3, 4), dtype=bool))
         assert keys[0] == keys[1] == keys[2]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_keys_are_the_per_row_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = rng.integers(0, 30), rng.integers(1, 40)
+        density = rng.choice([0.0, 0.05, 0.3, 0.9])
+        dense = rng.random((n_rows, n_cols)) < density
+        dense[rng.random(n_rows) < 0.3] = False  # empty rows
+        csr = sp.csr_matrix(dense, dtype=np.int64)
+        # The same rows with each row's indices shuffled.
+        indices = csr.indices.copy()
+        for start, end in zip(csr.indptr[:-1], csr.indptr[1:]):
+            rng.shuffle(indices[start:end])
+        messy = sp.csr_matrix(
+            (csr.data, indices, csr.indptr), shape=csr.shape
+        )
+        expected = per_row_keys(dense)
+        for matrix in (dense, dense.astype(np.int8), csr, messy, messy.tocoo()):
+            assert csr_row_keys(matrix) == expected
+        assert messy.indices.tolist() == indices.tolist()  # left as it was
+
+
+def per_row_keys(matrix) -> list[bytes]:
+    """Each row's sorted column indices as int64 bytes, one row at a time."""
+    csr = to_csr(matrix).copy()
+    csr.sort_indices()
+    indices = csr.indices.astype(np.int64)
+    return [
+        indices[csr.indptr[row] : csr.indptr[row + 1]].tobytes()
+        for row in range(csr.shape[0])
+    ]
+
 
 class TestRowContentClasses:
     def test_first_seen_order(self):

@@ -72,6 +72,22 @@ class TestSingleWorker:
         assert len(err) == 1
         assert err[0].startswith("error: idle_exit_seconds must be in")
 
+    @pytest.mark.parametrize(
+        "option", [["--idle-exit", "nan"], ["--poll", "0"], ["--lease", "nan"]]
+    )
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rejected_run_leaves_nothing_behind(
+        self, tmp_path, capsys, option, workers
+    ):
+        new_dir = tmp_path / "new"
+        args = ["work", str(new_dir / "q.sqlite"), "--workers", workers]
+        assert main(args + option) == 1
+        out, err = capsys.readouterr()
+        assert "attached" not in out
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ")
+        assert not new_dir.exists()
+
     def test_trace_out_writes_stitchable_traces(
         self, queue_path, tmp_path, capsys
     ):

@@ -114,10 +114,10 @@ class TestLabelMapping:
         with pytest.raises(ValidationError):
             AssignmentMatrix.ruam(state).row_index("nope")
 
-    def test_groups_to_ids(self, state):
+    def test_row_ids_at(self, state):
         ruam = AssignmentMatrix.ruam(state)
-        assert ruam.groups_to_ids([[0, 1]]) == [["r1", "r2"]]
-        assert ruam.groups_to_ids([]) == []
+        assert ruam.row_ids_at(np.array([1, 0, 1])) == ["r2", "r1", "r2"]
+        assert ruam.row_ids_at(np.array([], dtype=np.intp)) == []
 
 
 class TestMemoryShape:

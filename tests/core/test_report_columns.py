@@ -1,7 +1,8 @@
-"""Findings as columns: the bucket writer against the per-finding path.
+"""Findings as columns: the column writers against the per-finding path.
 
-Types 1-3 are held as bucket columns and written to JSON straight from
-them.  These tests pin what that must not change:
+Types 1-3 are held as bucket columns and types 4-5 as role-group
+columns, and both are written to JSON straight from them.  These tests
+pin what that must not change:
 
 * golden SHA-256 digests of the normalised report (and of the
   detection-order finding list) for the paper example and
@@ -11,7 +12,10 @@ them.  These tests pin what that must not change:
   trailing ``"\\x00"``: ``encode()`` is the sorted-key dump of
   ``to_dict()``, ``from_payload`` round-trips byte-identically, the
   review order is :func:`sort_findings`' and the detection order is the
-  per-finding detectors' (kept below as the reference).
+  per-finding detectors' (kept below as the reference);
+* over the same states with groups of more than five roles: a report of
+  columns counts, orders, writes and diffs as a report of the same
+  findings held as records.
 """
 
 from __future__ import annotations
@@ -27,7 +31,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalysisConfig, analyze, taxonomy
-from repro.core.detectors import AnalysisContext
+from repro.core.detectors import (
+    AnalysisContext,
+    DuplicateRolesDetector,
+    SimilarRolesDetector,
+)
 from repro.core.entities import EntityKind
 from repro.core.report import Report
 from repro.core.reportdiff import diff_reports, finding_key
@@ -45,6 +53,8 @@ from repro.core.taxonomy import (
     Bucket,
     Finding,
     Findings,
+    GroupSpec,
+    Groups,
     InefficiencyType,
     RoleGroup,
     sort_findings,
@@ -145,6 +155,63 @@ def per_finding_types_1_to_3(context: AnalysisContext) -> list[Finding]:
     return found
 
 
+# ----------------------------------------------------------------------
+# The per-group detectors of types 4-5 (the reference)
+# ----------------------------------------------------------------------
+def per_group_duplicates(
+    detector: DuplicateRolesDetector, context: AnalysisContext
+) -> list[Finding]:
+    found = []
+    for axis in detector._axes:
+        matrix = context.ruam if axis is Axis.USERS else context.rpam
+        workspace = context.workspace.axis(axis)
+        if not workspace.n_rows:
+            continue
+        for group in detector._finder.find_groups_in(workspace, 0):
+            role_ids = [
+                matrix.row_id(int(workspace.original[member]))
+                for member in group
+            ]
+            shared_count = int(workspace.norms[group[0]])
+            found.append(
+                group_record(
+                    InefficiencyType.DUPLICATE_ROLES, role_ids, axis, 0,
+                    shared_count,
+                )
+            )
+    return found
+
+
+def per_group_similar(
+    detector: SimilarRolesDetector, context: AnalysisContext
+) -> list[Finding]:
+    k = detector._max_differences
+    found = []
+    for axis in detector._axes:
+        matrix = context.ruam if axis is Axis.USERS else context.rpam
+        workspace = context.workspace.axis(axis)
+        if workspace.n_rows == 0:
+            continue
+        if detector._collapse_duplicates:
+            view = workspace.collapsed()
+            class_sizes = view.class_sizes
+        else:
+            view = workspace
+            class_sizes = np.ones(workspace.n_rows, dtype=np.int64)
+        for group in detector._finder.find_groups_in(view, k):
+            role_ids = [
+                matrix.row_id(int(view.original[member])) for member in group
+            ]
+            represented = int(sum(class_sizes[member] for member in group))
+            found.append(
+                group_record(
+                    InefficiencyType.SIMILAR_ROLES, role_ids, axis, k,
+                    represented,
+                )
+            )
+    return found
+
+
 def per_finding_detection(state: RbacState, config: AnalysisConfig):
     """Every finding in the order the per-finding engine collected them
     (``config`` enables types 1-3, which run first)."""
@@ -153,7 +220,12 @@ def per_finding_detection(state: RbacState, config: AnalysisConfig):
     context = AnalysisContext(state)
     found = per_finding_types_1_to_3(context)
     for detector in AnalysisEngine(config).detectors[3:]:
-        found.extend(detector.detect(context))
+        if isinstance(detector, DuplicateRolesDetector):
+            found.extend(per_group_duplicates(detector, context))
+        elif isinstance(detector, SimilarRolesDetector):
+            found.extend(per_group_similar(detector, context))
+        else:
+            found.extend(detector.detect(context))
     return found
 
 
@@ -524,3 +596,160 @@ def test_encode_dumps_the_summary_and_no_finding(
     assert len(dumped) <= 2 * len(summary) + 1
     members = [*summary, "findings", *summary.values()]
     assert all(value in members for value in dumped)
+
+
+# ----------------------------------------------------------------------
+# Role groups as columns against the per-group detectors
+# ----------------------------------------------------------------------
+#: Names of a family of roles that differ only in case, and names with
+#: quotes, a backslash, non-ASCII or trailing NULs.
+PLAIN_FAMILY_NAMES = [
+    "X", "x", "Y", "y", "Z", "z", "W", "w", "V", "v", "x-1", "X-1",
+    "x.2", "x_3", "x 4", "Q",
+]
+FAMILY_NAMES = PLAIN_FAMILY_NAMES + [
+    "x'", 'x"', "x\\", "é", "É", "x\x00", "x\x00\x00", "\U0001f600", "z'",
+    "Ω",
+]
+
+
+def grouped_state(seed: int) -> RbacState:
+    """A churned state plus one family of roles: a base role, up to
+    seven twins (a duplicate group on both axes) and up to seven roles
+    with one extra user each (a similar group on the users axis, and
+    more duplicates on the permissions axis)."""
+    rng = random.Random(seed)
+    state = churned_state(seed)
+    # Half the families have plain ids only, which the row template
+    # writes; the others mix in ids that are dumped.
+    names = rng.choice([PLAIN_FAMILY_NAMES, FAMILY_NAMES])
+    names = rng.sample(names, len(names))
+    n_twins, n_near = rng.randint(0, 7), rng.randint(0, 7)
+    for n in range(2 + n_near):
+        state.add_user(f"gu{n}")
+    for n in range(2):
+        state.add_permission(f"gp{n}")
+    for n, name in enumerate(names[: 1 + n_twins + n_near]):
+        role = "g" + name
+        state.add_role(role)
+        for member in ("gu0", "gu1"):
+            state.assign_user(role, member)
+        for member in ("gp0", "gp1"):
+            state.assign_permission(role, member)
+        if n > n_twins:
+            state.assign_user(role, f"gu{n - n_twins + 1}")
+    return state
+
+
+GROUP_CONFIGS = CONFIGS + [
+    AnalysisConfig(similarity_threshold=2),
+    AnalysisConfig(collapse_duplicates=False),
+    AnalysisConfig(axes=(Axis.PERMISSIONS,)),
+]
+
+
+def records_only(report: Report, state: RbacState) -> Report:
+    """``report`` with its findings held as records alone."""
+    return Report(
+        state,
+        Findings([list(report.findings)]),
+        report.timings,
+        report.total_seconds,
+        report.config,
+        report.metrics,
+    )
+
+
+def test_grouped_states_hold_groups_of_more_than_five():
+    sizes = {
+        kind: max(
+            (
+                len(f.entity_ids)
+                for seed in range(10)
+                for f in analyze(grouped_state(seed)).of_type(kind)
+            ),
+            default=0,
+        )
+        for kind in (
+            InefficiencyType.DUPLICATE_ROLES, InefficiencyType.SIMILAR_ROLES
+        )
+    }
+    assert min(sizes.values()) > 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    groups=st.lists(
+        st.one_of(
+            st.lists(plain_ids, min_size=2, max_size=8),
+            st.lists(mixed_ids, min_size=2, max_size=8),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_group_rows_are_the_findings_they_stand_for(groups, data):
+    counts = data.draw(
+        st.lists(
+            st.integers(0, 10**12), min_size=len(groups), max_size=len(groups)
+        )
+    )
+    ids = [role_id for group in groups for role_id in group]
+    bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
+    for axis in Axis:
+        for spec in (
+            GroupSpec(InefficiencyType.DUPLICATE_ROLES, axis),
+            GroupSpec(InefficiencyType.SIMILAR_ROLES, axis, 3),
+        ):
+            part = Groups(spec, ids, bounds, counts)
+            findings = part.findings()
+            kind, k = spec.type, spec.max_differences
+            assert findings == [
+                group_record(kind, group, axis, k, count)
+                for group, count in zip(groups, counts)
+            ]
+            assert part.dicts() == [f.to_dict() for f in findings]
+            assert part.texts() == [
+                json.dumps(f.to_dict(), sort_keys=True) for f in findings
+            ]
+            assert [part.finding(row) for row in range(len(part))] == findings
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    config=st.sampled_from(GROUP_CONFIGS),
+)
+def test_group_columns_are_the_per_group_detectors(seed, config):
+    state = grouped_state(seed)
+    report = analyze(state, config)
+    expected = per_finding_detection(state, config)
+    records = records_only(report, state)
+    assert report.findings == expected
+    assert report.parts == records.parts
+    payload = report.to_dict()
+    # Key insertion order too: audit and to_json dump without sorting.
+    assert json.dumps(payload) == json.dumps(records.to_dict())
+    encoded = report.encode()
+    assert encoded == json.dumps(payload, sort_keys=True).encode("utf-8")
+    assert encoded == records.encode()
+    assert report.counts() == records.counts()
+    assert report.consolidation_potential() == records.consolidation_potential()
+    assert report.parts.review_order() == records.parts.review_order()
+    rebuilt = Report.from_payload(json.loads(encoded), state)
+    assert rebuilt.encode() == encoded
+
+    newer = state.copy()
+    newer.add_user("u\x00new")
+    family = [role for role in newer.role_ids() if role.startswith("g")]
+    for role in newer.role_ids()[:2] + family[-1:]:
+        if newer.has_role(role):
+            newer.remove_role(role)
+    new_report = analyze(newer, config)
+    new_records = records_only(new_report, newer)
+    expected_diff = diff_reports(records, new_records).to_dict()
+    for old, new in [
+        (report, new_report), (report, new_records), (records, new_report)
+    ]:
+        assert diff_reports(old, new).to_dict() == expected_diff
